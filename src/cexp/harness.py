@@ -614,6 +614,17 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     for variant in protocol.variants:
         stubs[variant.variant_id].start(bus)
 
+    # the production-protection audit, counted off the wire as commands go out
+    production_id = next(v.variant_id for v in protocol.variants if v.role is Role.PRODUCTION)
+    commands_to_production = 0
+
+    def on_command(received: Received) -> None:
+        nonlocal commands_to_production
+        if received.message.target_variant_id == production_id:
+            commands_to_production += 1
+
+    bus.subscribe(types={MsgType.COMMAND}, callback=on_command)
+
     for variant in protocol.variants:
         profile = scenario.stub_for(variant.variant_id)
         if profile.crash_at_s is not None:
@@ -649,7 +660,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
             for event in monitor.restart_events:
                 fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
 
-    failures = check_expectations(scenario, report, bus, monitor)
+    failures = check_expectations(scenario, report, commands_to_production, monitor)
     decision = None
     if "winner" in scenario.expect or scenario.expect.get("decision", False):
         from . import hqcli  # local import: hqcli sits above the harness
@@ -669,9 +680,11 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
 def check_expectations(
     scenario: Scenario,
     report: ExperimentReport,
-    bus: LoopbackBus,
+    commands_to_production: int,
     monitor: FailoverMonitor,
 ) -> list[str]:
+    """``commands_to_production`` counts the COMMAND messages published
+    to the production variant during the run."""
     expect = scenario.expect
     failures: list[str] = []
     if "final_state" in expect and report.final_state != expect["final_state"]:
@@ -690,12 +703,6 @@ def check_expectations(
         failures.append(
             f"restart_count: expected {expect['restart_count']}, got {len(monitor.restart_events)}"
         )
-    production_id = next(v.variant_id for v in report.variants if v.role == Role.PRODUCTION.value)
-    commands_to_production = sum(
-        1
-        for item in bus.history
-        if isinstance(item.message, Command) and item.message.target_variant_id == production_id
-    )
     max_prod_commands = int(expect.get("commands_to_production", 0))
     if commands_to_production > max_prod_commands:
         failures.append(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -40,6 +39,7 @@ from .supervisor import (
     ChunkCollector,
     ExperimentReport,
     UplinkFailed,
+    _atomic_write,
     report_from_json,
     uplink_report,
 )
@@ -54,12 +54,6 @@ class Unreachable(Exception):
 
 class IncompleteReport(Exception):
     pass
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

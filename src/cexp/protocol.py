@@ -15,12 +15,11 @@ byte-stable and diffable.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-_DIGEST_RE = re.compile(r"^sha256:[0-9a-f]{64}$")
+from .artifact import _DIGEST_RE
 
 MAX_EXPERIMENT_ID_LEN = 64
 MIN_SAMPLE_PERIOD_MS = 50

@@ -57,6 +57,7 @@ SUPERVISOR_SENDER_ID = 1
 MAX_DEGRADE_LEVEL = 2
 CHUNK_BYTES = 4096
 CHUNK_RETRY_BUDGET = 5  # retransmissions allowed per chunk after the first send
+STATUS_EVENTS = 10  # events kept for status.json's last_events
 
 # Variant outcome labels used in reports.
 STATUS_RUNNING = "RUNNING"
@@ -213,6 +214,15 @@ def report_from_object(obj: dict[str, Any]) -> ExperimentReport:
 
 def report_from_json(text: str) -> ExperimentReport:
     return report_from_object(json.loads(text))
+
+
+def sandbox_line(t_us: int, frame_id: int, detected_count: int, ground_truth_count: int, latency_us: int) -> str:
+    """One sandbox log record: the bytes ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` gives for these int fields, plus a newline."""
+    return (
+        f'{{"detected_count":{detected_count},"frame_id":{frame_id},'
+        f'"ground_truth_count":{ground_truth_count},"latency_us":{latency_us},"t_us":{t_us}}}\n'
+    )
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -385,7 +395,10 @@ class Supervisor:
         self.log_dir = self.run_dir / "logs"
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self.timeline: list[dict] = []
-        self.events: list[dict] = []
+        # the last STATUS_EVENTS events; events.jsonl holds all of them
+        self.events: deque[dict] = deque(maxlen=STATUS_EVENTS)
+        self._events_logged = 0
+        self._status_written: Optional[tuple[ExperimentState, int]] = None
         self._events_fh = open(self.run_dir / "events.jsonl", "w", encoding="utf-8")
         self._variant_logs: dict[str, Any] = {}
         self._ground_truth: dict[int, int] = {}
@@ -429,16 +442,23 @@ class Supervisor:
     def _log(self, kind: str, **payload: Any) -> None:
         event = {"t_us": self.clock.now_us(), "kind": kind, **payload}
         self.events.append(event)
+        self._events_logged += 1
         # flushed per event: the log is meant to be tail-able mid-run
         self._events_fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
         self._events_fh.flush()
 
-    def _write_status(self) -> None:
+    def _write_status(self, always: bool = False) -> None:
+        """Rewrite status.json, unless neither the state nor the event log
+        changed since the last write."""
+        written = (self.state, self._events_logged)
+        if written == self._status_written and not always:
+            return
+        self._status_written = written
         status = {
             "experiment_id": self.protocol.experiment_id,
             "state": self.state.value,
             "t_us": self.clock.now_us(),
-            "last_events": self.events[-10:],
+            "last_events": list(self.events),
         }
         _atomic_write(
             self.run_dir / "status.json",
@@ -473,18 +493,7 @@ class Supervisor:
         # sandbox rule: outputs are appended to the variant log, never
         # republished or forwarded anywhere else
         self._variant_logs[msg.variant_id].write(
-            json.dumps(
-                {
-                    "t_us": self.clock.now_us(),
-                    "frame_id": msg.frame_id,
-                    "detected_count": msg.detected_count,
-                    "ground_truth_count": gt,
-                    "latency_us": msg.latency_us,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
+            sandbox_line(self.clock.now_us(), msg.frame_id, msg.detected_count, gt, msg.latency_us)
         )
 
     def _on_resource_report(self, t_us: int, msg: ResourceReport) -> None:
@@ -630,7 +639,7 @@ class Supervisor:
                 state.final_status = STATUS_COMPLETED
         report = self._build_report()
         _atomic_write(self.run_dir / "report.json", report.to_json().encode("utf-8"))
-        self._write_status()
+        self._write_status(always=True)
         if self.uplink is not None:
             try:
                 record = self.uplink.send(

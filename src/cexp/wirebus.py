@@ -163,114 +163,127 @@ class Envelope:
     payload_len: int
 
 
-def _pack_str(s: str) -> bytes:
+# Precompiled layouts of the fixed parts of each payload. A string field
+# is a u16 length prefix followed by that many UTF-8 bytes.
+_U16 = struct.Struct("<H")
+_SENSOR_FRAME = struct.Struct("<QH32s")
+_MODULE_OUTPUT_HEAD = struct.Struct("<QH")  # frame_id, variant_id length
+_MODULE_OUTPUT_TAIL = struct.Struct("<HI")
+_RESOURCE_REPORT_TAIL = struct.Struct("<dd")
+_COMMAND_TAIL = struct.Struct("<BB")
+_HEARTBEAT = struct.Struct("<IQ")
+_RESULT_CHUNK_TAIL = struct.Struct("<II")
+
+_MSG_TYPES = {int(t): t for t in MsgType}
+
+
+def _check_min(size: int, needed: int) -> None:
+    if size < needed:
+        raise MalformedPayload(f"payload short by {needed - size} bytes")
+
+
+def _check_size(size: int, expected: int) -> None:
+    """A payload part of the wrong size, short or long, is a MalformedPayload."""
+    _check_min(size, expected)
+    if size > expected:
+        raise MalformedPayload(f"{size - expected} trailing payload bytes")
+
+
+def _text(buf: bytes, start: int, stop: int) -> str:
+    try:
+        return str(buf[start:stop], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedPayload(f"invalid UTF-8 in string field: {exc}") from exc
+
+
+def _str_at(buf: bytes, start: int, end: int) -> tuple[str, int]:
+    """The string field at ``start`` and the offset just past it; the
+    field must end at or before ``end``."""
+    _check_min(end - start, _U16.size)
+    (length,) = _U16.unpack_from(buf, start)
+    stop = start + _U16.size + length
+    _check_min(end - start, stop - start)
+    return _text(buf, start + _U16.size, stop), stop
+
+
+def _utf8_field(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise PayloadTooLarge(f"string field of {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
+    return raw
 
 
-class _Reader:
-    """Cursor over a payload; every short read is a MalformedPayload."""
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise MalformedPayload(f"payload short by {self.pos + n - len(self.buf)} bytes")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
-
-    def take_str(self) -> str:
-        (length,) = self.unpack("<H")
-        raw = self.take(length)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPayload(f"invalid UTF-8 in string field: {exc}") from exc
-
-    def rest(self) -> bytes:
-        out = self.buf[self.pos :]
-        self.pos = len(self.buf)
-        return out
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise MalformedPayload(f"{len(self.buf) - self.pos} trailing payload bytes")
+def _pack_str(s: str) -> bytes:
+    raw = _utf8_field(s)
+    return _U16.pack(len(raw)) + raw
 
 
 def _encode_payload(msg: Message) -> bytes:
     if isinstance(msg, SensorFrame):
         if len(msg.pixels_digest) != 32:
             raise MalformedPayload("pixels_digest must be exactly 32 bytes")
-        return struct.pack("<QH32s", msg.frame_id, msg.ground_truth_count, msg.pixels_digest)
+        return _SENSOR_FRAME.pack(msg.frame_id, msg.ground_truth_count, msg.pixels_digest)
     if isinstance(msg, ModuleOutput):
+        raw = _utf8_field(msg.variant_id)
         return (
-            struct.pack("<Q", msg.frame_id)
-            + _pack_str(msg.variant_id)
-            + struct.pack("<HI", msg.detected_count, msg.latency_us)
+            _MODULE_OUTPUT_HEAD.pack(msg.frame_id, len(raw))
+            + raw
+            + _MODULE_OUTPUT_TAIL.pack(msg.detected_count, msg.latency_us)
         )
     if isinstance(msg, ResourceReport):
-        return _pack_str(msg.variant_id) + struct.pack("<dd", msg.cpu_pct, msg.mem_mb)
+        return _pack_str(msg.variant_id) + _RESOURCE_REPORT_TAIL.pack(msg.cpu_pct, msg.mem_mb)
     if isinstance(msg, Command):
-        return _pack_str(msg.target_variant_id) + struct.pack(
-            "<BB", int(msg.command), msg.degrade_level
+        return _pack_str(msg.target_variant_id) + _COMMAND_TAIL.pack(
+            int(msg.command), msg.degrade_level
         )
     if isinstance(msg, Heartbeat):
-        return struct.pack("<IQ", msg.node_id, msg.uptime_s)
+        return _HEARTBEAT.pack(msg.node_id, msg.uptime_s)
     if isinstance(msg, ResultChunk):
         return (
             _pack_str(msg.experiment_id)
-            + struct.pack("<II", msg.chunk_index, msg.total_chunks)
+            + _RESULT_CHUNK_TAIL.pack(msg.chunk_index, msg.total_chunks)
             + msg.data
         )
     raise TypeError(f"not a bus message: {type(msg).__name__}")
 
 
-def _decode_payload(msg_type: MsgType, payload: bytes) -> Message:
-    r = _Reader(payload)
-    msg: Message
+def _decode_payload(msg_type: MsgType, buf: bytes, start: int) -> Message:
+    """Decode the payload that fills ``buf[start:]``."""
+    end = len(buf)
     if msg_type is MsgType.SENSOR_FRAME:
-        frame_id, count = r.unpack("<QH")
-        digest = r.take(32)
-        msg = SensorFrame(frame_id=frame_id, ground_truth_count=count, pixels_digest=digest)
-    elif msg_type is MsgType.MODULE_OUTPUT:
-        (frame_id,) = r.unpack("<Q")
-        variant_id = r.take_str()
-        detected, latency = r.unpack("<HI")
-        msg = ModuleOutput(
-            frame_id=frame_id, variant_id=variant_id, detected_count=detected, latency_us=latency
-        )
-    elif msg_type is MsgType.RESOURCE_REPORT:
-        variant_id = r.take_str()
-        cpu, mem = r.unpack("<dd")
-        msg = ResourceReport(variant_id=variant_id, cpu_pct=cpu, mem_mb=mem)
-    elif msg_type is MsgType.COMMAND:
-        target = r.take_str()
-        kind_raw, level = r.unpack("<BB")
+        _check_size(end - start, _SENSOR_FRAME.size)
+        return SensorFrame(*_SENSOR_FRAME.unpack_from(buf, start))
+    if msg_type is MsgType.MODULE_OUTPUT:
+        _check_min(end - start, _MODULE_OUTPUT_HEAD.size)
+        frame_id, length = _MODULE_OUTPUT_HEAD.unpack_from(buf, start)
+        pos = start + _MODULE_OUTPUT_HEAD.size
+        _check_size(end - pos, length + _MODULE_OUTPUT_TAIL.size)
+        variant_id = _text(buf, pos, pos + length)
+        detected, latency = _MODULE_OUTPUT_TAIL.unpack_from(buf, pos + length)
+        return ModuleOutput(frame_id, variant_id, detected, latency)
+    if msg_type is MsgType.RESOURCE_REPORT:
+        variant_id, pos = _str_at(buf, start, end)
+        _check_size(end - pos, _RESOURCE_REPORT_TAIL.size)
+        cpu, mem = _RESOURCE_REPORT_TAIL.unpack_from(buf, pos)
+        return ResourceReport(variant_id, cpu, mem)
+    if msg_type is MsgType.HEARTBEAT:
+        _check_size(end - start, _HEARTBEAT.size)
+        return Heartbeat(*_HEARTBEAT.unpack_from(buf, start))
+    if msg_type is MsgType.COMMAND:
+        target, pos = _str_at(buf, start, end)
+        _check_size(end - pos, _COMMAND_TAIL.size)
+        kind_raw, level = _COMMAND_TAIL.unpack_from(buf, pos)
         try:
             kind = CommandKind(kind_raw)
         except ValueError:
             raise MalformedPayload(f"unknown command value {kind_raw}") from None
-        msg = Command(target_variant_id=target, command=kind, degrade_level=level)
-    elif msg_type is MsgType.HEARTBEAT:
-        node_id, uptime = r.unpack("<IQ")
-        msg = Heartbeat(node_id=node_id, uptime_s=uptime)
-    elif msg_type is MsgType.RESULT_CHUNK:
-        experiment_id = r.take_str()
-        index, total = r.unpack("<II")
-        msg = ResultChunk(experiment_id=experiment_id, chunk_index=index, total_chunks=total, data=r.rest())
-    else:  # pragma: no cover - MsgType is closed
-        raise UnknownType(f"msg_type {msg_type}")
-    r.done()
-    return msg
+        return Command(target, kind, level)
+    if msg_type is MsgType.RESULT_CHUNK:
+        experiment_id, pos = _str_at(buf, start, end)
+        _check_min(end - pos, _RESULT_CHUNK_TAIL.size)
+        index, total = _RESULT_CHUNK_TAIL.unpack_from(buf, pos)
+        return ResultChunk(experiment_id, index, total, buf[pos + _RESULT_CHUNK_TAIL.size :])
+    raise UnknownType(f"msg_type {msg_type}")  # pragma: no cover - MsgType is closed
 
 
 def encode(msg: Message, sender_id: int, seq: int, timestamp_us: int) -> bytes:
@@ -290,37 +303,30 @@ def decode(datagram: bytes) -> tuple[Envelope, Message]:
     Raises ``Truncated``, ``BadMagic``, ``BadVersion``, ``UnknownType``, or
     ``MalformedPayload`` - never anything else.
     """
-    if len(datagram) < HEADER_LEN:
-        raise Truncated(f"datagram of {len(datagram)} bytes is below the {HEADER_LEN}-byte header")
-    magic, version, msg_type_raw, flags, sender_id, seq, timestamp_us, payload_len = HEADER.unpack(
-        datagram[:HEADER_LEN]
+    size = len(datagram)
+    if size < HEADER_LEN:
+        raise Truncated(f"datagram of {size} bytes is below the {HEADER_LEN}-byte header")
+    magic, version, msg_type_raw, flags, sender_id, seq, timestamp_us, payload_len = HEADER.unpack_from(
+        datagram
     )
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
-    try:
-        msg_type = MsgType(msg_type_raw)
-    except ValueError:
-        raise UnknownType(f"unknown msg_type 0x{msg_type_raw:02x}") from None
+    msg_type = _MSG_TYPES.get(msg_type_raw)
+    if msg_type is None:
+        raise UnknownType(f"unknown msg_type 0x{msg_type_raw:02x}")
     if flags != 0:
         raise MalformedPayload(f"reserved flags must be 0, got 0x{flags:04x}")
     if payload_len > MAX_PAYLOAD:
         raise MalformedPayload(f"payload_len {payload_len} exceeds {MAX_PAYLOAD}")
-    body = datagram[HEADER_LEN:]
-    if len(body) < payload_len:
-        raise Truncated(f"payload short: header says {payload_len}, got {len(body)}")
-    if len(body) > payload_len:
-        raise MalformedPayload(f"{len(body) - payload_len} bytes beyond declared payload")
-    message = _decode_payload(msg_type, body)
-    envelope = Envelope(
-        msg_type=msg_type,
-        sender_id=sender_id,
-        seq=seq,
-        timestamp_us=timestamp_us,
-        payload_len=payload_len,
-    )
-    return envelope, message
+    body_len = size - HEADER_LEN
+    if body_len < payload_len:
+        raise Truncated(f"payload short: header says {payload_len}, got {body_len}")
+    if body_len > payload_len:
+        raise MalformedPayload(f"{body_len - payload_len} bytes beyond declared payload")
+    message = _decode_payload(msg_type, datagram, HEADER_LEN)
+    return Envelope(msg_type, sender_id, seq, timestamp_us, payload_len), message
 
 
 @dataclass(frozen=True)
@@ -363,13 +369,12 @@ class Subscription:
 
 class LoopbackBus:
     """In-memory hub: every published datagram reaches every subscription
-    exactly once, in publish order. Keeps the full decoded history so tests
-    can audit the complete traffic of a run."""
+    exactly once, in publish order. Nothing is retained once fan-out
+    returns; whoever wants to audit the traffic subscribes for it."""
 
     def __init__(self) -> None:
         self._subs: list[Subscription] = []
         self._closed = False
-        self.history: list[Received] = []
 
     def subscribe(
         self,
@@ -386,7 +391,6 @@ class LoopbackBus:
         if self._closed:
             raise TransportClosed("bus is closed")
         item = Received(*decode(datagram))
-        self.history.append(item)
         for sub in self._subs:
             sub._offer(item)
 

@@ -8,7 +8,27 @@ from typing import Any
 
 import pytest
 
-from cexp.wirebus import SocketError, UdpMulticastBus
+from cexp import harness
+from cexp.wirebus import LoopbackBus, Received, SocketError, UdpMulticastBus
+
+
+class RecordingBus(LoopbackBus):
+    """Loopback bus whose ``history`` records every delivered message, for
+    tests that audit a run's traffic. The recorder subscribes before anyone
+    else, so the history is in publish order: a command published while a
+    resource report fans out lands after that report."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.history: list[Received] = []
+        self.subscribe(callback=self.history.append)
+
+
+@pytest.fixture
+def recording_bus(monkeypatch):
+    """``run_scenario`` builds a ``RecordingBus``; read it as ``outcome.bus``."""
+    monkeypatch.setattr(harness, "LoopbackBus", RecordingBus)
+    return RecordingBus
 
 
 def digest(n: int) -> str:

@@ -60,7 +60,7 @@ def test_criterion_1_end_to_end_cycle_selects_best_variant(tmp_path, capsys):
     _pass(1, f"full cycle picked expA, byte-identical reports, {elapsed:.2f}s wall")
 
 
-def test_criterion_2_enforcement_timing_and_targeting(tmp_path):
+def test_criterion_2_enforcement_timing_and_targeting(tmp_path, recording_bus):
     scenario = scenario_from_object(make_hostile_scenario())
     outcome = run_scenario(scenario, data_dir=tmp_path)
     report = outcome.report

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from cexp import harness
 from cexp.artifact import DatagramLink, LinkProfile
 from cexp.clock import FakeClock, Scheduler
 from cexp.protocol import parse_protocol
@@ -23,7 +25,7 @@ from cexp.wirebus import (
     Sender,
     SensorFrame,
 )
-from conftest import make_protocol_doc
+from conftest import RecordingBus, make_ab_scenario, make_protocol_doc
 
 SUSTAINED = ViolationVerdict(Verdict.SUSTAINED_VIOLATION, Axis.CPU, 3)
 OK = ViolationVerdict(Verdict.OK, Axis.NONE, 0)
@@ -125,11 +127,17 @@ class ScriptedSource:
         return publish
 
 
+def logged_events(sup):
+    """Every event of the run, read back from its events.jsonl."""
+    lines = (sup.run_dir / "events.jsonl").read_text("utf-8").splitlines()
+    return [json.loads(line) for line in lines]
+
+
 def drive_run(protocol, traces, tmp_path, handles=None, uplink=None, outputs=None, probes=()):
     """Run a scripted supervisor world to completion; returns (report, bus, sup)."""
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
-    bus = LoopbackBus()
+    bus = RecordingBus()
     sender = Sender(bus, S.SUPERVISOR_SENDER_ID, clock)
     sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", sender, handles=handles, uplink=uplink)
     sup.schedule(scheduler, bus)
@@ -280,7 +288,7 @@ def test_crashed_variant_is_recorded_and_run_continues(tmp_path):
     assert report.variant("prod").final_status == "COMPLETED"
     # a crash is not an enforcement abort: the experiment still completes
     assert report.final_state == "COMPLETED"
-    assert any(e["kind"] == "launch_lost" for e in sup.events)
+    assert any(e["kind"] == "launch_lost" for e in logged_events(sup))
 
 
 def test_report_roundtrips_through_json(tmp_path):
@@ -308,6 +316,66 @@ def test_status_snapshot_is_written_and_monotone(tmp_path):
     assert seen_states == ["RUNNING"]
     final = json.loads((Path(tmp_path) / "data" / protocol.experiment_id / "status.json").read_text("utf-8"))
     assert final["state"] == "COMPLETED"
+
+
+def test_events_keep_the_last_ten_in_memory_and_all_on_disk(tmp_path):
+    protocol = two_variant_protocol(cpu_threshold_pct=20.0)
+    # production over budget on every sample: one logged violation each
+    _, _, sup = drive_run(protocol, {"prod": [99] * 19, "expA": [10] * 19}, tmp_path)
+    logged = logged_events(sup)
+    assert len(logged) > S.STATUS_EVENTS
+    assert len(sup.events) <= S.STATUS_EVENTS
+    assert list(sup.events) == logged[-S.STATUS_EVENTS :]
+    status = json.loads((sup.run_dir / "status.json").read_text("utf-8"))
+    assert status["last_events"] == logged[-S.STATUS_EVENTS :]
+
+
+# sha256 of the final status.json of conftest's clean A/B run, as written by
+# a supervisor that rewrote the file on every tick
+AB_500_FINAL_STATUS_SHA256 = "33ef90556f38744f4646b33ff3ffbae21cc703a7cdbf564d9e4969edc193affa"
+
+
+def test_clean_run_writes_status_at_begin_state_changes_and_finish_only(tmp_path, monkeypatch):
+    written = []
+    atomic_write = S._atomic_write
+
+    def recording_write(path, data):
+        atomic_write(path, data)
+        if path.name == "status.json":
+            status = json.loads(data)
+            written.append((status["state"], status["t_us"]))
+
+    monkeypatch.setattr(S, "_atomic_write", recording_write)
+    scenario = harness.scenario_from_object(make_ab_scenario())
+    harness.run_scenario(scenario, data_dir=tmp_path / "on_change")
+    assert written == [("RUNNING", 0), ("COMPLETED", 60_000_000)]
+    final = (tmp_path / "on_change" / "data" / "exp-ab-500" / "status.json").read_bytes()
+    assert hashlib.sha256(final).hexdigest() == AB_500_FINAL_STATUS_SHA256
+
+    # rewriting on every tick changes how often the file is written, not how it ends
+    write_status = S.Supervisor._write_status
+    monkeypatch.setattr(S.Supervisor, "_write_status", lambda self, always=False: write_status(self, True))
+    written.clear()
+    harness.run_scenario(scenario, data_dir=tmp_path / "every_tick")
+    assert len(written) > 100
+    assert (tmp_path / "every_tick" / "data" / "exp-ab-500" / "status.json").read_bytes() == final
+
+
+@pytest.mark.parametrize("value", [0, 0xFFFF, 2**32 - 1, 2**64 - 1])
+def test_sandbox_line_matches_compact_sorted_json(value):
+    for field in range(5):
+        args = [field + 1] * 5
+        args[field] = value
+        t_us, frame_id, detected_count, ground_truth_count, latency_us = args
+        record = {
+            "t_us": t_us,
+            "frame_id": frame_id,
+            "detected_count": detected_count,
+            "ground_truth_count": ground_truth_count,
+            "latency_us": latency_us,
+        }
+        expected = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        assert S.sandbox_line(*args) == expected
 
 
 # -- result chunking and uplink -----------------------------------------------------
@@ -350,7 +418,7 @@ def test_uplink_with_link_down_raises_and_report_is_retained(tmp_path):
         protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path, uplink=uplink
     )
     assert (sup.run_dir / "report.json").is_file()  # retained for a later retry
-    assert any(e["kind"] == "uplink_failed" for e in sup.events)
+    assert any(e["kind"] == "uplink_failed" for e in logged_events(sup))
     assert not (tmp_path / "hq" / protocol.experiment_id / "report.json").exists()
 
 
@@ -362,7 +430,7 @@ def test_uplink_delivers_report_to_hq_dir(tmp_path):
     )
     hq_copy = (tmp_path / "hq" / protocol.experiment_id / "report.json").read_bytes()
     assert hq_copy == (sup.run_dir / "report.json").read_bytes()
-    assert any(e["kind"] == "uplink_report" for e in sup.events)
+    assert any(e["kind"] == "uplink_report" for e in logged_events(sup))
 
 
 def test_periodic_upload_policy_sends_snapshots(tmp_path):
@@ -371,7 +439,7 @@ def test_periodic_upload_policy_sends_snapshots(tmp_path):
     report, _, sup = drive_run(
         protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path, uplink=uplink
     )
-    snapshots = [e for e in sup.events if e["kind"] == "uplink_snapshot"]
+    snapshots = [e for e in logged_events(sup) if e["kind"] == "uplink_snapshot"]
     assert len(snapshots) >= 2  # every 2 s over a 10 s run
     assert (tmp_path / "hq" / protocol.experiment_id / "snapshot.json").is_file()
     assert (tmp_path / "hq" / protocol.experiment_id / "report.json").is_file()

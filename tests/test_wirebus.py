@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import string
+import weakref
 
 import pytest
 
@@ -141,6 +142,41 @@ def test_trailing_bytes_are_malformed():
         W.decode(good + b"\x00")
 
 
+FIXED_LAYOUT_MESSAGES = [
+    W.SensorFrame(frame_id=7, ground_truth_count=3, pixels_digest=bytes(range(32))),
+    W.ModuleOutput(frame_id=7, variant_id="expA", detected_count=2, latency_us=31_000),
+    W.ResourceReport(variant_id="prod", cpu_pct=42.5, mem_mb=120.25),
+    W.Heartbeat(node_id=2, uptime_s=3600),
+]
+
+
+def _with_payload(datagram: bytes, payload: bytes) -> bytes:
+    """``datagram``'s header, declaring ``payload``'s length, then ``payload``."""
+    fields = W.HEADER.unpack_from(datagram)
+    return W.HEADER.pack(*fields[:-1], len(payload)) + payload
+
+
+@pytest.mark.parametrize("msg", FIXED_LAYOUT_MESSAGES, ids=lambda m: m.MSG_TYPE.name)
+def test_fixed_layout_payload_one_byte_short_is_malformed(msg):
+    good = W.encode(msg, 1, 0, 0)
+    with pytest.raises(W.MalformedPayload):
+        W.decode(_with_payload(good, good[W.HEADER_LEN : -1]))
+
+
+@pytest.mark.parametrize("msg", FIXED_LAYOUT_MESSAGES, ids=lambda m: m.MSG_TYPE.name)
+def test_fixed_layout_payload_one_byte_long_is_malformed(msg):
+    good = W.encode(msg, 1, 0, 0)
+    with pytest.raises(W.MalformedPayload):
+        W.decode(_with_payload(good, good[W.HEADER_LEN :] + b"\x00"))
+
+
+@pytest.mark.parametrize("msg", FIXED_LAYOUT_MESSAGES, ids=lambda m: m.MSG_TYPE.name)
+def test_fixed_layout_header_one_byte_short_is_truncated(msg):
+    good = W.encode(msg, 1, 0, 0)
+    with pytest.raises(W.Truncated):
+        W.decode(good[: W.HEADER_LEN - 1])
+
+
 def test_unknown_command_enum_is_malformed():
     good = W.encode(W.Command("expA", W.CommandKind.STOP, 0), 1, 0, 0)
     # the command byte sits 2 bytes before the end (command, degrade_level)
@@ -255,12 +291,15 @@ def test_publish_after_close_raises():
         bus.publish(W.encode(W.Heartbeat(node_id=1, uptime_s=0), 1, 0, 0))
 
 
-def test_loopback_history_records_everything():
+def test_loopback_retains_no_delivered_message():
     bus = W.LoopbackBus()
+    delivered = []
+    bus.subscribe(callback=lambda item: delivered.append(weakref.ref(item)))
     sender = W.Sender(bus, 1, FakeClock(0))
     sender.send(W.Heartbeat(node_id=1, uptime_s=0))
     sender.send(W.Heartbeat(node_id=1, uptime_s=1))
-    assert len(bus.history) == 2
+    assert len(delivered) == 2
+    assert [ref() for ref in delivered] == [None, None]
 
 
 # -- UDP transport (environment-gated) ----------------------------------------
