@@ -357,7 +357,9 @@ def fetch_bundle(
     ``(digest, payload) -> payload`` applied in transit; a corrupted layer
     raises ``DigestMismatch`` and is not stored, already-stored layers stay.
     """
-    plan, total = plan_delta(manifest, local_store.digests())
+    # probe only the manifest's layers: the store may hold many others
+    local = {ref.digest for ref in manifest.layers if local_store.has(ref.digest)}
+    plan, total = plan_delta(manifest, local)
     completed_t = transfer(total, link, start_t)
     for ref in plan:
         payload = source.get(ref.digest)

@@ -3,8 +3,11 @@
 All timing logic in this package goes through a ``Clock`` so that an
 entire experiment cycle can run deterministically under ``FakeClock``.
 ``Scheduler`` is a plain discrete-event loop: callbacks fire in
-timestamp order, ties broken by scheduling order, and under a fake
-clock no wall time passes at all.
+timestamp order, and under a fake clock no wall time passes at all.
+Events at equal timestamps run in rank order: ``call_at`` gives each
+event the next rank, and every occurrence of a ``call_every`` callback
+keeps the one rank taken when it was registered, so occurrences tie as
+if all had been scheduled up front while only one is pending at a time.
 """
 
 from __future__ import annotations
@@ -45,8 +48,13 @@ class FakeClock:
 class Scheduler:
     """Discrete-event loop over a ``FakeClock`` (or paced against wall time).
 
-    Events at equal timestamps run in the order they were scheduled,
-    which keeps multi-actor scenarios reproducible.
+    Events at equal timestamps run in rank order, which keeps
+    multi-actor scenarios reproducible. Each ``call_at`` takes the next
+    rank, so its events tie in the order they were scheduled. All
+    occurrences of one ``call_every`` callback share the rank taken when
+    it was registered: an occurrence runs after any event at its time
+    scheduled before the registration, and before any scheduled after
+    it, although each occurrence is only armed when the one before runs.
     """
 
     def __init__(self, clock: FakeClock) -> None:
@@ -59,6 +67,27 @@ class Scheduler:
             raise ValueError(f"cannot schedule in the past: {t_us} < {self.clock.now_us()}")
         heapq.heappush(self._heap, (t_us, self._counter, fn))
         self._counter += 1
+
+    def call_every(self, first_us: int, period_us: int, count: int, fn: Callable[[int], None]) -> None:
+        """Call ``fn(0)`` at ``first_us``, then ``fn(i)`` every ``period_us``
+        until ``count`` calls are made. One occurrence is pending at a time:
+        the next is armed just before ``fn`` runs."""
+        if first_us < self.clock.now_us():
+            raise ValueError(f"cannot schedule in the past: {first_us} < {self.clock.now_us()}")
+        rank = self._counter
+        self._counter += 1
+        next_index = 0
+
+        def fire() -> None:
+            nonlocal next_index
+            index = next_index
+            next_index += 1
+            if next_index < count:
+                heapq.heappush(self._heap, (first_us + next_index * period_us, rank, fire))
+            fn(index)
+
+        if count > 0:
+            heapq.heappush(self._heap, (first_us, rank, fire))
 
     def call_after(self, delay_us: int, fn: Callable[[], None]) -> None:
         self.call_at(self.clock.now_us() + delay_us, fn)

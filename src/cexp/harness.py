@@ -115,21 +115,16 @@ class SensorReplayer:
         self.frames_sent = 0
 
     def start(self, scheduler: Scheduler) -> None:
-        t0 = scheduler.clock.now_us()
-        for frame_id in range(self.frame_count):
-            scheduler.call_at(t0 + frame_id * self.period_us, self._make_emit(frame_id))
+        scheduler.call_every(scheduler.clock.now_us(), self.period_us, self.frame_count, self._emit)
 
-    def _make_emit(self, frame_id: int):
-        def emit() -> None:
-            frame = SensorFrame(
-                frame_id=frame_id,
-                ground_truth_count=self._rng.randint(0, 8),
-                pixels_digest=synthetic_pixels_digest(self.seed, frame_id),
-            )
-            self._sender.send(frame)
-            self.frames_sent += 1
-
-        return emit
+    def _emit(self, frame_id: int) -> None:
+        frame = SensorFrame(
+            frame_id=frame_id,
+            ground_truth_count=self._rng.randint(0, 8),
+            pixels_digest=synthetic_pixels_digest(self.seed, frame_id),
+        )
+        self._sender.send(frame)
+        self.frames_sent += 1
 
 
 @dataclass(frozen=True)

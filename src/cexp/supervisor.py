@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -58,6 +58,11 @@ MAX_DEGRADE_LEVEL = 2
 CHUNK_BYTES = 4096
 CHUNK_RETRY_BUDGET = 5  # retransmissions allowed per chunk after the first send
 STATUS_EVENTS = 10  # events kept for status.json's last_events
+# frames whose ground truth is kept for scoring module outputs: about 10 s
+# at the replayer's top rate. An output for an older frame scores gt = 0,
+# like one for a frame never seen. On loopback an output arrives within its
+# own frame's fan-out, so any window of at least one frame scores the same.
+GROUND_TRUTH_WINDOW = 1024
 
 # Variant outcome labels used in reports.
 STATUS_RUNNING = "RUNNING"
@@ -401,7 +406,8 @@ class Supervisor:
         self._status_written: Optional[tuple[ExperimentState, int]] = None
         self._events_fh = open(self.run_dir / "events.jsonl", "w", encoding="utf-8")
         self._variant_logs: dict[str, Any] = {}
-        self._ground_truth: dict[int, int] = {}
+        # frame_id -> ground truth of the last GROUND_TRUTH_WINDOW frames, oldest first
+        self._ground_truth: OrderedDict[int, int] = OrderedDict()
         handles = handles or {}
         window_len = protocol.sustain_samples + protocol.degrade_grace_samples
         self.variants: dict[str, VariantRunState] = {}
@@ -474,7 +480,10 @@ class Supervisor:
             return  # own traffic
         msg = received.message
         if isinstance(msg, SensorFrame):
-            self._ground_truth[msg.frame_id] = msg.ground_truth_count
+            ground_truth = self._ground_truth
+            ground_truth[msg.frame_id] = msg.ground_truth_count
+            if len(ground_truth) > GROUND_TRUTH_WINDOW:
+                ground_truth.popitem(last=False)
         elif isinstance(msg, ModuleOutput):
             self._on_module_output(msg)
         elif isinstance(msg, ResourceReport):
@@ -638,13 +647,14 @@ class Supervisor:
                 state.running = False
                 state.final_status = STATUS_COMPLETED
         report = self._build_report()
-        _atomic_write(self.run_dir / "report.json", report.to_json().encode("utf-8"))
+        report_bytes = report.to_json().encode("utf-8")
+        _atomic_write(self.run_dir / "report.json", report_bytes)
         self._write_status(always=True)
         if self.uplink is not None:
             try:
                 record = self.uplink.send(
                     self.protocol.experiment_id,
-                    report.to_json().encode("utf-8"),
+                    report_bytes,
                     t_s=(self.ended_at_us - self.started_at_us) / 1e6,
                 )
                 self._log("uplink_report", **record.to_object())

@@ -338,25 +338,17 @@ class Received:
 
 
 class Subscription:
-    """Ordered stream of decoded datagrams, optionally filtered by msg_type.
+    """Ordered stream of the decoded datagrams of the subscribed types.
 
     Messages are consumed either by ``poll()`` or, when a callback is
     attached, synchronously at publish time (the deterministic path the
     simulated runs use).
     """
 
-    def __init__(self, types: Optional[frozenset[MsgType]], callback: Optional[Callable[[Received], None]]) -> None:
-        self._types = types
-        self._callback = callback
+    def __init__(self, callback: Optional[Callable[[Received], None]]) -> None:
         self._queue: deque[Received] = deque()
-
-    def _offer(self, item: Received) -> None:
-        if self._types is not None and item.envelope.msg_type not in self._types:
-            return
-        if self._callback is not None:
-            self._callback(item)
-        else:
-            self._queue.append(item)
+        # what the bus calls with each item of a subscribed type
+        self.deliver: Callable[[Received], None] = callback if callback is not None else self._queue.append
 
     def poll(self) -> Optional[Received]:
         return self._queue.popleft() if self._queue else None
@@ -369,11 +361,13 @@ class Subscription:
 
 class LoopbackBus:
     """In-memory hub: every published datagram reaches every subscription
-    exactly once, in publish order. Nothing is retained once fan-out
-    returns; whoever wants to audit the traffic subscribes for it."""
+    that wants its msg_type exactly once, in publish order, and the
+    subscriptions for one type in the order they subscribed. Only those
+    are called. Nothing is retained once fan-out returns; whoever wants
+    to audit the traffic subscribes for it."""
 
     def __init__(self) -> None:
-        self._subs: list[Subscription] = []
+        self._routes: dict[MsgType, list[Callable[[Received], None]]] = {t: [] for t in MsgType}
         self._closed = False
 
     def subscribe(
@@ -383,16 +377,17 @@ class LoopbackBus:
     ) -> Subscription:
         if self._closed:
             raise TransportClosed("bus is closed")
-        sub = Subscription(frozenset(types) if types is not None else None, callback)
-        self._subs.append(sub)
+        sub = Subscription(callback)
+        for msg_type in MsgType if types is None else frozenset(types):
+            self._routes[msg_type].append(sub.deliver)
         return sub
 
     def publish(self, datagram: bytes) -> None:
         if self._closed:
             raise TransportClosed("bus is closed")
         item = Received(*decode(datagram))
-        for sub in self._subs:
-            sub._offer(item)
+        for deliver in self._routes[item.envelope.msg_type]:
+            deliver(item)
 
     def close(self) -> None:
         self._closed = True

@@ -307,6 +307,25 @@ def test_fetch_bundle_corruption_detected_and_not_stored(tmp_path):
     assert local.has(layers[0].digest)  # earlier layer landed atomically
 
 
+def test_fetch_bundle_plans_without_listing_the_store(tmp_path, monkeypatch):
+    source, layers = _populated_source(tmp_path, [b"k" * 64, b"m" * 128, b"n" * 32])
+    manifest = A.manifest_for_layers("bin/run", layers)
+    local = A.LayerStore(tmp_path / "local")
+    for i in range(300):  # layers of earlier deploys, none in this manifest
+        local.put(f"old-layer-{i}".encode("ascii"))
+    local.put(b"m" * 128)
+    expected_plan, expected_bytes = A.plan_delta(manifest, {layers[1].digest})
+
+    def no_scan(self):
+        raise AssertionError("delta planning listed the whole store")
+
+    monkeypatch.setattr(A.LayerStore, "digests", no_scan)
+    record = A.fetch_bundle(manifest, A.LinkProfile(), local, source)
+    assert record.layers_fetched == tuple(ref.digest for ref in expected_plan)
+    assert record.bytes_moved == expected_bytes == 96
+    assert all(local.has(layer.digest) for layer in layers)
+
+
 def test_ci_stage_constants():
     assert A.INTEGRATION_S == 240
     assert A.BUILD_S == 420

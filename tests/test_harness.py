@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,76 @@ def test_500_frames_at_50hz_span_9_98_seconds():
     stamps = [item.envelope.timestamp_us for item in sub.drain()]
     assert len(stamps) == 500
     assert stamps[-1] - stamps[0] == 9_980_000  # 499 frames / 50 Hz
+
+
+def test_frames_tie_with_events_by_when_the_replayer_started():
+    clock, scheduler, bus = _frame_world()
+    order = []
+    bus.subscribe(
+        types={MsgType.SENSOR_FRAME},
+        callback=lambda item: order.append((f"frame{item.message.frame_id}", scheduler.pending())),
+    )
+    # frame 5 of a 10 Hz replay goes out at 500 ms
+    scheduler.call_at(500_000, lambda: order.append(("before", scheduler.pending())))
+    H.SensorReplayer(bus, clock, 10, 10.0, 1).start(scheduler)
+    scheduler.call_at(500_000, lambda: order.append(("after", scheduler.pending())))
+    scheduler.run_until(2_000_000)
+    names = [name for name, _ in order]
+    at = names.index("frame5")
+    assert names[at - 1 : at + 2] == ["before", "frame5", "after"]
+    # the next frame and the two one-shots at most, not the whole recording
+    assert max(pending for _, pending in order) <= 3
+
+
+class PendingProbe(Scheduler):
+    """Scheduler that records the most events it ever held pending, sampled
+    whenever an event is scheduled and whenever a periodic callback fires."""
+
+    peak = 0
+
+    def _sample(self) -> None:
+        PendingProbe.peak = max(PendingProbe.peak, self.pending())
+
+    def call_at(self, t_us, fn):
+        super().call_at(t_us, fn)
+        self._sample()
+
+    def call_every(self, first_us, period_us, count, fn):
+        def probed(index):
+            self._sample()
+            fn(index)
+
+        super().call_every(first_us, period_us, count, probed)
+
+
+def test_scheduler_holds_a_handful_of_events_through_a_6000_frame_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(H, "Scheduler", PendingProbe)
+    monkeypatch.setattr(PendingProbe, "peak", 0)
+    obj = make_ab_scenario(frames={"count": 6000, "rate_hz": 100, "seed": 7})
+    obj["protocol"]["max_duration_s"] = 61
+    outcome = H.run_scenario(H.scenario_from_object(obj), data_dir=tmp_path)
+    assert outcome.report.variant("prod").frames_processed == 6000
+    assert PendingProbe.peak <= 10
+
+
+def _traced_peak_bytes(frames: int, data_dir: Path) -> int:
+    obj = make_baseline_scenario(frames={"count": frames, "rate_hz": 100, "seed": 7})
+    obj["protocol"]["max_duration_s"] = frames // 100 + 1
+    scenario = H.scenario_from_object(obj)
+    tracemalloc.start()
+    try:
+        outcome = H.run_scenario(scenario, data_dir=data_dir)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.report.variant("prod").frames_processed == frames
+    return peak
+
+
+def test_run_memory_does_not_grow_with_frame_count(tmp_path):
+    short = _traced_peak_bytes(2_000, tmp_path / "short")
+    long = _traced_peak_bytes(20_000, tmp_path / "long")
+    assert long - short < 1024 * 1024
 
 
 def test_replayer_rejects_excessive_rate():

@@ -330,6 +330,49 @@ def test_events_keep_the_last_ten_in_memory_and_all_on_disk(tmp_path):
     assert status["last_events"] == logged[-S.STATUS_EVENTS :]
 
 
+def test_ground_truth_keeps_a_window_and_evicted_frames_score_zero(tmp_path):
+    protocol = two_variant_protocol()
+    clock = FakeClock(0)
+    bus = LoopbackBus()
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(bus, S.SUPERVISOR_SENDER_ID, clock))
+    sup.begin()
+    bus.subscribe(callback=sup.handle)
+    camera = Sender(bus, 2, clock)
+    module = Sender(bus, 100, clock)
+    frames = S.GROUND_TRUTH_WINDOW + 200
+    for frame_id in range(frames):
+        camera.send(SensorFrame(frame_id=frame_id, ground_truth_count=4, pixels_digest=bytes(32)))
+        assert len(sup._ground_truth) <= S.GROUND_TRUTH_WINDOW
+    oldest_kept = frames - S.GROUND_TRUTH_WINDOW
+    for frame_id in (0, oldest_kept - 1, oldest_kept, frames - 1):
+        module.send(ModuleOutput(frame_id=frame_id, variant_id="expA", detected_count=3, latency_us=20_000))
+    report = sup.finish()
+    lines = (sup.run_dir / "logs" / "expA.jsonl").read_text("utf-8").splitlines()
+    assert [json.loads(line)["ground_truth_count"] for line in lines] == [0, 0, 4, 4]
+    exp = report.variant("expA")
+    assert (exp.frames_processed, exp.ground_truth_total, exp.detections_correct) == (4, 8, 6)
+
+
+def test_finish_serialises_the_report_once_for_disk_and_uplink(tmp_path, monkeypatch):
+    calls = []
+    to_json = S.ExperimentReport.to_json
+
+    def counting_to_json(self):
+        calls.append(1)
+        return to_json(self)
+
+    monkeypatch.setattr(S.ExperimentReport, "to_json", counting_to_json)
+    protocol = two_variant_protocol()
+    uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
+    clock = FakeClock(0)
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(LoopbackBus(), S.SUPERVISOR_SENDER_ID, clock), uplink=uplink)
+    sup.begin()
+    sup.finish()
+    assert len(calls) == 1
+    hq_copy = (tmp_path / "hq" / protocol.experiment_id / "report.json").read_bytes()
+    assert hq_copy == (sup.run_dir / "report.json").read_bytes()
+
+
 # sha256 of the final status.json of conftest's clean A/B run, as written by
 # a supervisor that rewrote the file on every tick
 AB_500_FINAL_STATUS_SHA256 = "33ef90556f38744f4646b33ff3ffbae21cc703a7cdbf564d9e4969edc193affa"

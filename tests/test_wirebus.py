@@ -275,6 +275,31 @@ def test_subscription_type_filter():
     assert isinstance(got[0].message, W.Command)
 
 
+def test_fanout_follows_subscription_order_within_each_type():
+    bus = W.LoopbackBus()
+    calls = []
+    bus.subscribe(types={W.MsgType.COMMAND}, callback=lambda item: calls.append("commands"))
+    everything = bus.subscribe()
+    bus.subscribe(callback=lambda item: calls.append("all"))
+    bus.subscribe(
+        types={W.MsgType.HEARTBEAT, W.MsgType.COMMAND}, callback=lambda item: calls.append("beats+commands")
+    )
+    sender = W.Sender(bus, 1, FakeClock(0))
+    sender.send(W.Heartbeat(node_id=1, uptime_s=0))
+    assert calls == ["all", "beats+commands"]
+    calls.clear()
+    sender.send(W.Command("expA", W.CommandKind.STOP, 0))
+    assert calls == ["commands", "all", "beats+commands"]
+    calls.clear()
+    sender.send(W.SensorFrame(frame_id=1, ground_truth_count=2, pixels_digest=bytes(32)))
+    assert calls == ["all"]
+    assert [item.envelope.msg_type for item in everything.drain()] == [
+        W.MsgType.HEARTBEAT,
+        W.MsgType.COMMAND,
+        W.MsgType.SENSOR_FRAME,
+    ]
+
+
 def test_callback_subscription_is_synchronous():
     bus = W.LoopbackBus()
     seen = []
