@@ -1,9 +1,13 @@
-"""Injectable clocks and the event scheduler driving simulated runs.
+"""Injectable clocks and the one event loop every run goes through.
 
 All timing logic in this package goes through a ``Clock`` so that an
 entire experiment cycle can run deterministically under ``FakeClock``.
-``Scheduler`` is a plain discrete-event loop: callbacks fire in
-timestamp order, and under a fake clock no wall time passes at all.
+``Scheduler.run_until`` is the only event loop: callbacks fire in
+timestamp order, and before each one an idle step brings the world to
+its time. The idle step is the one thing that differs between runs: a
+fake-clock run jumps the clock (no wall time passes at all), a paced
+run sleeps to keep up with wall time, and the live daemon waits on its
+UDP socket and delivers what arrives.
 Events at equal timestamps run in rank order: ``call_at`` gives each
 event the next rank, and every occurrence of a ``call_every`` callback
 keeps the one rank taken when it was registered, so occurrences tie as
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Callable, Protocol
+from typing import Callable, Optional, Protocol
 
 
 class Clock(Protocol):
@@ -46,7 +50,12 @@ class FakeClock:
 
 
 class Scheduler:
-    """Discrete-event loop over a ``FakeClock`` (or paced against wall time).
+    """Discrete-event loop over a clock and an idle step.
+
+    ``idle(t_us)`` runs before each event and once more at the end of
+    ``run_until``; it returns once the clock reads ``t_us`` (or later).
+    By default it is ``clock.advance_to``, which jumps a ``FakeClock``.
+    An idle step may deliver traffic whose handlers schedule events.
 
     Events at equal timestamps run in rank order, which keeps
     multi-actor scenarios reproducible. Each ``call_at`` takes the next
@@ -57,8 +66,9 @@ class Scheduler:
     it, although each occurrence is only armed when the one before runs.
     """
 
-    def __init__(self, clock: FakeClock) -> None:
+    def __init__(self, clock: Clock, idle: Optional[Callable[[int], None]] = None) -> None:
         self.clock = clock
+        self._idle = idle if idle is not None else clock.advance_to
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._counter = 0
 
@@ -96,22 +106,11 @@ class Scheduler:
         return len(self._heap)
 
     def run_until(self, t_end_us: int) -> None:
-        """Run every event with timestamp <= t_end_us, then park the clock there."""
-        while self._heap and self._heap[0][0] <= t_end_us:
-            t_us, _, fn = heapq.heappop(self._heap)
-            self.clock.advance_to(t_us)
+        """Run every event with timestamp <= t_end_us, then idle to t_end_us."""
+        heap = self._heap
+        idle = self._idle
+        while heap and heap[0][0] <= t_end_us:
+            idle(heap[0][0])
+            fn = heapq.heappop(heap)[2]
             fn()
-        self.clock.advance_to(t_end_us)
-
-    def run_realtime_until(self, t_end_us: int) -> None:
-        """Same event order as ``run_until`` but sleeps to pace events to wall time."""
-        wall_start = time.monotonic()
-        sim_start = self.clock.now_us()
-        while self._heap and self._heap[0][0] <= t_end_us:
-            t_us, _, fn = heapq.heappop(self._heap)
-            lag = (t_us - sim_start) / 1e6 - (time.monotonic() - wall_start)
-            if lag > 0:
-                time.sleep(lag)
-            self.clock.advance_to(t_us)
-            fn()
-        self.clock.advance_to(t_end_us)
+        idle(t_end_us)

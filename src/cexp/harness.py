@@ -24,9 +24,10 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .artifact import LinkProfile, link_profile_from_object
 from .clock import FakeClock, Scheduler
@@ -516,8 +517,19 @@ def scenario_from_object(obj: dict[str, Any], base_dir: Optional[Path] = None) -
     return scenario
 
 
-def replace_protocol(scenario: Scenario, protocol: ExperimentationProtocol) -> Scenario:
-    return replace(scenario, protocol=protocol)
+def paced_to_wall_time(clock: FakeClock) -> Callable[[int], None]:
+    """Idle step that sleeps until as much wall time has passed as
+    simulated time will have, counted from this call, then jumps ``clock``."""
+    wall_start = time.monotonic()
+    sim_start = clock.now_us()
+
+    def idle(t_us: int) -> None:
+        lag = (t_us - sim_start) / 1e6 - (time.monotonic() - wall_start)
+        if lag > 0:
+            time.sleep(lag)
+        clock.advance_to(t_us)
+
+    return idle
 
 
 @dataclass
@@ -549,7 +561,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     protocol = scenario.protocol
 
     clock = FakeClock(0)
-    scheduler = Scheduler(clock)
+    scheduler = Scheduler(clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock))
     bus = LoopbackBus()
     node_model = NodeCpuModel(scenario.node.capacity_pct)
 
@@ -638,13 +650,8 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
 
     scheduler.call_after(period_us, resource_tick)
 
-    end_us = protocol.max_duration_s * 1_000_000
-    if scenario.fake_clock:
-        scheduler.run_until(end_us + period_us)
-    else:
-        scheduler.run_realtime_until(end_us + period_us)
-    if not sup.done:
-        sup.finish()
+    # the supervisor finishes at its end_us, one sample period before this horizon
+    scheduler.run_until(protocol.max_duration_s * 1_000_000 + period_us)
 
     report_path = root / "data" / protocol.experiment_id / "report.json"
     report = report_from_json(report_path.read_text("utf-8"))

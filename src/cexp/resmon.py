@@ -1,9 +1,8 @@
-"""Per-process resource sampling and sliding-window violation detection.
+"""Sliding-window violation detection over resource samples.
 
-``ProcessSampler`` turns OS process accounting into ``ResourceSample``
-values: CPU as percent of one core over the interval since the previous
-sample (so the first sample is 0 by definition), memory as resident-set
-mebibytes. ``evaluate_window`` is the pure function the supervisor runs
+Modules report their own CPU (percent of one core) and resident memory
+(MiB) over the bus; the supervisor turns each report into a
+``ResourceSample``. ``evaluate_window`` is the pure function it runs
 over the trailing samples of one variant to decide whether a resource
 budget has been violated long enough to act on.
 
@@ -13,18 +12,11 @@ samples that were actually received, so a gap just slides the window.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
-
-from .clock import Clock, WallClock
+from typing import Sequence
 
 DEFAULT_SAMPLE_PERIOD_MS = 500
-
-
-class ProcessGone(Exception):
-    """The monitored process no longer exists."""
 
 
 class EmptyWindow(ValueError):
@@ -95,61 +87,3 @@ def evaluate_window(
 
     verdict = Verdict.SUSTAINED_VIOLATION if span >= sustain_samples else Verdict.OK
     return ViolationVerdict(verdict=verdict, axis=axis, violating_span=span)
-
-
-def _read_proc(pid: int) -> tuple[float, float]:
-    """(cpu_seconds, rss_bytes) from /proc accounting. Raises ProcessGone."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            stat = fh.read().decode("ascii", "replace")
-    except (FileNotFoundError, ProcessLookupError) as exc:
-        raise ProcessGone(f"pid {pid} not found") from exc
-    # comm may contain spaces; fields are fixed after the closing paren
-    fields = stat[stat.rfind(")") + 2 :].split()
-    # fields[11]=utime, fields[12]=stime (ticks), fields[21]=rss (pages)
-    ticks = int(fields[11]) + int(fields[12])
-    rss_pages = int(fields[21])
-    hz = os.sysconf("SC_CLK_TCK")
-    page = os.sysconf("SC_PAGE_SIZE")
-    return ticks / hz, float(rss_pages * page)
-
-
-class ProcessSampler:
-    """Stateful sampler for one process: keeps the previous reading so CPU
-    percent is a delta over the elapsed interval. One sampler per monitored
-    process; instances are not shared.
-
-    ``probe`` is injectable for tests: a callable pid -> (cpu_seconds,
-    rss_bytes) that raises ``ProcessGone`` when the process has exited.
-    """
-
-    def __init__(
-        self,
-        pid: int,
-        variant_id: str,
-        clock: Optional[Clock] = None,
-        probe: Callable[[int], tuple[float, float]] = _read_proc,
-    ) -> None:
-        self.pid = pid
-        self.variant_id = variant_id
-        self.clock = clock if clock is not None else WallClock()
-        self._probe = probe
-        self._prev_cpu_s: Optional[float] = None
-        self._prev_t_us: Optional[int] = None
-
-    def sample(self) -> ResourceSample:
-        cpu_s, rss_bytes = self._probe(self.pid)
-        t_us = self.clock.now_us()
-        if self._prev_cpu_s is None or self._prev_t_us is None or t_us <= self._prev_t_us:
-            cpu_pct = 0.0  # no prior interval to compute a rate over
-        else:
-            wall_s = (t_us - self._prev_t_us) / 1e6
-            cpu_pct = max(0.0, 100.0 * (cpu_s - self._prev_cpu_s) / wall_s)
-        self._prev_cpu_s = cpu_s
-        self._prev_t_us = t_us
-        return ResourceSample(
-            variant_id=self.variant_id,
-            t_us=t_us,
-            cpu_pct=cpu_pct,
-            mem_mb=rss_bytes / (1024.0 * 1024.0),
-        )

@@ -22,12 +22,12 @@ import argparse
 import json
 import os
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .artifact import DatagramLink, LinkProfile
-from .clock import Clock, FakeClock, Scheduler, WallClock
+from .clock import Clock, Scheduler, WallClock
 from .protocol import (
     ExperimentationProtocol,
     ExperimentEvent,
@@ -375,8 +375,8 @@ class Supervisor:
     """Drives one experiment run. Transport- and scheduler-agnostic:
     feed decoded bus traffic to ``handle``, call ``tick`` once per sample
     period, and ``finish`` at the end of the duration budget.
-    ``run_experiment`` / ``Supervisor.schedule`` wire those up for the
-    deterministic loopback world.
+    ``Supervisor.schedule`` wires those onto a scheduler and a bus, the
+    same way for the loopback hub and for a UDP endpoint.
     """
 
     def __init__(
@@ -702,11 +702,11 @@ class Supervisor:
             protocol=protocol_to_object(self.protocol),
         )
 
-    # -- deterministic wiring ------------------------------------------------
+    # -- wiring ------------------------------------------------------------
 
-    def schedule(self, scheduler: Scheduler, bus: LoopbackBus) -> None:
-        """Attach to a loopback bus and a scheduler: subscribe the message
-        stream, tick every sample period, finish when the duration budget
+    def schedule(self, scheduler: Scheduler, bus: LoopbackBus | UdpMulticastBus) -> None:
+        """Attach to a bus and a scheduler: subscribe the message stream,
+        tick every sample period, finish when the duration budget
         elapses."""
         self.begin()
         bus.subscribe(
@@ -726,59 +726,17 @@ class Supervisor:
         scheduler.call_after(period_us, tick)
 
 
-def run_experiment(
-    protocol: ExperimentationProtocol,
-    handles: dict[str, Any],
-    bus: LoopbackBus,
-    clock: FakeClock,
-    scheduler: Scheduler,
-    data_dir: Path | str,
-    uplink: Optional[OtaUplink] = None,
-) -> ExperimentReport:
-    """Run one experiment to completion on the deterministic loopback world.
-
-    The caller owns launching the variant actors and scheduling their
-    traffic; this drives the supervisor (and everything else scheduled)
-    until the duration budget elapses, then returns the finished report.
-    """
-    sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
-    sup = Supervisor(protocol, clock, data_dir, sender, handles=handles, uplink=uplink)
-    sup.schedule(scheduler, bus)
-    end_us = sup.started_at_us + protocol.max_duration_s * 1_000_000
-    scheduler.run_until(end_us + protocol.sample_period_ms * 1000)  # one period of slack
-    if not sup.done:
-        return sup.finish()
-    return report_from_json((sup.run_dir / "report.json").read_text("utf-8"))
-
-
 def run_realtime(
-    protocol: ExperimentationProtocol,
-    bus: UdpMulticastBus,
-    data_dir: Path | str,
-    uplink: Optional[OtaUplink] = None,
-    handles: Optional[dict[str, Any]] = None,
-    on_event: Optional[Callable[[str], None]] = None,
+    protocol: ExperimentationProtocol, bus: UdpMulticastBus, data_dir: Path | str
 ) -> ExperimentReport:
-    """Daemon loop against wall time and a real UDP bus endpoint."""
+    """Daemon run against wall time and a real UDP bus endpoint: between
+    events the loop waits on the socket and delivers what arrives."""
     clock = WallClock()
-    sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
-    sup = Supervisor(protocol, clock, data_dir, sender, handles=handles or {}, uplink=uplink)
-    sup.begin()
-    period_us = protocol.sample_period_ms * 1000
-    end_us = sup.started_at_us + protocol.max_duration_s * 1_000_000
-    next_tick_us = sup.started_at_us + period_us
-    wanted = {MsgType.SENSOR_FRAME, MsgType.MODULE_OUTPUT, MsgType.RESOURCE_REPORT}
-    while clock.now_us() < end_us:
-        timeout_s = max(0.0, min(next_tick_us - clock.now_us(), end_us - clock.now_us()) / 1e6)
-        item = bus.poll(timeout_s=min(timeout_s, 0.2))
-        if item is not None and item.envelope.msg_type in wanted:
-            sup.handle(item)
-        if clock.now_us() >= next_tick_us:
-            sup.tick()
-            next_tick_us += period_us
-            if on_event is not None:
-                on_event(f"tick state={sup.state.value}")
-    return sup.finish()
+    scheduler = Scheduler(clock, idle=lambda t_us: bus.deliver_until(clock, t_us))
+    sup = Supervisor(protocol, clock, data_dir, Sender(bus, SUPERVISOR_SENDER_ID, clock))
+    sup.schedule(scheduler, bus)
+    scheduler.run_until(sup.started_at_us + protocol.max_duration_s * 1_000_000)
+    return report_from_json((sup.run_dir / "report.json").read_text("utf-8"))
 
 
 def cli_main(argv: Optional[list[str]] = None) -> int:
@@ -803,8 +761,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     if args.fake_clock is not None:
         from . import harness  # scenario machinery lives with the testbed
 
-        scenario = harness.load_scenario(Path(args.fake_clock))
-        scenario = harness.replace_protocol(scenario, protocol)
+        scenario = replace(harness.load_scenario(Path(args.fake_clock)), protocol=protocol)
         outcome = harness.run_scenario(scenario, data_dir=Path(args.data_dir))
         print(f"run complete: state={outcome.report.final_state} report={outcome.report_path}")
         return 0

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, Optional, Union
 
+from .clock import Clock
+
 MAGIC = b"CEXP"
 VERSION = 1
 HEADER = struct.Struct("<4sBBHIIQI")
@@ -341,8 +343,8 @@ class Subscription:
     """Ordered stream of the decoded datagrams of the subscribed types.
 
     Messages are consumed either by ``poll()`` or, when a callback is
-    attached, synchronously at publish time (the deterministic path the
-    simulated runs use).
+    attached, synchronously as the bus delivers them: at publish time on
+    the loopback hub, as datagrams arrive on UDP.
     """
 
     def __init__(self, callback: Optional[Callable[[Received], None]]) -> None:
@@ -359,12 +361,9 @@ class Subscription:
         return out
 
 
-class LoopbackBus:
-    """In-memory hub: every published datagram reaches every subscription
-    that wants its msg_type exactly once, in publish order, and the
-    subscriptions for one type in the order they subscribed. Only those
-    are called. Nothing is retained once fan-out returns; whoever wants
-    to audit the traffic subscribes for it."""
+class _Router:
+    """Per-type routing shared by both transports: an item reaches every
+    subscription that wants its msg_type, in the order they subscribed."""
 
     def __init__(self) -> None:
         self._routes: dict[MsgType, list[Callable[[Received], None]]] = {t: [] for t in MsgType}
@@ -382,6 +381,14 @@ class LoopbackBus:
             self._routes[msg_type].append(sub.deliver)
         return sub
 
+
+class LoopbackBus(_Router):
+    """In-memory hub: every published datagram reaches every subscription
+    that wants its msg_type exactly once, in publish order, and the
+    subscriptions for one type in the order they subscribed. Only those
+    are called. Nothing is retained once fan-out returns; whoever wants
+    to audit the traffic subscribes for it."""
+
     def publish(self, datagram: bytes) -> None:
         if self._closed:
             raise TransportClosed("bus is closed")
@@ -393,16 +400,19 @@ class LoopbackBus:
         self._closed = True
 
 
-class UdpMulticastBus:
+class UdpMulticastBus(_Router):
     """Best-effort UDP multicast endpoint bound to ``group:port``.
 
     Configuration keys ``bus.group`` / ``bus.port`` map onto the
     constructor arguments. Loss is possible; duplication is not
-    introduced locally. One publisher plus one subscriber stream per
-    endpoint; wider sharing needs external serialization.
+    introduced locally. Received datagrams are read one at a time with
+    ``poll``, or routed to subscriptions like the loopback hub's by
+    ``deliver_until``. One publisher plus one reader per endpoint; wider
+    sharing needs external serialization.
     """
 
     def __init__(self, group: str = DEFAULT_GROUP, port: int = DEFAULT_PORT, *, loop: bool = True) -> None:
+        super().__init__()
         self.group = group
         self.port = port
         try:
@@ -415,7 +425,6 @@ class UdpMulticastBus:
             self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
         except OSError as exc:
             raise SocketError(f"cannot open multicast endpoint {group}:{port}: {exc}") from exc
-        self._closed = False
 
     def publish(self, datagram: bytes) -> None:
         if self._closed:
@@ -443,6 +452,15 @@ class UdpMulticastBus:
             return Received(*decode(raw))
         except DecodeError:
             return None
+
+    def deliver_until(self, clock: Clock, t_us: int) -> None:
+        """Receive datagrams and hand each to the subscriptions for its type
+        until ``clock`` reads ``t_us``; undecodable ones are dropped."""
+        while (wait_us := t_us - clock.now_us()) > 0:
+            item = self.poll(timeout_s=wait_us / 1e6)
+            if item is not None:
+                for deliver in self._routes[item.envelope.msg_type]:
+                    deliver(item)
 
     def close(self) -> None:
         if not self._closed:

@@ -1,4 +1,5 @@
-"""The discrete-event scheduler: timestamp order and the tie-break rank."""
+"""The discrete-event scheduler: timestamp order, the tie-break rank and
+the idle step."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from cexp.clock import FakeClock, Scheduler
+from cexp.wirebus import Heartbeat, LoopbackBus, MsgType, Sender
 
 
 def test_call_at_ties_run_in_scheduling_order():
@@ -102,3 +104,43 @@ def _run_world(use_call_every: bool, seed: int) -> list:
 @pytest.mark.parametrize("seed", range(20))
 def test_call_every_orders_ties_as_if_scheduled_up_front(seed):
     assert _run_world(True, seed) == _run_world(False, seed)
+
+
+def test_run_until_idles_to_each_event_time_in_order_then_to_the_end():
+    clock = FakeClock(0)
+    seen = []
+
+    def idle(t_us):
+        seen.append(t_us)
+        clock.advance_to(t_us)
+
+    scheduler = Scheduler(clock, idle=idle)
+    for t_us in (30, 10, 20, 20, 60):
+        scheduler.call_at(t_us, lambda: None)
+    scheduler.run_until(50)
+    assert seen == [10, 20, 20, 30, 50]
+    assert clock.now_us() == 50
+    assert scheduler.pending() == 1  # the event past the horizon waits
+
+
+def test_traffic_an_idle_step_publishes_is_handled_before_the_next_event():
+    clock = FakeClock(0)
+    bus = LoopbackBus()
+    sender = Sender(bus, 9, clock)
+    log = []
+    bus.subscribe(
+        types={MsgType.HEARTBEAT},
+        callback=lambda item: log.append(("handled", item.message.uptime_s)),
+    )
+
+    def idle(t_us):
+        clock.advance_to(t_us)
+        sender.send(Heartbeat(node_id=1, uptime_s=t_us))
+
+    scheduler = Scheduler(clock, idle=idle)
+    scheduler.call_at(10, lambda: log.append(("event", clock.now_us())))
+    scheduler.call_at(20, lambda: log.append(("event", clock.now_us())))
+    scheduler.run_until(30)
+    assert log == [
+        ("handled", 10), ("event", 10), ("handled", 20), ("event", 20), ("handled", 30),
+    ]

@@ -1,15 +1,11 @@
-"""Violation-window semantics and process sampling."""
+"""Violation-window semantics."""
 
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
-import time
 
 import pytest
 
-from cexp.clock import FakeClock
 from cexp import resmon as R
 
 
@@ -112,79 +108,3 @@ def test_evaluate_window_is_deterministic():
     samples = _window([10, 90, 95, 99])
     first = R.evaluate_window(samples, 80.0, 512.0, 2)
     assert all(R.evaluate_window(samples, 80.0, 512.0, 2) == first for _ in range(5))
-
-
-# -- process sampling ----------------------------------------------------------
-
-
-def test_first_sample_has_zero_cpu():
-    clock = FakeClock(0)
-    sampler = R.ProcessSampler(1234, "expA", clock=clock, probe=lambda pid: (10.0, 64 << 20))
-    sample = sampler.sample()
-    assert sample.cpu_pct == 0.0
-    assert sample.mem_mb == 64.0
-    assert sample.variant_id == "expA"
-
-
-def test_cpu_percent_is_delta_over_interval():
-    clock = FakeClock(0)
-    readings = iter([(10.0, 64 << 20), (10.75, 64 << 20), (10.75, 128 << 20)])
-    sampler = R.ProcessSampler(1234, "expA", clock=clock, probe=lambda pid: next(readings))
-    sampler.sample()
-    clock.advance_to(1_000_000)
-    second = sampler.sample()
-    assert second.cpu_pct == pytest.approx(75.0)
-    clock.advance_to(3_000_000)
-    third = sampler.sample()  # idle over 2s
-    assert third.cpu_pct == pytest.approx(0.0)
-    assert third.mem_mb == 128.0
-
-
-def test_process_gone_propagates():
-    def probe(pid):
-        raise R.ProcessGone(f"pid {pid} not found")
-
-    sampler = R.ProcessSampler(1234, "expA", clock=FakeClock(0), probe=probe)
-    with pytest.raises(R.ProcessGone):
-        sampler.sample()
-
-
-def test_sampling_a_dead_pid_raises_process_gone():
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    sampler = R.ProcessSampler(child.pid, "gone")
-    with pytest.raises(R.ProcessGone):
-        sampler.sample()
-
-
-@pytest.mark.slow
-def test_busy_loop_child_reads_near_one_core():
-    child = subprocess.Popen([sys.executable, "-c", "while True: pass"])
-    try:
-        sampler = R.ProcessSampler(child.pid, "busy")
-        sampler.sample()  # prime the delta
-        readings = []
-        for _ in range(5):
-            time.sleep(0.5)
-            readings.append(sampler.sample().cpu_pct)
-        assert all(80.0 <= r <= 120.0 for r in readings), readings
-    finally:
-        child.kill()
-        child.wait()
-
-
-@pytest.mark.slow
-def test_sleeping_child_reads_near_zero():
-    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-    try:
-        time.sleep(0.5)  # let interpreter startup finish; the oracle is the sleeping state
-        sampler = R.ProcessSampler(child.pid, "idle")
-        sampler.sample()
-        readings = []
-        for _ in range(5):
-            time.sleep(0.5)
-            readings.append(sampler.sample().cpu_pct)
-        assert all(0.0 <= r <= 5.0 for r in readings), readings
-    finally:
-        child.kill()
-        child.wait()

@@ -565,28 +565,6 @@ def test_cesupd_realtime_over_udp(tmp_path):
     assert report.variant("prod").commands_received == ()
 
 
-def test_run_experiment_convenience_wiring(tmp_path):
-    protocol = two_variant_protocol()
-    clock = FakeClock(0)
-    scheduler = Scheduler(clock)
-    bus = LoopbackBus()
-    handle = FakeHandle()
-    source = ScriptedSource(bus, clock, "expA", 50, [25] * 19, protocol.sample_period_ms * 1000)
-
-    # actors must be scheduled after the supervisor subscribes, which
-    # run_experiment does internally; frame traffic starts later anyway
-    def start_source():
-        source.start(scheduler)
-
-    scheduler.call_at(0, start_source)
-    report = S.run_experiment(
-        protocol, {"expA": handle}, bus, clock, scheduler, Path(tmp_path) / "data"
-    )
-    assert report.final_state == "COMPLETED"
-    assert report.variant("expA").mean_cpu_pct == pytest.approx(25.0)
-    assert (Path(tmp_path) / "data" / protocol.experiment_id / "report.json").is_file()
-
-
 def three_variant_protocol(**overrides):
     doc = make_protocol_doc(max_duration_s=10, **overrides)
     return parse_protocol(json.dumps(doc))

@@ -347,3 +347,36 @@ def test_udp_self_subscription_delivers_own_datagram():
         pytest.fail("own datagram not delivered")
     finally:
         bus.close()
+
+
+@pytest.mark.udp
+def test_udp_deliver_until_routes_by_type_and_waits_out_the_deadline():
+    import threading
+
+    if not multicast_loopback_available(port=7751):
+        pytest.skip("no multicast-capable loopback interface")
+    clock = WallClock()
+    bus = W.UdpMulticastBus(port=7750)
+    out = W.UdpMulticastBus(port=7750)
+    order = []
+    bus.subscribe(types={W.MsgType.HEARTBEAT}, callback=lambda item: order.append("hb-first"))
+    bus.subscribe(types={W.MsgType.RESOURCE_REPORT}, callback=lambda item: order.append("report"))
+    bus.subscribe(types={W.MsgType.HEARTBEAT}, callback=lambda item: order.append("hb-second"))
+    sender = W.Sender(out, 62, clock)
+
+    def during_the_wait():
+        out.publish(b"not a CEXP datagram")
+        sender.send(W.ResourceReport(variant_id="expA", cpu_pct=1.0, mem_mb=2.0))
+
+    late = threading.Timer(0.3, during_the_wait)
+    try:
+        sender.send(W.Heartbeat(node_id=5, uptime_s=0))  # before the wait starts
+        deadline = clock.now_us() + 1_000_000
+        late.start()
+        bus.deliver_until(clock, deadline)
+        assert clock.now_us() >= deadline
+        assert order == ["hb-first", "hb-second", "report"]
+    finally:
+        late.join()
+        out.close()
+        bus.close()
