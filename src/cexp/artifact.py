@@ -327,6 +327,8 @@ class LayerStore:
 
     def put_manifest(self, manifest: BundleManifest) -> Path:
         path = self.root / "manifests" / f"{manifest.bundle_digest}.json"
+        if path.is_file():
+            return path  # named by its digest: the stored copy is this manifest
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_bytes(manifest.canonical_bytes())
         os.replace(tmp, path)

@@ -7,7 +7,9 @@ timestamp order, and before each one an idle step brings the world to
 its time. The idle step is the one thing that differs between runs: a
 fake-clock run jumps the clock (no wall time passes at all), a paced
 run sleeps to keep up with wall time, and the live daemon waits on its
-UDP socket and delivers what arrives.
+UDP socket and delivers what arrives. The steps that wait on wall time
+are also where a run refreshes its ``status.json``: a fake-clock run never
+waits, so nothing can read the file mid-run and it is not rewritten there.
 Events at equal timestamps run in rank order: ``call_at`` gives each
 event the next rank, and every occurrence of a ``call_every`` callback
 keeps the one rank taken when it was registered, so occurrences tie as
@@ -57,6 +59,11 @@ class Scheduler:
     By default it is ``clock.advance_to``, which jumps a ``FakeClock``.
     An idle step may deliver traffic whose handlers schedule events.
 
+    The loop's time is that of the event now running (the end of the last
+    ``run_until`` once it returns, the clock's reading when the scheduler
+    was built before the first). ``call_at`` and ``call_every`` reject a
+    time before it; ``call_after`` counts its delay from the clock.
+
     Events at equal timestamps run in rank order, which keeps
     multi-actor scenarios reproducible. Each ``call_at`` takes the next
     rank, so its events tie in the order they were scheduled. All
@@ -71,10 +78,11 @@ class Scheduler:
         self._idle = idle if idle is not None else clock.advance_to
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._counter = 0
+        self._now_us = clock.now_us()
 
     def call_at(self, t_us: int, fn: Callable[[], None]) -> None:
-        if t_us < self.clock.now_us():
-            raise ValueError(f"cannot schedule in the past: {t_us} < {self.clock.now_us()}")
+        if t_us < self._now_us:
+            raise ValueError(f"cannot schedule in the past: {t_us} < {self._now_us}")
         heapq.heappush(self._heap, (t_us, self._counter, fn))
         self._counter += 1
 
@@ -82,8 +90,8 @@ class Scheduler:
         """Call ``fn(0)`` at ``first_us``, then ``fn(i)`` every ``period_us``
         until ``count`` calls are made. One occurrence is pending at a time:
         the next is armed just before ``fn`` runs."""
-        if first_us < self.clock.now_us():
-            raise ValueError(f"cannot schedule in the past: {first_us} < {self.clock.now_us()}")
+        if first_us < self._now_us:
+            raise ValueError(f"cannot schedule in the past: {first_us} < {self._now_us}")
         rank = self._counter
         self._counter += 1
         next_index = 0
@@ -100,6 +108,9 @@ class Scheduler:
             heapq.heappush(self._heap, (first_us, rank, fire))
 
     def call_after(self, delay_us: int, fn: Callable[[], None]) -> None:
+        """Call ``fn`` ``delay_us`` after the clock's reading now."""
+        if delay_us < 0:
+            raise ValueError(f"cannot schedule after a negative delay: {delay_us}")
         self.call_at(self.clock.now_us() + delay_us, fn)
 
     def pending(self) -> int:
@@ -111,6 +122,7 @@ class Scheduler:
         idle = self._idle
         while heap and heap[0][0] <= t_end_us:
             idle(heap[0][0])
-            fn = heapq.heappop(heap)[2]
+            self._now_us, _, fn = heapq.heappop(heap)
             fn()
         idle(t_end_us)
+        self._now_us = t_end_us

@@ -517,15 +517,17 @@ def scenario_from_object(obj: dict[str, Any], base_dir: Optional[Path] = None) -
     return scenario
 
 
-def paced_to_wall_time(clock: FakeClock) -> Callable[[int], None]:
+def paced_to_wall_time(clock: FakeClock, before_wait: Callable[[], None]) -> Callable[[int], None]:
     """Idle step that sleeps until as much wall time has passed as
-    simulated time will have, counted from this call, then jumps ``clock``."""
+    simulated time will have, counted from this call, then jumps ``clock``.
+    ``before_wait`` runs just before each sleep, and only then."""
     wall_start = time.monotonic()
     sim_start = clock.now_us()
 
     def idle(t_us: int) -> None:
         lag = (t_us - sim_start) / 1e6 - (time.monotonic() - wall_start)
         if lag > 0:
+            before_wait()
             time.sleep(lag)
         clock.advance_to(t_us)
 
@@ -561,7 +563,6 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     protocol = scenario.protocol
 
     clock = FakeClock(0)
-    scheduler = Scheduler(clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock))
     bus = LoopbackBus()
     node_model = NodeCpuModel(scenario.node.capacity_pct)
 
@@ -585,6 +586,9 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
         sender,
         handles={vid: stub for vid, stub in stubs.items()},
         uplink=uplink,
+    )
+    scheduler = Scheduler(
+        clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock, sup.refresh_status)
     )
 
     # the supervisor subscribes first: on a frame's synchronous fan-out it

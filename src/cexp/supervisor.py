@@ -377,6 +377,12 @@ class Supervisor:
     period, and ``finish`` at the end of the duration budget.
     ``Supervisor.schedule`` wires those onto a scheduler and a bus, the
     same way for the loopback hub and for a UDP endpoint.
+
+    ``status.json`` is written at ``begin`` and ``finish``. In between,
+    an idle step that waits on wall time calls ``refresh_status`` first;
+    no wait outlasts a tick, so a poll sees the file at most one sample
+    period stale. A fake-clock run never waits and writes the two
+    snapshots only.
     """
 
     def __init__(
@@ -453,13 +459,16 @@ class Supervisor:
         self._events_fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
         self._events_fh.flush()
 
-    def _write_status(self, always: bool = False) -> None:
+    def refresh_status(self) -> None:
         """Rewrite status.json, unless neither the state nor the event log
-        changed since the last write."""
-        written = (self.state, self._events_logged)
-        if written == self._status_written and not always:
+        changed since the last write. A no-op once the run is finished: the
+        final status is the one ``finish`` wrote."""
+        if self.done or (self.state, self._events_logged) == self._status_written:
             return
-        self._status_written = written
+        self._write_status()
+
+    def _write_status(self) -> None:
+        self._status_written = (self.state, self._events_logged)
         status = {
             "experiment_id": self.protocol.experiment_id,
             "state": self.state.value,
@@ -576,7 +585,6 @@ class Supervisor:
             state.running = False
             state.final_status = STATUS_ABORTED
             self._maybe_abort()
-        self._write_status()
 
     def _maybe_abort(self) -> None:
         """The experiment aborts when enforcement has stopped the last
@@ -603,7 +611,6 @@ class Supervisor:
                 state.final_status = STATUS_CRASHED
                 self._log("launch_lost", variant_id=state.variant_id)
         self._maybe_periodic_upload()
-        self._write_status()
 
     def _maybe_periodic_upload(self) -> None:
         policy = self.protocol.upload_policy
@@ -649,7 +656,7 @@ class Supervisor:
         report = self._build_report()
         report_bytes = report.to_json().encode("utf-8")
         _atomic_write(self.run_dir / "report.json", report_bytes)
-        self._write_status(always=True)
+        self._write_status()
         if self.uplink is not None:
             try:
                 record = self.uplink.send(
@@ -730,10 +737,16 @@ def run_realtime(
     protocol: ExperimentationProtocol, bus: UdpMulticastBus, data_dir: Path | str
 ) -> ExperimentReport:
     """Daemon run against wall time and a real UDP bus endpoint: between
-    events the loop waits on the socket and delivers what arrives."""
+    events the loop refreshes status.json, then waits on the socket and
+    delivers what arrives."""
     clock = WallClock()
-    scheduler = Scheduler(clock, idle=lambda t_us: bus.deliver_until(clock, t_us))
     sup = Supervisor(protocol, clock, data_dir, Sender(bus, SUPERVISOR_SENDER_ID, clock))
+
+    def idle(t_us: int) -> None:
+        sup.refresh_status()
+        bus.deliver_until(clock, t_us)
+
+    scheduler = Scheduler(clock, idle=idle)
     sup.schedule(scheduler, bus)
     scheduler.run_until(sup.started_at_us + protocol.max_duration_s * 1_000_000)
     return report_from_json((sup.run_dir / "report.json").read_text("utf-8"))

@@ -99,6 +99,19 @@ def test_manifest_store_roundtrip(tmp_path):
     assert store.manifest_digests() == {manifest.bundle_digest}
 
 
+def test_storing_a_stored_manifest_again_leaves_its_file_alone(tmp_path):
+    source, layers = _populated_source(tmp_path, [b"p" * 40, b"q" * 60])
+    manifest = A.manifest_for_layers("bin/run", layers)
+    local = A.LayerStore(tmp_path / "local")
+    path = local.put_manifest(manifest)
+    before = path.stat()
+    assert local.put_manifest(manifest) == path
+    A.fetch_bundle(manifest, A.LinkProfile(), local, source)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert local.get_manifest(manifest.bundle_digest) == manifest
+
+
 # -- delta planning ------------------------------------------------------------
 
 

@@ -55,6 +55,40 @@ def test_call_every_rejects_the_past():
         scheduler.call_every(499, 10, 3, lambda i: None)
 
 
+class TickingClock:
+    """A clock that, like wall time, has moved on by the next read: every
+    read is one microsecond later than the one before."""
+
+    def __init__(self) -> None:
+        self._now_us = 0
+
+    def now_us(self) -> int:
+        self._now_us += 1
+        return self._now_us
+
+
+def test_call_after_zero_holds_under_a_clock_that_moves_between_reads():
+    clock = TickingClock()
+
+    def idle(t_us):
+        while clock.now_us() < t_us:
+            pass
+
+    scheduler = Scheduler(clock, idle=idle)
+    fired = []
+
+    def rearm(n):
+        fired.append(n)
+        if n < 100:
+            scheduler.call_after(0, lambda: rearm(n + 1))
+
+    scheduler.call_after(0, lambda: rearm(1))
+    scheduler.run_until(10_000)
+    assert fired == list(range(1, 101))
+    with pytest.raises(ValueError):
+        scheduler.call_after(-1, lambda: None)
+
+
 def test_occurrences_keep_the_rank_taken_at_registration():
     scheduler = Scheduler(FakeClock(0))
     order = []

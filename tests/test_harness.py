@@ -435,6 +435,27 @@ def test_cli_run_fails_on_broken_expectation(tmp_path, capsys):
     assert "EXPECTATION FAILED" in capsys.readouterr().out
 
 
+def test_paced_idle_step_calls_before_wait_only_when_it_is_about_to_sleep(monkeypatch):
+    wall = [100.0]
+    log = []
+
+    def sleep(seconds):
+        log.append(("sleep", seconds))
+        wall[0] += seconds
+
+    monkeypatch.setattr(H.time, "monotonic", lambda: wall[0])
+    monkeypatch.setattr(H.time, "sleep", sleep)
+    clock = FakeClock(0)
+    idle = H.paced_to_wall_time(clock, lambda: log.append("before_wait"))
+    idle(1_000_000)  # 1 s ahead of wall time
+    wall[0] += 5.0  # the host falls 4 s behind
+    idle(2_000_000)
+    idle(6_000_000)  # level with wall time: nothing to wait for
+    idle(8_000_000)
+    assert log == ["before_wait", ("sleep", 1.0), "before_wait", ("sleep", 2.0)]
+    assert clock.now_us() == 8_000_000
+
+
 @pytest.mark.slow
 def test_realtime_scenario_paces_to_wall_clock(tmp_path):
     import time

@@ -285,8 +285,7 @@ def test_status_during_running_experiment(tmp_path):
         2_600_000, lambda: seen.append(HQ.status(tmp_path, experiment_id=protocol.experiment_id))
     )
     scheduler.run_until(6_000_000)
-    if not sup.done:
-        sup.finish()
+    assert sup.done
     assert seen[0]["state"] == "RUNNING"
 
 

@@ -25,7 +25,7 @@ from cexp.wirebus import (
     Sender,
     SensorFrame,
 )
-from conftest import RecordingBus, make_ab_scenario, make_protocol_doc
+from conftest import RecordingBus, make_ab_scenario, make_hostile_scenario, make_protocol_doc
 
 SUSTAINED = ViolationVerdict(Verdict.SUSTAINED_VIOLATION, Axis.CPU, 3)
 OK = ViolationVerdict(Verdict.OK, Axis.NONE, 0)
@@ -133,13 +133,22 @@ def logged_events(sup):
     return [json.loads(line) for line in lines]
 
 
-def drive_run(protocol, traces, tmp_path, handles=None, uplink=None, outputs=None, probes=()):
-    """Run a scripted supervisor world to completion; returns (report, bus, sup)."""
+def drive_run(
+    protocol, traces, tmp_path, handles=None, uplink=None, outputs=None, probes=(), refresh_status=False
+):
+    """Run a scripted supervisor world to completion; returns (report, bus, sup).
+    With ``refresh_status`` the idle step refreshes status.json before it
+    advances the clock to each event, as a run that waits on wall time does."""
     clock = FakeClock(0)
-    scheduler = Scheduler(clock)
     bus = RecordingBus()
     sender = Sender(bus, S.SUPERVISOR_SENDER_ID, clock)
     sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", sender, handles=handles, uplink=uplink)
+
+    def idle(t_us):
+        sup.refresh_status()
+        clock.advance_to(t_us)
+
+    scheduler = Scheduler(clock, idle=idle if refresh_status else None)
     sup.schedule(scheduler, bus)
     period_us = protocol.sample_period_ms * 1000
     for index, (variant_id, trace) in enumerate(traces.items()):
@@ -152,8 +161,7 @@ def drive_run(protocol, traces, tmp_path, handles=None, uplink=None, outputs=Non
         scheduler.call_at(t_us, fn)
     end_us = protocol.max_duration_s * 1_000_000
     scheduler.run_until(end_us + period_us)
-    if not sup.done:
-        sup.finish()
+    assert sup.done
     report = S.report_from_json((sup.run_dir / "report.json").read_text("utf-8"))
     return report, bus, sup
 
@@ -330,6 +338,48 @@ def test_events_keep_the_last_ten_in_memory_and_all_on_disk(tmp_path):
     assert status["last_events"] == logged[-S.STATUS_EVENTS :]
 
 
+def test_a_refreshing_idle_step_keeps_status_current_mid_run(tmp_path):
+    protocol = two_variant_protocol(cpu_threshold_pct=20.0)
+    seen = []
+
+    def probe():
+        status = json.loads((sup_dir / "status.json").read_text("utf-8"))
+        logged = [json.loads(line) for line in (sup_dir / "events.jsonl").read_text("utf-8").splitlines()]
+        seen.append(status["state"])
+        assert status["last_events"] == logged[-S.STATUS_EVENTS :]
+
+    sup_dir = Path(tmp_path) / "data" / protocol.experiment_id
+    # both over budget: production logs a violation per sample, expA is
+    # degraded twice, then stopped
+    _, _, sup = drive_run(
+        protocol,
+        {"prod": [99] * 19, "expA": [99] * 19},
+        tmp_path,
+        probes=[(2_200_000, probe), (5_200_000, probe)],
+        refresh_status=True,
+    )
+    assert seen == ["DEGRADED", "ABORTED"]
+    assert sup.state.value == "ABORTED"
+
+
+def test_refresh_after_finish_keeps_the_final_status(tmp_path, monkeypatch):
+    protocol = two_variant_protocol()
+    clock = FakeClock(0)
+    uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(LoopbackBus(), S.SUPERVISOR_SENDER_ID, clock), uplink=uplink)
+    sup.begin()
+    clock.advance_to(1_000_000)
+    sup.finish()  # logs uplink_report after its final status write
+    final = (sup.run_dir / "status.json").read_bytes()
+    writes = []
+    monkeypatch.setattr(S, "_atomic_write", lambda path, data: writes.append(path))
+    clock.advance_to(2_000_000)
+    sup.refresh_status()
+    assert writes == []
+    assert (sup.run_dir / "status.json").read_bytes() == final
+    assert json.loads(final)["state"] == "COMPLETED"
+
+
 def test_ground_truth_keeps_a_window_and_evicted_frames_score_zero(tmp_path):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
@@ -378,7 +428,8 @@ def test_finish_serialises_the_report_once_for_disk_and_uplink(tmp_path, monkeyp
 AB_500_FINAL_STATUS_SHA256 = "33ef90556f38744f4646b33ff3ffbae21cc703a7cdbf564d9e4969edc193affa"
 
 
-def test_clean_run_writes_status_at_begin_state_changes_and_finish_only(tmp_path, monkeypatch):
+def record_status_writes(monkeypatch):
+    """(state, t_us) of every status.json the supervisor writes from now on."""
     written = []
     atomic_write = S._atomic_write
 
@@ -389,19 +440,40 @@ def test_clean_run_writes_status_at_begin_state_changes_and_finish_only(tmp_path
             written.append((status["state"], status["t_us"]))
 
     monkeypatch.setattr(S, "_atomic_write", recording_write)
-    scenario = harness.scenario_from_object(make_ab_scenario())
-    harness.run_scenario(scenario, data_dir=tmp_path / "on_change")
+    return written
+
+
+def test_clean_run_writes_status_at_begin_and_finish_and_ends_the_same_when_refreshed_every_event(
+    tmp_path, monkeypatch
+):
+    written = record_status_writes(monkeypatch)
+    harness.run_scenario(harness.scenario_from_object(make_ab_scenario()), data_dir=tmp_path / "fake_clock")
     assert written == [("RUNNING", 0), ("COMPLETED", 60_000_000)]
-    final = (tmp_path / "on_change" / "data" / "exp-ab-500" / "status.json").read_bytes()
+    final = (tmp_path / "fake_clock" / "data" / "exp-ab-500" / "status.json").read_bytes()
     assert hashlib.sha256(final).hexdigest() == AB_500_FINAL_STATUS_SHA256
 
-    # rewriting on every tick changes how often the file is written, not how it ends
+    # an idle step that rewrites the file before every event changes how
+    # often it is written, not how it ends
     write_status = S.Supervisor._write_status
-    monkeypatch.setattr(S.Supervisor, "_write_status", lambda self, always=False: write_status(self, True))
+    monkeypatch.setattr(S.Supervisor, "refresh_status", lambda self: None if self.done else write_status(self))
+    monkeypatch.setattr(
+        harness,
+        "paced_to_wall_time",
+        lambda clock, before_wait: lambda t_us: (before_wait(), clock.advance_to(t_us)),
+    )
     written.clear()
-    harness.run_scenario(scenario, data_dir=tmp_path / "every_tick")
+    scenario = harness.scenario_from_object(make_ab_scenario(fake_clock=False))
+    harness.run_scenario(scenario, data_dir=tmp_path / "every_event")
     assert len(written) > 100
-    assert (tmp_path / "every_tick" / "data" / "exp-ab-500" / "status.json").read_bytes() == final
+    assert (tmp_path / "every_event" / "data" / "exp-ab-500" / "status.json").read_bytes() == final
+
+
+def test_fake_clock_run_with_violations_and_commands_writes_status_twice(tmp_path, monkeypatch):
+    written = record_status_writes(monkeypatch)
+    outcome = harness.run_scenario(harness.scenario_from_object(make_hostile_scenario()), data_dir=tmp_path)
+    hostile = outcome.report.variant("expA")
+    assert hostile.violations and len(hostile.commands_received) == 3
+    assert written == [("RUNNING", 0), ("ABORTED", 60_000_000)]
 
 
 @pytest.mark.parametrize("value", [0, 0xFFFF, 2**32 - 1, 2**64 - 1])
@@ -539,14 +611,20 @@ def test_cesupd_realtime_over_udp(tmp_path):
 
     from cexp.wirebus import UdpMulticastBus
 
+    status_path = tmp_path / "data" / "exp-udp" / "status.json"
+    polled = []
+
     def hot_module():
         out = UdpMulticastBus(port=7725)
         sender = Sender(out, 60, WallClock())
         try:
-            deadline = _time.monotonic() + 3.5
-            while _time.monotonic() < deadline:
+            started = _time.monotonic()
+            while _time.monotonic() < started + 3.5:
                 sender.send(ResourceReport(variant_id="expA", cpu_pct=95.0, mem_mb=80.0))
                 _time.sleep(0.3)
+                if not polled and _time.monotonic() > started + 2.0:
+                    # HQ polling mid-run: the commands are a second old by now
+                    polled.append(json.loads(status_path.read_text("utf-8"))["state"])
         finally:
             out.close()
 
@@ -563,6 +641,7 @@ def test_cesupd_realtime_over_udp(tmp_path):
     commands = [c["command"] for c in exp.commands_received]
     assert commands[:1] == ["DEGRADE"]
     assert report.variant("prod").commands_received == ()
+    assert polled in (["DEGRADED"], ["ABORTED"])
 
 
 def three_variant_protocol(**overrides):
