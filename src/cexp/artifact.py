@@ -294,9 +294,6 @@ class LayerStore:
     def has(self, digest: str) -> bool:
         return self._layer_path(digest).is_file()
 
-    def digests(self) -> set[str]:
-        return {p.name for p in (self.root / "layers").iterdir() if p.is_file()}
-
     def total_bytes(self) -> int:
         return sum(p.stat().st_size for p in (self.root / "layers").iterdir() if p.is_file())
 
@@ -333,15 +330,6 @@ class LayerStore:
         tmp.write_bytes(manifest.canonical_bytes())
         os.replace(tmp, path)
         return path
-
-    def get_manifest(self, bundle_digest: str) -> BundleManifest:
-        path = self.root / "manifests" / f"{bundle_digest}.json"
-        if not path.is_file():
-            raise KeyError(bundle_digest)
-        return parse_manifest(path.read_text("utf-8"))
-
-    def manifest_digests(self) -> set[str]:
-        return {p.stem for p in (self.root / "manifests").iterdir() if p.suffix == ".json"}
 
 
 def fetch_bundle(

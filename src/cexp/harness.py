@@ -56,11 +56,9 @@ MAX_FRAME_RATE_HZ = 100
 
 REPLAYER_SENDER_ID = 2
 PRIMARY_NODE_SENDER_ID = 3
-MONITOR_SENDER_ID = 4
 STUB_SENDER_BASE = 100
 
 PRIMARY_NODE_ID = 1
-SECONDARY_NODE_ID = 2
 
 
 class ScenarioError(ValueError):

@@ -34,6 +34,7 @@ from .artifact import (
     parse_manifest,
     transfer,
 )
+from .clock import WallClock
 from .protocol import parse_protocol
 from .supervisor import (
     ChunkCollector,
@@ -43,7 +44,7 @@ from .supervisor import (
     report_from_json,
     uplink_report,
 )
-from .wirebus import MsgType, ResultChunk, UdpMulticastBus
+from .wirebus import MsgType, Received, UdpMulticastBus
 
 REQUEST_RETRY_BUDGET = 5  # attempts to raise the vehicle before giving up
 
@@ -296,21 +297,18 @@ def fetch_udp(
     simulated link (the real-target path; everything else is identical)."""
     bus = UdpMulticastBus(group=group, port=port)
     collector = ChunkCollector()
-    import time as _time
 
-    deadline = _time.monotonic() + timeout_s
+    def on_chunk(item: Received) -> None:
+        if item.message.experiment_id == experiment_id:
+            collector.offer(item.message)
+
+    clock = WallClock()
+    deadline_us = clock.now_us() + int(timeout_s * 1_000_000)
     try:
-        while _time.monotonic() < deadline:
-            item = bus.poll(timeout_s=0.2)
-            if item is None or item.envelope.msg_type is not MsgType.RESULT_CHUNK:
-                continue
-            msg = item.message
-            assert isinstance(msg, ResultChunk)
-            if msg.experiment_id != experiment_id:
-                continue
-            collector.offer(msg)
-            if collector.complete():
-                break
+        bus.subscribe(on_chunk, types={MsgType.RESULT_CHUNK})
+        while not collector.complete() and (now_us := clock.now_us()) < deadline_us:
+            # slices of at most 0.2 s, so a complete stream ends the wait soon
+            bus.deliver_until(clock, min(now_us + 200_000, deadline_us))
     finally:
         bus.close()
     if not collector.complete():

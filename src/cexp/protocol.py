@@ -146,14 +146,6 @@ class ExperimentationProtocol:
     max_concurrent_experiments: int
     upload_policy: UploadPolicy
 
-    @property
-    def production_variant(self) -> VariantSpec:
-        return next(v for v in self.variants if v.role is Role.PRODUCTION)
-
-    @property
-    def experimental_variants(self) -> tuple[VariantSpec, ...]:
-        return tuple(v for v in self.variants if v.role is Role.EXPERIMENTAL)
-
     def variant(self, variant_id: str) -> VariantSpec:
         for v in self.variants:
             if v.variant_id == variant_id:

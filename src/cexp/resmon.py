@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-DEFAULT_SAMPLE_PERIOD_MS = 500
-
 
 class EmptyWindow(ValueError):
     """evaluate_window needs at least one sample."""

@@ -39,6 +39,8 @@ from .protocol import (
 )
 from .resmon import ResourceSample, Verdict, ViolationVerdict, evaluate_window
 from .wirebus import (
+    DEFAULT_GROUP,
+    DEFAULT_PORT,
     Command,
     CommandKind,
     LoopbackBus,
@@ -252,11 +254,16 @@ class ChunkCollector:
         self._chunks: dict[int, bytes] = {}
 
     def offer(self, msg: ResultChunk) -> None:
+        """Keep one chunk. The first accepted chunk fixes the stream; chunks of
+        another stream, and chunks ``chunk_payloads`` never emits (no chunks
+        at all, an index past the end), are ignored."""
+        if not 0 <= msg.chunk_index < msg.total_chunks:
+            return
         if self.experiment_id is None:
             self.experiment_id = msg.experiment_id
             self.total_chunks = msg.total_chunks
-        elif msg.experiment_id != self.experiment_id:
-            return  # chunk of a different stream
+        elif (msg.experiment_id, msg.total_chunks) != (self.experiment_id, self.total_chunks):
+            return
         self._chunks[msg.chunk_index] = msg.data
 
     def has_chunk(self, index: int) -> bool:
@@ -760,7 +767,9 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--protocol", required=True, help="protocol JSON file")
     parser.add_argument("--data-dir", required=True, help="where run data and reports are written")
-    parser.add_argument("--bus", default=None, help="UDP multicast group:port (default 239.255.77.1:7700)")
+    parser.add_argument(
+        "--bus", default=None, help=f"UDP multicast group:port (default {DEFAULT_GROUP}:{DEFAULT_PORT})"
+    )
     parser.add_argument(
         "--fake-clock",
         metavar="SCENARIO",
@@ -779,10 +788,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         print(f"run complete: state={outcome.report.final_state} report={outcome.report_path}")
         return 0
 
-    group, port = (args.bus.split(":", 1) if args.bus else (None, None))
-    bus = UdpMulticastBus(
-        group=group or "239.255.77.1", port=int(port) if port else 7700
-    )
+    group, port = args.bus.rsplit(":", 1) if args.bus else (DEFAULT_GROUP, DEFAULT_PORT)
+    bus = UdpMulticastBus(group=group, port=int(port))
     try:
         report = run_realtime(protocol, bus, Path(args.data_dir))
     finally:

@@ -18,17 +18,17 @@ error, never a crash.
 
 Two transports are provided: an in-memory loopback hub (exactly-once,
 publish-order delivery; the deterministic test substrate) and a real
-UDP-multicast endpoint (best-effort, for multi-node desks).
+UDP-multicast endpoint (best-effort, for multi-node desks). Both
+receive through one dispatch step, which drops undecodable datagrams.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 from .clock import Clock
 
@@ -339,62 +339,44 @@ class Received:
     message: Message
 
 
-class Subscription:
-    """Ordered stream of the decoded datagrams of the subscribed types.
-
-    Messages are consumed either by ``poll()`` or, when a callback is
-    attached, synchronously as the bus delivers them: at publish time on
-    the loopback hub, as datagrams arrive on UDP.
-    """
-
-    def __init__(self, callback: Optional[Callable[[Received], None]]) -> None:
-        self._queue: deque[Received] = deque()
-        # what the bus calls with each item of a subscribed type
-        self.deliver: Callable[[Received], None] = callback if callback is not None else self._queue.append
-
-    def poll(self) -> Optional[Received]:
-        return self._queue.popleft() if self._queue else None
-
-    def drain(self) -> list[Received]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-
 class _Router:
-    """Per-type routing shared by both transports: an item reaches every
-    subscription that wants its msg_type, in the order they subscribed."""
+    """The receive path both transports share. ``_dispatch`` decodes a raw
+    datagram once and hands it to every callback subscribed to its
+    msg_type, in the order they subscribed. An undecodable datagram
+    (foreign or malformed traffic) is dropped, on either transport."""
 
     def __init__(self) -> None:
         self._routes: dict[MsgType, list[Callable[[Received], None]]] = {t: [] for t in MsgType}
         self._closed = False
 
     def subscribe(
-        self,
-        types: Iterable[MsgType] | None = None,
-        callback: Optional[Callable[[Received], None]] = None,
-    ) -> Subscription:
+        self, callback: Callable[[Received], None], types: Iterable[MsgType] | None = None
+    ) -> None:
+        """Call ``callback`` with each delivered datagram of ``types`` (all by default)."""
         if self._closed:
             raise TransportClosed("bus is closed")
-        sub = Subscription(callback)
         for msg_type in MsgType if types is None else frozenset(types):
-            self._routes[msg_type].append(sub.deliver)
-        return sub
+            self._routes[msg_type].append(callback)
+
+    def _dispatch(self, raw: bytes) -> None:
+        try:
+            item = Received(*decode(raw))
+        except DecodeError:
+            return
+        for deliver in self._routes[item.envelope.msg_type]:
+            deliver(item)
 
 
 class LoopbackBus(_Router):
-    """In-memory hub: every published datagram reaches every subscription
-    that wants its msg_type exactly once, in publish order, and the
-    subscriptions for one type in the order they subscribed. Only those
-    are called. Nothing is retained once fan-out returns; whoever wants
-    to audit the traffic subscribes for it."""
+    """In-memory hub: each published datagram is dispatched synchronously,
+    so it reaches every callback for its msg_type exactly once, in publish
+    order. Nothing is retained once fan-out returns; whoever wants to
+    audit the traffic subscribes for it."""
 
     def publish(self, datagram: bytes) -> None:
         if self._closed:
             raise TransportClosed("bus is closed")
-        item = Received(*decode(datagram))
-        for deliver in self._routes[item.envelope.msg_type]:
-            deliver(item)
+        self._dispatch(datagram)
 
     def close(self) -> None:
         self._closed = True
@@ -405,10 +387,9 @@ class UdpMulticastBus(_Router):
 
     Configuration keys ``bus.group`` / ``bus.port`` map onto the
     constructor arguments. Loss is possible; duplication is not
-    introduced locally. Received datagrams are read one at a time with
-    ``poll``, or routed to subscriptions like the loopback hub's by
-    ``deliver_until``. One publisher plus one reader per endpoint; wider
-    sharing needs external serialization.
+    introduced locally. ``deliver_until`` receives datagrams and
+    dispatches them as the loopback hub does. One publisher plus one
+    reader per endpoint; wider sharing needs external serialization.
     """
 
     def __init__(self, group: str = DEFAULT_GROUP, port: int = DEFAULT_PORT, *, loop: bool = True) -> None:
@@ -417,12 +398,16 @@ class UdpMulticastBus(_Router):
         self.port = port
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM, socket.IPPROTO_UDP)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._sock.bind(("", port))
-            membership = socket.inet_aton(group) + socket.inet_aton("0.0.0.0")
-            self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, membership)
-            self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1 if loop else 0)
-            self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
+            try:
+                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                self._sock.bind(("", port))
+                membership = socket.inet_aton(group) + socket.inet_aton("0.0.0.0")
+                self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, membership)
+                self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1 if loop else 0)
+                self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
+            except OSError:
+                self._sock.close()
+                raise
         except OSError as exc:
             raise SocketError(f"cannot open multicast endpoint {group}:{port}: {exc}") from exc
 
@@ -434,33 +419,19 @@ class UdpMulticastBus(_Router):
         except OSError as exc:
             raise SocketError(f"send failed: {exc}") from exc
 
-    def poll(self, timeout_s: float = 0.0) -> Optional[Received]:
-        """Receive and decode one datagram, or None on timeout.
-
-        Undecodable datagrams (foreign traffic on the group) are dropped.
-        """
+    def deliver_until(self, clock: Clock, t_us: int) -> None:
+        """Receive and dispatch datagrams until ``clock`` reads ``t_us``."""
         if self._closed:
             raise TransportClosed("endpoint is closed")
-        self._sock.settimeout(timeout_s if timeout_s > 0 else 0.000001)
-        try:
-            raw, _addr = self._sock.recvfrom(65535)
-        except socket.timeout:
-            return None
-        except OSError as exc:
-            raise SocketError(f"recv failed: {exc}") from exc
-        try:
-            return Received(*decode(raw))
-        except DecodeError:
-            return None
-
-    def deliver_until(self, clock: Clock, t_us: int) -> None:
-        """Receive datagrams and hand each to the subscriptions for its type
-        until ``clock`` reads ``t_us``; undecodable ones are dropped."""
         while (wait_us := t_us - clock.now_us()) > 0:
-            item = self.poll(timeout_s=wait_us / 1e6)
-            if item is not None:
-                for deliver in self._routes[item.envelope.msg_type]:
-                    deliver(item)
+            self._sock.settimeout(wait_us / 1e6)
+            try:
+                raw, _addr = self._sock.recvfrom(65535)
+            except socket.timeout:
+                continue
+            except OSError as exc:
+                raise SocketError(f"recv failed: {exc}") from exc
+            self._dispatch(raw)
 
     def close(self) -> None:
         if not self._closed:

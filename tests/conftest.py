@@ -9,6 +9,7 @@ from typing import Any
 import pytest
 
 from cexp import harness
+from cexp.artifact import BundleManifest, LayerStore, parse_manifest
 from cexp.wirebus import LoopbackBus, Received, SocketError, UdpMulticastBus
 
 
@@ -29,6 +30,15 @@ def recording_bus(monkeypatch):
     """``run_scenario`` builds a ``RecordingBus``; read it as ``outcome.bus``."""
     monkeypatch.setattr(harness, "LoopbackBus", RecordingBus)
     return RecordingBus
+
+
+def layer_digests(store: LayerStore) -> set[str]:
+    """The digests of the layers ``store`` holds, read off its directory."""
+    return {p.name for p in (store.root / "layers").iterdir() if p.is_file()}
+
+
+def stored_manifest(store: LayerStore, bundle_digest: str) -> BundleManifest:
+    return parse_manifest((store.root / "manifests" / f"{bundle_digest}.json").read_text("utf-8"))
 
 
 def digest(n: int) -> str:
@@ -148,10 +158,13 @@ def multicast_loopback_available(port: int = 7799) -> bool:
         from cexp.clock import WallClock
         from cexp.wirebus import Heartbeat, Sender
 
-        Sender(bus, 99, WallClock()).send(Heartbeat(node_id=99, uptime_s=0))
+        received = []
+        bus.subscribe(received.append)
+        clock = WallClock()
+        Sender(bus, 99, clock).send(Heartbeat(node_id=99, uptime_s=0))
         for _ in range(10):
-            item = bus.poll(timeout_s=0.2)
-            if item is not None and item.envelope.sender_id == 99:
+            bus.deliver_until(clock, clock.now_us() + 200_000)
+            if any(item.envelope.sender_id == 99 for item in received):
                 return True
         return False
     except SocketError:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from cexp import artifact as A
+from conftest import layer_digests, stored_manifest
 
 
 def _layer(content: bytes) -> A.Layer:
@@ -36,7 +38,7 @@ def test_store_reingest_is_idempotent(tmp_path):
     first = store.total_bytes()
     store.put(b"abc")
     assert store.total_bytes() == first
-    assert len(store.digests()) == 1
+    assert len(layer_digests(store)) == 1
 
 
 def test_digest_mismatch_leaves_store_unchanged(tmp_path):
@@ -45,7 +47,7 @@ def test_digest_mismatch_leaves_store_unchanged(tmp_path):
     with pytest.raises(A.DigestMismatch):
         store.put(b"g00d", expected_digest=layer.digest)
     assert not store.has(layer.digest)
-    assert store.digests() == set()
+    assert layer_digests(store) == set()
 
 
 def test_storage_full(tmp_path):
@@ -95,8 +97,8 @@ def test_manifest_store_roundtrip(tmp_path):
     store = A.LayerStore(tmp_path / "store")
     manifest = A.manifest_for_layers("bin/run", [_layer(b"a")])
     store.put_manifest(manifest)
-    assert store.get_manifest(manifest.bundle_digest) == manifest
-    assert store.manifest_digests() == {manifest.bundle_digest}
+    assert stored_manifest(store, manifest.bundle_digest) == manifest
+    assert {p.stem for p in (store.root / "manifests").iterdir()} == {manifest.bundle_digest}
 
 
 def test_storing_a_stored_manifest_again_leaves_its_file_alone(tmp_path):
@@ -109,7 +111,7 @@ def test_storing_a_stored_manifest_again_leaves_its_file_alone(tmp_path):
     A.fetch_bundle(manifest, A.LinkProfile(), local, source)
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    assert local.get_manifest(manifest.bundle_digest) == manifest
+    assert stored_manifest(local, manifest.bundle_digest) == manifest
 
 
 # -- delta planning ------------------------------------------------------------
@@ -276,12 +278,12 @@ def test_fetch_bundle_moves_exactly_the_planned_bytes(tmp_path):
     manifest = A.manifest_for_layers("bin/run", layers)
     local = A.LayerStore(tmp_path / "local")
     local.put(b"a" * 100)  # one layer pre-seeded
-    plan, planned_bytes = A.plan_delta(manifest, local.digests())
+    plan, planned_bytes = A.plan_delta(manifest, layer_digests(local))
     record = A.fetch_bundle(manifest, A.LinkProfile(), local, source)
     assert record.bytes_moved == planned_bytes == 300
     assert set(record.layers_fetched) == {ref.digest for ref in plan}
-    assert local.digests() >= {l.digest for l in layers}
-    assert local.get_manifest(manifest.bundle_digest) == manifest
+    assert layer_digests(local) >= {l.digest for l in layers}
+    assert stored_manifest(local, manifest.bundle_digest) == manifest
 
 
 def test_fetch_bundle_is_delta_on_refetch(tmp_path):
@@ -330,9 +332,9 @@ def test_fetch_bundle_plans_without_listing_the_store(tmp_path, monkeypatch):
     expected_plan, expected_bytes = A.plan_delta(manifest, {layers[1].digest})
 
     def no_scan(self):
-        raise AssertionError("delta planning listed the whole store")
+        raise AssertionError(f"delta planning listed {self}")
 
-    monkeypatch.setattr(A.LayerStore, "digests", no_scan)
+    monkeypatch.setattr(Path, "iterdir", no_scan)
     record = A.fetch_bundle(manifest, A.LinkProfile(), local, source)
     assert record.layers_fetched == tuple(ref.digest for ref in expected_plan)
     assert record.bytes_moved == expected_bytes == 96

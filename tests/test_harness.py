@@ -26,10 +26,11 @@ def _frame_world():
 
 def _replay_counts(seed: int, count: int = 10):
     clock, scheduler, bus = _frame_world()
-    sub = bus.subscribe(types={MsgType.SENSOR_FRAME})
+    frames = []
+    bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
     H.SensorReplayer(bus, clock, count, 10.0, seed).start(scheduler)
     scheduler.run_until(10_000_000)
-    return [item.message.ground_truth_count for item in sub.drain()]
+    return [item.message.ground_truth_count for item in frames]
 
 
 def test_replay_is_deterministic_for_a_seed():
@@ -43,19 +44,21 @@ def test_replay_counts_are_within_bounds():
 
 def test_frame_ids_strictly_increase():
     clock, scheduler, bus = _frame_world()
-    sub = bus.subscribe(types={MsgType.SENSOR_FRAME})
+    frames = []
+    bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
     H.SensorReplayer(bus, clock, 50, 25.0, 3).start(scheduler)
     scheduler.run_until(10_000_000)
-    ids = [item.message.frame_id for item in sub.drain()]
+    ids = [item.message.frame_id for item in frames]
     assert ids == list(range(50))
 
 
 def test_500_frames_at_50hz_span_9_98_seconds():
     clock, scheduler, bus = _frame_world()
-    sub = bus.subscribe(types={MsgType.SENSOR_FRAME})
+    frames = []
+    bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
     H.SensorReplayer(bus, clock, 500, 50.0, 9).start(scheduler)
     scheduler.run_until(60_000_000)
-    stamps = [item.envelope.timestamp_us for item in sub.drain()]
+    stamps = [item.envelope.timestamp_us for item in frames]
     assert len(stamps) == 500
     assert stamps[-1] - stamps[0] == 9_980_000  # 499 frames / 50 Hz
 
@@ -166,7 +169,8 @@ def _stub_world(profile: H.StubProfile, capacity: float = 400.0):
     node = H.NodeCpuModel(capacity)
     stub = H.StubActor(profile, Role.EXPERIMENTAL, bus, clock, sender_id=100, node=node)
     node.recompute({profile.variant_id: stub.demand_pct()})
-    outputs = bus.subscribe(types={MsgType.MODULE_OUTPUT})
+    outputs = []  # every MODULE_OUTPUT the stub publishes, in order
+    bus.subscribe(outputs.append, types={MsgType.MODULE_OUTPUT})
     stub.start(bus)
     feeder = Sender(bus, 2, clock)
     return clock, scheduler, bus, stub, outputs, feeder
@@ -183,23 +187,22 @@ def test_perfect_stub_detects_exactly_ground_truth():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, _, outputs, feeder = _stub_world(profile)
     _feed_frames(feeder, 0, 20, gt=5)
-    got = outputs.drain()
-    assert len(got) == 20
-    assert all(item.message.detected_count == 5 for item in got)
+    assert len(outputs) == 20
+    assert all(item.message.detected_count == 5 for item in outputs)
 
 
 def test_blind_stub_detects_nothing_without_false_positives():
     profile = H.StubProfile("expA", true_positive_rate=0.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, _, outputs, feeder = _stub_world(profile)
     _feed_frames(feeder, 0, 20, gt=5)
-    assert all(item.message.detected_count == 0 for item in outputs.drain())
+    assert all(item.message.detected_count == 0 for item in outputs)
 
 
 def test_blind_stub_with_false_positives_reports_only_spurious():
     profile = H.StubProfile("expA", true_positive_rate=0.0, false_positive_rate_per_frame=2.0, cpu_burn_pct=10, seed=3)
     _, _, _, _, outputs, feeder = _stub_world(profile)
     _feed_frames(feeder, 0, 500, gt=5)
-    detected = [item.message.detected_count for item in outputs.drain()]
+    detected = [item.message.detected_count for item in outputs]
     assert sum(detected) / len(detected) == pytest.approx(2.0, rel=0.15)
 
 
@@ -207,11 +210,11 @@ def test_degrade_level_one_halves_processing_exactly():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, stub, outputs, feeder = _stub_world(profile)
     _feed_frames(feeder, 0, 100)
-    before = len(outputs.drain())
+    before = len(outputs)
     feeder.send(Command(target_variant_id="expA", command=CommandKind.DEGRADE, degrade_level=1))
     assert stub.degrade_level == 1
     _feed_frames(feeder, 100, 100)
-    after = [item.message.frame_id for item in outputs.drain()]
+    after = [item.message.frame_id for item in outputs[before:]]
     assert before == 100
     assert len(after) == 50  # exactly half under the fake clock
     assert all(frame_id % 2 == 0 for frame_id in after)
@@ -222,7 +225,7 @@ def test_degrade_level_two_quarters_processing():
     _, _, _, stub, outputs, feeder = _stub_world(profile)
     feeder.send(Command(target_variant_id="expA", command=CommandKind.DEGRADE, degrade_level=2))
     _feed_frames(feeder, 0, 100)
-    got = [item.message.frame_id for item in outputs.drain()]
+    got = [item.message.frame_id for item in outputs]
     assert len(got) == 25
     assert all(frame_id % 4 == 0 for frame_id in got)
 
@@ -233,7 +236,7 @@ def test_stop_command_exits_cleanly():
     feeder.send(Command(target_variant_id="expA", command=CommandKind.STOP, degrade_level=0))
     assert not stub.is_alive()
     _feed_frames(feeder, 0, 10)
-    assert outputs.drain() == []
+    assert outputs == []
 
 
 def test_commands_for_other_variants_are_ignored():
@@ -277,7 +280,7 @@ def test_starved_stub_drops_frames_proportionally():
     clock, scheduler, bus, stub, outputs, feeder = _stub_world(profile, capacity=50.0)
     # ratio 0.5: the credit accumulator processes every other frame
     _feed_frames(feeder, 0, 100)
-    assert len(outputs.drain()) == 50
+    assert len(outputs) == 50
 
 
 # -- failover --------------------------------------------------------------------------

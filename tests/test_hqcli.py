@@ -20,7 +20,7 @@ from cexp.supervisor import (
     VariantResult,
 )
 from cexp.wirebus import LoopbackBus, ResourceReport, Sender
-from conftest import make_protocol_doc
+from conftest import layer_digests, make_protocol_doc
 
 
 def make_result(variant_id, role, accuracy, mean_cpu=20.0, violations=0, status="COMPLETED"):
@@ -217,8 +217,8 @@ def test_deploy_twice_equals_deploy_once_in_store_state(tmp_path):
     HQ.deploy(protocol_text, [manifest], tmp_path / "v1", A.LinkProfile(), source)
     HQ.deploy(protocol_text, [manifest], tmp_path / "v2", A.LinkProfile(), source)
     HQ.deploy(protocol_text, [manifest], tmp_path / "v2", A.LinkProfile(), source)
-    once = A.LayerStore(tmp_path / "v1" / "store").digests()
-    twice = A.LayerStore(tmp_path / "v2" / "store").digests()
+    once = layer_digests(A.LayerStore(tmp_path / "v1" / "store"))
+    twice = layer_digests(A.LayerStore(tmp_path / "v2" / "store"))
     assert once == twice
 
 
@@ -398,7 +398,7 @@ def test_cli_deploy_roundtrip(tmp_path, capsys):
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["payload_bytes"] == manifest.total_bytes()
-    assert A.LayerStore(tmp_path / "vehicle" / "store").digests() == {
+    assert layer_digests(A.LayerStore(tmp_path / "vehicle" / "store")) == {
         ref.digest for ref in manifest.layers
     }
 

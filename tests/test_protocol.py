@@ -33,8 +33,8 @@ def test_parse_minimal_valid_maps_fields():
     assert p.variants[0].role is P.Role.PRODUCTION
     assert p.variants[1].role is P.Role.EXPERIMENTAL
     assert p.upload_policy == P.UploadPolicy.at_end()
-    assert p.production_variant.variant_id == "prod"
-    assert [v.variant_id for v in p.experimental_variants] == ["expA"]
+    assert [v.variant_id for v in p.variants if v.role is P.Role.PRODUCTION] == ["prod"]
+    assert [v.variant_id for v in p.variants if v.role is P.Role.EXPERIMENTAL] == ["expA"]
 
 
 def test_experimental_count_capped_by_concurrency():

@@ -16,14 +16,18 @@ from cexp.protocol import parse_protocol
 from cexp.resmon import Axis, Verdict, ViolationVerdict
 from cexp import supervisor as S
 from cexp.wirebus import (
+    DEFAULT_GROUP,
+    DEFAULT_PORT,
     Command,
     CommandKind,
     LoopbackBus,
     ModuleOutput,
     MsgType,
     ResourceReport,
+    ResultChunk,
     Sender,
     SensorFrame,
+    SocketError,
 )
 from conftest import RecordingBus, make_ab_scenario, make_hostile_scenario, make_protocol_doc
 
@@ -506,6 +510,33 @@ def test_chunk_payloads_empty_input_is_one_chunk():
     assert S.chunk_payloads(b"") == [b""]
 
 
+def _collect(*chunks):
+    collector = S.ChunkCollector()
+    for chunk in chunks:
+        collector.offer(chunk)
+    return collector
+
+
+def test_collector_ignores_chunks_no_split_emits():
+    # a chunk claiming a stream of no chunks does not complete an empty report
+    assert not _collect(ResultChunk("exp-1", 7, 0, b"junk")).complete()
+    assert not _collect(ResultChunk("exp-1", 0, 0, b"junk")).complete()
+    # an index past the end is not part of the stream
+    past_the_end = _collect(ResultChunk("exp-1", 2, 2, b"junk"), ResultChunk("exp-1", 0, 2, b"a"))
+    assert past_the_end.missing() == [1]
+
+
+def test_collector_keeps_the_chunk_count_of_the_first_chunk():
+    collector = _collect(
+        ResultChunk("exp-1", 0, 2, b"a"),
+        ResultChunk("exp-1", 2, 3, b"junk"),  # a different split of the stream
+        ResultChunk("exp-1", 1, 3, b"junk"),
+    )
+    assert collector.missing() == [1]
+    collector.offer(ResultChunk("exp-1", 1, 2, b"b"))
+    assert collector.assemble() == b"ab"
+
+
 def test_uplink_over_lossless_link():
     payload = b"r" * 10_240
     link = DatagramLink(LinkProfile(), seed=0)
@@ -561,6 +592,25 @@ def test_periodic_upload_policy_sends_snapshots(tmp_path):
 
 
 # -- the cesupd daemon CLI ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bus_arg, address",
+    [([], (DEFAULT_GROUP, DEFAULT_PORT)), (["--bus", "239.1.2.3:7801"], ("239.1.2.3", 7801))],
+)
+def test_cesupd_live_bus_address(tmp_path, monkeypatch, bus_arg, address):
+    opened = []
+
+    def unopenable_bus(group, port):
+        opened.append((group, port))
+        raise SocketError("no live bus in this test")
+
+    monkeypatch.setattr(S, "UdpMulticastBus", unopenable_bus)
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
+    with pytest.raises(SocketError):
+        S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(tmp_path), *bus_arg])
+    assert opened == [address]
 
 
 def test_cesupd_fake_clock_scenario_run(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import socket
 import string
 import weakref
 
@@ -237,25 +238,26 @@ def test_mutated_valid_datagrams_never_crash_decoder():
 
 def test_loopback_delivers_100_messages_in_seq_order():
     bus = W.LoopbackBus()
-    sub = bus.subscribe()
+    received = []
+    bus.subscribe(received.append)
     clock = FakeClock(0)
     sender = W.Sender(bus, sender_id=5, clock=clock)
     for _ in range(100):
         sender.send(W.Heartbeat(node_id=1, uptime_s=0))
-    seqs = [item.envelope.seq for item in sub.drain()]
+    seqs = [item.envelope.seq for item in received]
     assert seqs == list(range(100))
 
 
 def test_two_interleaved_senders_preserve_per_sender_order():
     bus = W.LoopbackBus()
-    sub = bus.subscribe()
+    received = []
+    bus.subscribe(received.append)
     clock = FakeClock(0)
     a = W.Sender(bus, sender_id=1, clock=clock)
     b = W.Sender(bus, sender_id=2, clock=clock)
     rng = random.Random(3)
     for _ in range(200):
         (a if rng.random() < 0.5 else b).send(W.Heartbeat(node_id=1, uptime_s=0))
-    received = sub.drain()
     # oracle: per-sender seq streams must already be sorted
     for sender_id in (1, 2):
         seqs = [r.envelope.seq for r in received if r.envelope.sender_id == sender_id]
@@ -265,12 +267,12 @@ def test_two_interleaved_senders_preserve_per_sender_order():
 
 def test_subscription_type_filter():
     bus = W.LoopbackBus()
-    only_commands = bus.subscribe(types={W.MsgType.COMMAND})
+    got = []
+    bus.subscribe(got.append, types={W.MsgType.COMMAND})
     clock = FakeClock(0)
     sender = W.Sender(bus, 1, clock)
     sender.send(W.Heartbeat(node_id=1, uptime_s=0))
     sender.send(W.Command("expA", W.CommandKind.STOP, 0))
-    got = only_commands.drain()
     assert len(got) == 1
     assert isinstance(got[0].message, W.Command)
 
@@ -278,8 +280,9 @@ def test_subscription_type_filter():
 def test_fanout_follows_subscription_order_within_each_type():
     bus = W.LoopbackBus()
     calls = []
+    everything = []
     bus.subscribe(types={W.MsgType.COMMAND}, callback=lambda item: calls.append("commands"))
-    everything = bus.subscribe()
+    bus.subscribe(everything.append)
     bus.subscribe(callback=lambda item: calls.append("all"))
     bus.subscribe(
         types={W.MsgType.HEARTBEAT, W.MsgType.COMMAND}, callback=lambda item: calls.append("beats+commands")
@@ -293,7 +296,7 @@ def test_fanout_follows_subscription_order_within_each_type():
     calls.clear()
     sender.send(W.SensorFrame(frame_id=1, ground_truth_count=2, pixels_digest=bytes(32)))
     assert calls == ["all"]
-    assert [item.envelope.msg_type for item in everything.drain()] == [
+    assert [item.envelope.msg_type for item in everything] == [
         W.MsgType.HEARTBEAT,
         W.MsgType.COMMAND,
         W.MsgType.SENSOR_FRAME,
@@ -327,7 +330,46 @@ def test_loopback_retains_no_delivered_message():
     assert [ref() for ref in delivered] == [None, None]
 
 
-# -- UDP transport (environment-gated) ----------------------------------------
+_HEARTBEAT = W.encode(W.Heartbeat(node_id=1, uptime_s=0), 1, 0, 0)
+FOREIGN_DATAGRAMS = {
+    W.Truncated: b"\x00" * 16,
+    W.BadMagic: b"NOPE" + _HEARTBEAT[4:],
+    W.BadVersion: _HEARTBEAT[:4] + bytes([2]) + _HEARTBEAT[5:],
+    W.UnknownType: W.HEADER.pack(W.MAGIC, W.VERSION, 0x7F, 0, 1, 0, 0, 0),
+    W.MalformedPayload: _HEARTBEAT + b"\x00",
+}
+
+
+@pytest.mark.parametrize("category", list(FOREIGN_DATAGRAMS), ids=lambda c: c.__name__)
+def test_loopback_drops_an_undecodable_datagram_and_keeps_delivering(category):
+    raw = FOREIGN_DATAGRAMS[category]
+    with pytest.raises(category):
+        W.decode(raw)
+    bus = W.LoopbackBus()
+    received = []
+    bus.subscribe(callback=received.append)
+    bus.publish(raw)
+    assert received == []
+    bus.publish(_HEARTBEAT)
+    assert [item.message for item in received] == [W.Heartbeat(node_id=1, uptime_s=0)]
+
+
+# -- UDP transport ------------------------------------------------------------
+
+
+def test_a_udp_endpoint_that_fails_to_open_closes_its_socket(monkeypatch):
+    created = []
+
+    class RecordedSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(W.socket, "socket", RecordedSocket)
+    with pytest.raises(W.SocketError):
+        W.UdpMulticastBus(group="1.2.3.4", port=7797)  # not a multicast group
+    assert len(created) == 1
+    assert created[0].fileno() == -1  # closed
 
 _HAVE_MULTICAST = multicast_loopback_available()
 
@@ -337,12 +379,15 @@ _HAVE_MULTICAST = multicast_loopback_available()
 def test_udp_self_subscription_delivers_own_datagram():
     bus = W.UdpMulticastBus(group="239.255.77.1", port=7700)
     try:
-        sender = W.Sender(bus, sender_id=77, clock=WallClock())
-        sender.send(W.Heartbeat(node_id=7, uptime_s=1))
+        received = []
+        bus.subscribe(received.append)
+        clock = WallClock()
+        W.Sender(bus, sender_id=77, clock=clock).send(W.Heartbeat(node_id=7, uptime_s=1))
         for _ in range(20):
-            item = bus.poll(timeout_s=0.2)
-            if item is not None and item.envelope.sender_id == 77:
-                assert item.message == W.Heartbeat(node_id=7, uptime_s=1)
+            bus.deliver_until(clock, clock.now_us() + 200_000)
+            own = [item.message for item in received if item.envelope.sender_id == 77]
+            if own:
+                assert own == [W.Heartbeat(node_id=7, uptime_s=1)]
                 return
         pytest.fail("own datagram not delivered")
     finally:
