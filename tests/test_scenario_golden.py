@@ -1,21 +1,25 @@
-"""Byte-level pins on the demo scenarios' artifacts.
+"""Byte-level pins on the demo scenarios' artifacts and on HQ's outputs.
 
 Each ``scenarios/*.json`` file runs through ``ceharness run`` (and
 ``ab_500`` also through ``cesupd --fake-clock``) into a fresh directory;
 every file the run leaves must hash to the digest recorded here. A change
 to the run loop, the event order or any writer that moves one byte of a
-fake-clock run fails this test.
+fake-clock run fails this test. A whole ``cectl`` cycle over a lossy link
+with an outage pins the bytes HQ prints and stores the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from cexp import harness as H
+from cexp import hqcli as Q
 from cexp import supervisor as S
+from cexp.artifact import LayerStore, manifest_for_layers
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -82,3 +86,69 @@ def test_cesupd_fake_clock_reproduces_the_ab_500_artifacts(tmp_path, capsys):
     )
     assert code == 0, capsys.readouterr().out
     assert digests(tmp_path) == AB_500
+
+
+# One outage that a deploy crosses and the PERIODIC snapshot at t = 20 s
+# falls in, and a 5% datagram loss that status, fetch and the uplink draw on.
+HQ_LINK = {"bandwidth_bytes_per_s": 1000, "outage_schedule": [[19.5, 20.5]], "datagram_loss_pct": 5.0}
+
+HQ_SIDE = {
+    "deploy --json": "c67fde002a4f059087d56d950fdf74005b34b0ab9b9b365c55dbd4b9be95ce61",
+    "status --json": "063919176b3ee7b8d53ba69796df5f2074ed27f0b69f53b530fdf69f650e73cc",
+    "fetched report.json": "b6ac28a1c5d0b9e8044bc8a81effaa029490f3112fdbbd3c5b0bf57309755418",
+    "compare --json": "c24d187fd407d66eb42b34c416009d671c5d46902925047d3f844c29504582bc",
+    "events.jsonl": "c1c018cb0b9be6ea294ded8b4d4d8885f3129b75e3dbc2159f328543dd9020f2",
+}
+
+
+def test_cectl_reproduces_the_pinned_hq_side_of_a_periodic_ab_500_cycle(tmp_path, capsys):
+    link_path = tmp_path / "link.json"
+    link_path.write_text(json.dumps(HQ_LINK), "utf-8")
+    source = LayerStore(tmp_path / "source")
+    layers = [source.put(bytes([i]) * 6000) for i in range(3)]
+    # two bundles sharing a layer, so the second one moves a delta
+    bundles = [
+        source.put_manifest(manifest_for_layers(entrypoint, picked))
+        for entrypoint, picked in (("prod", layers[:2]), ("exp", layers[1:]))
+    ]
+    protocol = json.loads((SCENARIOS / "protocols" / "ab.json").read_text("utf-8"))
+    protocol["upload_policy"] = {"PERIODIC": 10}
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(protocol), "utf-8")
+    scenario = json.loads((SCENARIOS / "ab_500.json").read_text("utf-8"))
+    scenario["protocol_file"] = str(SCENARIOS / "protocols" / "ab.json")
+    scenario["uplink"]["link"] = HQ_LINK
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), "utf-8")
+    vehicle = tmp_path / "vehicle"
+    inbox = tmp_path / "inbox"
+
+    def cectl(*argv) -> bytes:
+        code = Q.cli_main([str(a) for a in argv])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        return out.encode("utf-8")
+
+    outputs = {}
+    outputs["deploy --json"] = cectl(
+        "deploy", "--protocol", protocol_path, "--bundle", bundles[0], "--bundle", bundles[1],
+        "--target", vehicle, "--link", link_path, "--json",
+    )
+    deployed = vehicle / "protocols" / "exp-ab-500.json"
+    code = S.cli_main(
+        ["--protocol", str(deployed), "--data-dir", str(vehicle), "--fake-clock", str(scenario_path)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    outputs["status --json"] = cectl(
+        "status", "--target", vehicle, "--experiment", "exp-ab-500", "--link", link_path, "--json"
+    )
+    cectl("fetch", "--experiment", "exp-ab-500", "--target", vehicle, "--out", inbox, "--link", link_path)
+    fetched = inbox / "exp-ab-500" / "report.json"
+    outputs["fetched report.json"] = fetched.read_bytes()
+    outputs["compare --json"] = cectl("compare", "--report", fetched, "--json")
+    outputs["events.jsonl"] = (vehicle / "data" / "exp-ab-500" / "events.jsonl").read_bytes()
+
+    assert {
+        name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()
+    } == HQ_SIDE
