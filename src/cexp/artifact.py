@@ -20,7 +20,7 @@ import math
 import os
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -57,6 +57,12 @@ class ManifestError(ValueError):
     pass
 
 
+def record_fields(record: Any) -> dict[str, Any]:
+    """A dataclass record's fields by name, one level deep. As the
+    ``default`` of ``json.dumps`` it writes records nested in records."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def sha256_digest(payload: bytes) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
@@ -88,14 +94,8 @@ class BundleManifest:
     def bundle_digest(self) -> str:
         return sha256_digest(self.canonical_bytes())
 
-    def to_object(self) -> dict[str, Any]:
-        return {
-            "entrypoint": self.entrypoint,
-            "layers": [{"digest": l.digest, "size": l.size} for l in self.layers],
-        }
-
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_object(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return json.dumps(self, default=record_fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     def total_bytes(self) -> int:
         return sum(l.size for l in self.layers)
@@ -264,13 +264,7 @@ class TransferRecord:
         return self.completed_t - self.started_t
 
     def to_object(self) -> dict[str, Any]:
-        return {
-            "bytes_moved": self.bytes_moved,
-            "started_t": self.started_t,
-            "completed_t": self.completed_t,
-            "duration_s": self.duration_s,
-            "layers_fetched": list(self.layers_fetched),
-        }
+        return {**record_fields(self), "duration_s": self.duration_s}
 
 
 class LayerStore:
@@ -338,24 +332,20 @@ def fetch_bundle(
     local_store: LayerStore,
     source: LayerStore,
     start_t: float = 0.0,
-    corrupt=None,
 ) -> TransferRecord:
     """Delta-fetch a bundle over the simulated link into ``local_store``.
 
     Only layers missing locally are moved (``plan_delta``); completion time
-    comes from the bulk ``transfer`` model. ``corrupt`` is a test hook
-    ``(digest, payload) -> payload`` applied in transit; a corrupted layer
-    raises ``DigestMismatch`` and is not stored, already-stored layers stay.
+    comes from the bulk ``transfer`` model. A layer that does not hash to
+    its digest raises ``DigestMismatch`` and is not stored; layers stored
+    before it stay.
     """
     # probe only the manifest's layers: the store may hold many others
     local = {ref.digest for ref in manifest.layers if local_store.has(ref.digest)}
     plan, total = plan_delta(manifest, local)
     completed_t = transfer(total, link, start_t)
     for ref in plan:
-        payload = source.get(ref.digest)
-        if corrupt is not None:
-            payload = corrupt(ref.digest, payload)
-        local_store.put(payload, expected_digest=ref.digest)
+        local_store.put(source.get(ref.digest), expected_digest=ref.digest)
     local_store.put_manifest(manifest)
     return TransferRecord(
         bytes_moved=total,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .artifact import LinkProfile, link_profile_from_object
+from .artifact import LinkProfile, link_profile_from_object, record_fields
 from .clock import FakeClock, Scheduler
 from .protocol import ExperimentationProtocol, Role, parse_protocol
 from .supervisor import (
@@ -669,7 +669,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     if "winner" in scenario.expect or scenario.expect.get("decision", False):
         from . import hqcli  # local import: hqcli sits above the harness
 
-        decision = hqcli.compare(report).to_object()
+        decision = record_fields(hqcli.compare(report))
     return ScenarioOutcome(
         report=report,
         report_path=report_path,

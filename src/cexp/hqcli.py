@@ -32,6 +32,7 @@ from .artifact import (
     fetch_bundle,
     link_profile_from_object,
     parse_manifest,
+    record_fields,
     transfer,
 )
 from .clock import WallClock
@@ -65,17 +66,8 @@ class DecisionReport:
     rationale: str
     provenance: dict
 
-    def to_object(self) -> dict[str, Any]:
-        return {
-            "experiment_id": self.experiment_id,
-            "ranking": list(self.ranking),
-            "winner": self.winner,
-            "rationale": self.rationale,
-            "provenance": self.provenance,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_object(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self, default=record_fields, sort_keys=True, indent=2) + "\n"
 
 
 def compare(report: ExperimentReport, transfer_record: Optional[TransferRecord] = None) -> DecisionReport:
@@ -153,16 +145,12 @@ class DeployRecord:
         return self.completed_t - self.started_t
 
     def to_object(self) -> dict[str, Any]:
+        """The fields plus the derived totals; each bundle with its own."""
         return {
-            "experiment_id": self.experiment_id,
-            "payload_bytes": self.payload_bytes,
-            "manifest_bytes": self.manifest_bytes,
-            "protocol_bytes": self.protocol_bytes,
-            "total_bytes": self.total_bytes,
-            "started_t": self.started_t,
-            "completed_t": self.completed_t,
-            "duration_s": self.duration_s,
+            **record_fields(self),
             "bundles": [b.to_object() for b in self.bundles],
+            "total_bytes": self.total_bytes,
+            "duration_s": self.duration_s,
         }
 
 
@@ -213,10 +201,8 @@ def deploy(
     )
 
 
-def _require_reachable(link: Optional[LinkProfile], seed: int, at_s: float) -> None:
+def _require_reachable(link: LinkProfile, seed: int, at_s: float) -> None:
     """One request datagram must get through before any exchange."""
-    if link is None:
-        return
     dlink = DatagramLink(link, seed=seed)
     for _ in range(1 + REQUEST_RETRY_BUDGET):
         if dlink.deliver(at_s):
@@ -227,7 +213,7 @@ def _require_reachable(link: Optional[LinkProfile], seed: int, at_s: float) -> N
 def status(
     vehicle_root: Path,
     experiment_id: Optional[str] = None,
-    link: Optional[LinkProfile] = None,
+    link: LinkProfile = LinkProfile(),
     at_s: float = 0.0,
     last_n: int = 10,
 ) -> dict:
@@ -258,7 +244,7 @@ def fetch(
     vehicle_root: Path,
     experiment_id: str,
     out_dir: Path,
-    link: Optional[LinkProfile] = None,
+    link: LinkProfile = LinkProfile(),
     seed: int = 0,
     at_s: float = 0.0,
 ) -> Path:
@@ -274,7 +260,7 @@ def fetch(
     if not report_path.is_file():
         raise Unreachable(f"vehicle has no report for experiment {experiment_id!r}")
     payload = report_path.read_bytes()
-    dlink = DatagramLink(link if link is not None else LinkProfile(), seed=seed + 1)
+    dlink = DatagramLink(link, seed=seed + 1)
     try:
         _record, assembled = uplink_report(payload, experiment_id, dlink, t_s=at_s)
     except UplinkFailed as exc:
@@ -438,7 +424,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             result = status(
                 resolve_target(args.target),
                 experiment_id=args.experiment,
-                link=_load_link(args.link) if args.link else None,
+                link=_load_link(args.link),
             )
             if args.json:
                 print(json.dumps(result, sort_keys=True, indent=2))
@@ -462,7 +448,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
                     resolve_target(args.target),
                     args.experiment,
                     Path(args.out),
-                    link=_load_link(args.link) if args.link else None,
+                    link=_load_link(args.link),
                 )
             print(f"fetched {out_path}")
             return 0

@@ -19,14 +19,15 @@ production variant is monitored for reporting but never commanded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_origin, get_type_hints
 
-from .artifact import DatagramLink, LinkProfile
+from .artifact import DatagramLink, LinkProfile, record_fields
 from .clock import Clock, Scheduler, WallClock
 from .protocol import (
     ExperimentationProtocol,
@@ -139,22 +140,6 @@ class VariantResult:
     commands_received: tuple[dict, ...]
     final_status: str
 
-    def to_object(self) -> dict[str, Any]:
-        return {
-            "variant_id": self.variant_id,
-            "role": self.role,
-            "frames_processed": self.frames_processed,
-            "detections_total": self.detections_total,
-            "detections_correct": self.detections_correct,
-            "ground_truth_total": self.ground_truth_total,
-            "accuracy": self.accuracy,
-            "mean_cpu_pct": self.mean_cpu_pct,
-            "max_cpu_pct": self.max_cpu_pct,
-            "violations": self.violations,
-            "commands_received": list(self.commands_received),
-            "final_status": self.final_status,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -166,19 +151,8 @@ class ExperimentReport:
     timeline: tuple[dict, ...]
     protocol: dict
 
-    def to_object(self) -> dict[str, Any]:
-        return {
-            "experiment_id": self.experiment_id,
-            "started_at_us": self.started_at_us,
-            "ended_at_us": self.ended_at_us,
-            "final_state": self.final_state,
-            "variants": [v.to_object() for v in self.variants],
-            "timeline": list(self.timeline),
-            "protocol": self.protocol,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_object(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self, default=record_fields, sort_keys=True, indent=2) + "\n"
 
     def variant(self, variant_id: str) -> VariantResult:
         for v in self.variants:
@@ -187,34 +161,36 @@ class ExperimentReport:
         raise KeyError(variant_id)
 
 
-def report_from_object(obj: dict[str, Any]) -> ExperimentReport:
+# a record's field types, resolved once per class
+_field_types = functools.cache(get_type_hints)
+
+
+def _record_from_object(cls: type, obj: Any) -> Any:
+    """Build record ``cls`` from the keys its fields name. A tuple field
+    takes any iterable; its items become records where the field's type
+    says they are."""
+    hints = _field_types(cls)
+    kwargs = {}
+    for f in fields(cls):
+        value = obj[f.name]
+        if get_origin(hints[f.name]) is tuple:
+            item = get_args(hints[f.name])[0]
+            value = tuple(_record_from_object(item, v) if is_dataclass(item) else v for v in value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def report_from_object(obj: Any) -> ExperimentReport:
+    """Read back an ``ExperimentReport`` from its JSON object.
+
+    Every field of the report and of each variant result must be present;
+    keys the records do not name are ignored. Lists come back as tuples, so
+    ``report_from_json(r.to_json()) == r``. A missing key, a report or
+    variant that is not an object, or a number or null where a list
+    belongs raises ``ValueError``. Field values are not otherwise checked.
+    """
     try:
-        variants = tuple(
-            VariantResult(
-                variant_id=v["variant_id"],
-                role=v["role"],
-                frames_processed=v["frames_processed"],
-                detections_total=v["detections_total"],
-                detections_correct=v["detections_correct"],
-                ground_truth_total=v["ground_truth_total"],
-                accuracy=v["accuracy"],
-                mean_cpu_pct=v["mean_cpu_pct"],
-                max_cpu_pct=v["max_cpu_pct"],
-                violations=v["violations"],
-                commands_received=tuple(v["commands_received"]),
-                final_status=v["final_status"],
-            )
-            for v in obj["variants"]
-        )
-        return ExperimentReport(
-            experiment_id=obj["experiment_id"],
-            started_at_us=obj["started_at_us"],
-            ended_at_us=obj["ended_at_us"],
-            final_state=obj["final_state"],
-            variants=variants,
-            timeline=tuple(obj["timeline"]),
-            protocol=obj["protocol"],
-        )
+        return _record_from_object(ExperimentReport, obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a valid experiment report: {exc}") from exc
 
@@ -292,23 +268,12 @@ class UplinkRecord:
     retransmissions: int
     bytes_sent: int
 
-    def to_object(self) -> dict[str, Any]:
-        return {
-            "delivered": self.delivered,
-            "chunks_total": self.chunks_total,
-            "datagrams_sent": self.datagrams_sent,
-            "retransmissions": self.retransmissions,
-            "bytes_sent": self.bytes_sent,
-        }
-
 
 def uplink_report(
     payload: bytes,
     experiment_id: str,
     link: DatagramLink,
     t_s: float = 0.0,
-    sender_id: int = SUPERVISOR_SENDER_ID,
-    collector: Optional[ChunkCollector] = None,
 ) -> tuple[UplinkRecord, bytes]:
     """Push ``payload`` to HQ as RESULT_CHUNK datagrams over the OTA link.
 
@@ -319,7 +284,7 @@ def uplink_report(
     """
     chunks = chunk_payloads(payload)
     total = len(chunks)
-    collector = collector if collector is not None else ChunkCollector()
+    collector = ChunkCollector()
     attempts = [0] * total
     sent = 0
     bytes_sent = 0
@@ -342,7 +307,7 @@ def uplink_report(
                 total_chunks=total,
                 data=chunks[index],
             )
-            datagram = encode(msg, sender_id, seq, int(t_s * 1_000_000))
+            datagram = encode(msg, SUPERVISOR_SENDER_ID, seq, int(t_s * 1_000_000))
             seq += 1
             sent += 1
             bytes_sent += len(datagram)
@@ -361,20 +326,19 @@ def uplink_report(
 class OtaUplink:
     """Vehicle-to-HQ result channel over a simulated link profile.
 
-    When ``hq_dir`` is set, delivered payloads are written there the way
-    the HQ inbox would receive them.
+    Delivered payloads are written under ``hq_dir`` the way the HQ inbox
+    would receive them.
     """
 
-    def __init__(self, profile: LinkProfile, seed: int = 0, hq_dir: Optional[Path] = None) -> None:
+    def __init__(self, profile: LinkProfile, hq_dir: Path, seed: int = 0) -> None:
         self.link = DatagramLink(profile, seed=seed)
-        self.hq_dir = Path(hq_dir) if hq_dir is not None else None
+        self.hq_dir = Path(hq_dir)
 
     def send(self, experiment_id: str, payload: bytes, t_s: float, label: str = "report") -> UplinkRecord:
         record, assembled = uplink_report(payload, experiment_id, self.link, t_s=t_s)
-        if self.hq_dir is not None:
-            dest = self.hq_dir / experiment_id
-            dest.mkdir(parents=True, exist_ok=True)
-            _atomic_write(dest / f"{label}.json", assembled)
+        dest = self.hq_dir / experiment_id
+        dest.mkdir(parents=True, exist_ok=True)
+        _atomic_write(dest / f"{label}.json", assembled)
         return record
 
 
@@ -642,7 +606,7 @@ class Supervisor:
             record = self.uplink.send(
                 self.protocol.experiment_id, payload, t_s=(now - self.started_at_us) / 1e6, label="snapshot"
             )
-            self._log("uplink_snapshot", **record.to_object())
+            self._log("uplink_snapshot", **record_fields(record))
         except UplinkFailed as exc:
             self._log("uplink_failed", stage="snapshot", reason=str(exc))
 
@@ -671,7 +635,7 @@ class Supervisor:
                     report_bytes,
                     t_s=(self.ended_at_us - self.started_at_us) / 1e6,
                 )
-                self._log("uplink_report", **record.to_object())
+                self._log("uplink_report", **record_fields(record))
             except UplinkFailed as exc:
                 # report stays in run_dir for a later retry
                 self._log("uplink_failed", stage="report", reason=str(exc))

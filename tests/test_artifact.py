@@ -310,14 +310,13 @@ def test_fetch_bundle_corruption_detected_and_not_stored(tmp_path):
     source, layers = _populated_source(tmp_path, [b"payload-one", b"payload-two"])
     manifest = A.manifest_for_layers("bin/run", layers)
     local = A.LayerStore(tmp_path / "local")
-
-    def corrupt(digest, payload):
-        if digest == layers[1].digest:
-            return payload[:-1] + bytes([payload[-1] ^ 0x01])
-        return payload
+    # the source's copy of the second layer rots on disk: one bit flips
+    rotted = source.root / "layers" / layers[1].digest
+    payload = rotted.read_bytes()
+    rotted.write_bytes(payload[:-1] + bytes([payload[-1] ^ 0x01]))
 
     with pytest.raises(A.DigestMismatch):
-        A.fetch_bundle(manifest, A.LinkProfile(), local, source, corrupt=corrupt)
+        A.fetch_bundle(manifest, A.LinkProfile(), local, source)
     assert not local.has(layers[1].digest)
     assert local.has(layers[0].digest)  # earlier layer landed atomically
 

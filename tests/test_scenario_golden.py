@@ -90,10 +90,10 @@ def test_cesupd_fake_clock_reproduces_the_ab_500_artifacts(tmp_path, capsys):
 
 # One outage that a deploy crosses and the PERIODIC snapshot at t = 20 s
 # falls in, and a 5% datagram loss that status, fetch and the uplink draw on.
-HQ_LINK = {"bandwidth_bytes_per_s": 1000, "outage_schedule": [[19.5, 20.5]], "datagram_loss_pct": 5.0}
+HQ_LINK = {"bandwidth_bytes_per_s": 1000, "outage_schedule": [[18.5, 20.5]], "datagram_loss_pct": 5.0}
 
 HQ_SIDE = {
-    "deploy --json": "c67fde002a4f059087d56d950fdf74005b34b0ab9b9b365c55dbd4b9be95ce61",
+    "deploy --json": "16bf534eb1b18f1f5ad0da3f001141a263dfd54969db3ac2e8fd97990ead9e3e",
     "status --json": "063919176b3ee7b8d53ba69796df5f2074ed27f0b69f53b530fdf69f650e73cc",
     "fetched report.json": "b6ac28a1c5d0b9e8044bc8a81effaa029490f3112fdbbd3c5b0bf57309755418",
     "compare --json": "c24d187fd407d66eb42b34c416009d671c5d46902925047d3f844c29504582bc",

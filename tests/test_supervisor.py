@@ -307,6 +307,33 @@ def test_report_roundtrips_through_json(tmp_path):
     protocol = two_variant_protocol()
     report, _, _ = drive_run(protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path)
     assert S.report_from_json(report.to_json()) == report
+    # keys no record names are ignored
+    obj = json.loads(report.to_json())
+    obj["run_stats"] = {"decode_drops": 0}
+    obj["variants"][0]["count_error"] = [1, 2]
+    assert S.report_from_object(obj) == report
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda obj: obj.pop("timeline"),
+        lambda obj: obj["variants"][1].pop("accuracy"),
+        lambda obj: obj.update(variants=3),
+        lambda obj: obj.update(variants=["expA"]),
+        lambda obj: obj["variants"][0].update(commands_received=None),
+    ],
+    ids=["missing-report-key", "missing-variant-key", "variants-a-number", "variant-a-string", "commands-null"],
+)
+def test_report_reader_refuses_a_missing_key_or_a_wrong_shape(tmp_path, damage):
+    protocol = two_variant_protocol()
+    report, _, _ = drive_run(protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path)
+    obj = json.loads(report.to_json())
+    damage(obj)
+    with pytest.raises(ValueError):
+        S.report_from_object(obj)
+    with pytest.raises(ValueError):
+        S.report_from_object([obj])
 
 
 def test_status_snapshot_is_written_and_monotone(tmp_path):
