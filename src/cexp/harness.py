@@ -71,20 +71,25 @@ def synthetic_pixels_digest(seed: int, frame_id: int) -> bytes:
 
 
 def sample_binomial(rng: random.Random, n: int, p: float) -> int:
-    return sum(1 for _ in range(n) if rng.random() < p)
-
-
-def sample_poisson(rng: random.Random, lam: float) -> int:
-    if lam <= 0.0:
-        return 0
-    threshold = math.exp(-lam)
+    """Successes in ``n`` trials of probability ``p``: one uniform per trial."""
+    uniform = rng.random
     k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= threshold:
-            return k
+    for _ in range(n):
+        if uniform() < p:
+            k += 1
+    return k
+
+
+def sample_poisson(rng: random.Random, exp_neg_lam: float) -> int:
+    """Poisson draw of mean ``lam > 0`` by Knuth's product of uniforms,
+    given ``exp(-lam)``; it takes one uniform more than the count it returns."""
+    uniform = rng.random
+    k = 0
+    p = uniform()
+    while p > exp_neg_lam:
         k += 1
+        p *= uniform()
+    return k
 
 
 class SensorReplayer:
@@ -207,6 +212,9 @@ class StubActor:
         self._credit = 0.0
         self._rng = random.Random(profile.seed)
         self._sender = Sender(bus, sender_id, clock)
+        # exp(-lam) of the false-positive draw; None when lam is 0 and nothing is drawn
+        lam = profile.false_positive_rate_per_frame
+        self._fp_exp_neg_lam = math.exp(-lam) if lam > 0.0 else None
 
     def is_alive(self) -> bool:
         return self.alive
@@ -250,7 +258,8 @@ class StubActor:
             return  # starved by contention this frame
         self._credit -= 1.0
         detected = sample_binomial(self._rng, frame.ground_truth_count, self.profile.true_positive_rate)
-        detected += sample_poisson(self._rng, self.profile.false_positive_rate_per_frame)
+        if self._fp_exp_neg_lam is not None:
+            detected += sample_poisson(self._rng, self._fp_exp_neg_lam)
         self.frames_processed += 1
         self._sender.send(
             ModuleOutput(

@@ -357,7 +357,8 @@ def _print_decision(decision: DecisionReport) -> None:
 
 
 def cli_main(argv: Optional[list[str]] = None) -> int:
-    """``cectl``: the remote team's command line."""
+    """``cectl``: the remote team's command line. ``status`` and ``fetch``
+    pass no ``at_s``, so they use the link at simulated t=0."""
     parser = argparse.ArgumentParser(prog="cectl", description="HQ control for remote experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -167,13 +167,15 @@ _field_types = functools.cache(get_type_hints)
 
 def _record_from_object(cls: type, obj: Any) -> Any:
     """Build record ``cls`` from the keys its fields name. A tuple field
-    takes any iterable; its items become records where the field's type
+    takes a JSON list only; its items become records where the field's type
     says they are."""
     hints = _field_types(cls)
     kwargs = {}
     for f in fields(cls):
         value = obj[f.name]
         if get_origin(hints[f.name]) is tuple:
+            if not isinstance(value, list):
+                raise TypeError(f"{f.name} is a {type(value).__name__}, not a list")
             item = get_args(hints[f.name])[0]
             value = tuple(_record_from_object(item, v) if is_dataclass(item) else v for v in value)
         kwargs[f.name] = value
@@ -186,7 +188,7 @@ def report_from_object(obj: Any) -> ExperimentReport:
     Every field of the report and of each variant result must be present;
     keys the records do not name are ignored. Lists come back as tuples, so
     ``report_from_json(r.to_json()) == r``. A missing key, a report or
-    variant that is not an object, or a number or null where a list
+    variant that is not an object, or anything but a list where a list
     belongs raises ``ValueError``. Field values are not otherwise checked.
     """
     try:

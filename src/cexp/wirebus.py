@@ -16,19 +16,26 @@ Strings inside payloads are u16-length-prefixed UTF-8. The decoder is
 total: any byte blob yields either a decoded message or a categorized
 error, never a crash.
 
+Messages and the ``Envelope`` are ``NamedTuple`` records: immutable,
+hashable, and equal only to a record of the same type, never to a bare
+tuple or to a message of another type with the same values.
+
 Two transports are provided: an in-memory loopback hub (exactly-once,
 publish-order delivery; the deterministic test substrate) and a real
 UDP-multicast endpoint (best-effort, for multi-node desks). Both
 receive through one dispatch step, which drops undecodable datagrams.
+A subscriber's callback gets a ``Received`` holding the decoded
+``envelope`` and ``message``: one object per datagram, handed to every
+subscriber of its msg_type in turn and kept by the bus no longer than
+that fan-out.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .clock import Clock
 
@@ -96,8 +103,26 @@ class CommandKind(IntEnum):
     STOP = 2
 
 
-@dataclass(frozen=True)
-class SensorFrame:
+def _type_strict(record: type) -> type:
+    """Make a ``NamedTuple`` record equal only to a record of its own type.
+    A bare tuple subclass equals any tuple with the same items, so without
+    this ``Heartbeat(1, 2) == (1, 2)`` and a resource report could equal a
+    command. Hashing stays the tuple's: records that are equal hash equal."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not __eq__(self, other)
+
+    record.__eq__ = __eq__
+    record.__ne__ = __ne__
+    record.__hash__ = tuple.__hash__
+    return record
+
+
+@_type_strict
+class SensorFrame(NamedTuple):
     frame_id: int
     ground_truth_count: int
     pixels_digest: bytes  # exactly 32 bytes
@@ -105,8 +130,8 @@ class SensorFrame:
     MSG_TYPE = MsgType.SENSOR_FRAME
 
 
-@dataclass(frozen=True)
-class ModuleOutput:
+@_type_strict
+class ModuleOutput(NamedTuple):
     frame_id: int
     variant_id: str
     detected_count: int
@@ -115,8 +140,8 @@ class ModuleOutput:
     MSG_TYPE = MsgType.MODULE_OUTPUT
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+@_type_strict
+class ResourceReport(NamedTuple):
     variant_id: str
     cpu_pct: float
     mem_mb: float
@@ -124,8 +149,8 @@ class ResourceReport:
     MSG_TYPE = MsgType.RESOURCE_REPORT
 
 
-@dataclass(frozen=True)
-class Command:
+@_type_strict
+class Command(NamedTuple):
     target_variant_id: str
     command: CommandKind
     degrade_level: int
@@ -133,16 +158,16 @@ class Command:
     MSG_TYPE = MsgType.COMMAND
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+@_type_strict
+class Heartbeat(NamedTuple):
     node_id: int
     uptime_s: int
 
     MSG_TYPE = MsgType.HEARTBEAT
 
 
-@dataclass(frozen=True)
-class ResultChunk:
+@_type_strict
+class ResultChunk(NamedTuple):
     experiment_id: str
     chunk_index: int
     total_chunks: int
@@ -154,8 +179,8 @@ class ResultChunk:
 Message = Union[SensorFrame, ModuleOutput, ResourceReport, Command, Heartbeat, ResultChunk]
 
 
-@dataclass(frozen=True)
-class Envelope:
+@_type_strict
+class Envelope(NamedTuple):
     """Header metadata of a decoded datagram."""
 
     msg_type: MsgType
@@ -175,8 +200,6 @@ _RESOURCE_REPORT_TAIL = struct.Struct("<dd")
 _COMMAND_TAIL = struct.Struct("<BB")
 _HEARTBEAT = struct.Struct("<IQ")
 _RESULT_CHUNK_TAIL = struct.Struct("<II")
-
-_MSG_TYPES = {int(t): t for t in MsgType}
 
 
 def _check_min(size: int, needed: int) -> None:
@@ -220,83 +243,115 @@ def _pack_str(s: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-def _encode_payload(msg: Message) -> bytes:
-    if isinstance(msg, SensorFrame):
-        if len(msg.pixels_digest) != 32:
-            raise MalformedPayload("pixels_digest must be exactly 32 bytes")
-        return _SENSOR_FRAME.pack(msg.frame_id, msg.ground_truth_count, msg.pixels_digest)
-    if isinstance(msg, ModuleOutput):
-        raw = _utf8_field(msg.variant_id)
-        return (
-            _MODULE_OUTPUT_HEAD.pack(msg.frame_id, len(raw))
-            + raw
-            + _MODULE_OUTPUT_TAIL.pack(msg.detected_count, msg.latency_us)
-        )
-    if isinstance(msg, ResourceReport):
-        return _pack_str(msg.variant_id) + _RESOURCE_REPORT_TAIL.pack(msg.cpu_pct, msg.mem_mb)
-    if isinstance(msg, Command):
-        return _pack_str(msg.target_variant_id) + _COMMAND_TAIL.pack(
-            int(msg.command), msg.degrade_level
-        )
-    if isinstance(msg, Heartbeat):
-        return _HEARTBEAT.pack(msg.node_id, msg.uptime_s)
-    if isinstance(msg, ResultChunk):
-        return (
-            _pack_str(msg.experiment_id)
-            + _RESULT_CHUNK_TAIL.pack(msg.chunk_index, msg.total_chunks)
-            + msg.data
-        )
-    raise TypeError(f"not a bus message: {type(msg).__name__}")
+# One encoder and one decoder per message type. A fixed-layout record packs
+# its fields in order. A decoder reads the payload that fills
+# ``buf[start:end]`` and checks its every size, string and enum.
 
 
-def _decode_payload(msg_type: MsgType, buf: bytes, start: int) -> Message:
-    """Decode the payload that fills ``buf[start:]``."""
-    end = len(buf)
-    if msg_type is MsgType.SENSOR_FRAME:
-        _check_size(end - start, _SENSOR_FRAME.size)
-        return SensorFrame(*_SENSOR_FRAME.unpack_from(buf, start))
-    if msg_type is MsgType.MODULE_OUTPUT:
-        _check_min(end - start, _MODULE_OUTPUT_HEAD.size)
-        frame_id, length = _MODULE_OUTPUT_HEAD.unpack_from(buf, start)
-        pos = start + _MODULE_OUTPUT_HEAD.size
-        _check_size(end - pos, length + _MODULE_OUTPUT_TAIL.size)
-        variant_id = _text(buf, pos, pos + length)
-        detected, latency = _MODULE_OUTPUT_TAIL.unpack_from(buf, pos + length)
-        return ModuleOutput(frame_id, variant_id, detected, latency)
-    if msg_type is MsgType.RESOURCE_REPORT:
-        variant_id, pos = _str_at(buf, start, end)
-        _check_size(end - pos, _RESOURCE_REPORT_TAIL.size)
-        cpu, mem = _RESOURCE_REPORT_TAIL.unpack_from(buf, pos)
-        return ResourceReport(variant_id, cpu, mem)
-    if msg_type is MsgType.HEARTBEAT:
-        _check_size(end - start, _HEARTBEAT.size)
-        return Heartbeat(*_HEARTBEAT.unpack_from(buf, start))
-    if msg_type is MsgType.COMMAND:
-        target, pos = _str_at(buf, start, end)
-        _check_size(end - pos, _COMMAND_TAIL.size)
-        kind_raw, level = _COMMAND_TAIL.unpack_from(buf, pos)
-        try:
-            kind = CommandKind(kind_raw)
-        except ValueError:
-            raise MalformedPayload(f"unknown command value {kind_raw}") from None
-        return Command(target, kind, level)
-    if msg_type is MsgType.RESULT_CHUNK:
-        experiment_id, pos = _str_at(buf, start, end)
-        _check_min(end - pos, _RESULT_CHUNK_TAIL.size)
-        index, total = _RESULT_CHUNK_TAIL.unpack_from(buf, pos)
-        return ResultChunk(experiment_id, index, total, buf[pos + _RESULT_CHUNK_TAIL.size :])
-    raise UnknownType(f"msg_type {msg_type}")  # pragma: no cover - MsgType is closed
+def _encode_sensor_frame(msg: SensorFrame) -> bytes:
+    if len(msg.pixels_digest) != 32:
+        raise MalformedPayload("pixels_digest must be exactly 32 bytes")
+    return _SENSOR_FRAME.pack(*msg)
+
+
+def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
+    _check_size(end - start, _SENSOR_FRAME.size)
+    return SensorFrame._make(_SENSOR_FRAME.unpack_from(buf, start))
+
+
+def _encode_module_output(msg: ModuleOutput) -> bytes:
+    raw = _utf8_field(msg.variant_id)
+    return (
+        _MODULE_OUTPUT_HEAD.pack(msg.frame_id, len(raw))
+        + raw
+        + _MODULE_OUTPUT_TAIL.pack(msg.detected_count, msg.latency_us)
+    )
+
+
+def _decode_module_output(buf: bytes, start: int, end: int) -> ModuleOutput:
+    _check_min(end - start, _MODULE_OUTPUT_HEAD.size)
+    frame_id, length = _MODULE_OUTPUT_HEAD.unpack_from(buf, start)
+    pos = start + _MODULE_OUTPUT_HEAD.size
+    _check_size(end - pos, length + _MODULE_OUTPUT_TAIL.size)
+    detected, latency = _MODULE_OUTPUT_TAIL.unpack_from(buf, pos + length)
+    return ModuleOutput(frame_id, _text(buf, pos, pos + length), detected, latency)
+
+
+def _encode_resource_report(msg: ResourceReport) -> bytes:
+    return _pack_str(msg.variant_id) + _RESOURCE_REPORT_TAIL.pack(msg.cpu_pct, msg.mem_mb)
+
+
+def _decode_resource_report(buf: bytes, start: int, end: int) -> ResourceReport:
+    variant_id, pos = _str_at(buf, start, end)
+    _check_size(end - pos, _RESOURCE_REPORT_TAIL.size)
+    cpu, mem = _RESOURCE_REPORT_TAIL.unpack_from(buf, pos)
+    return ResourceReport(variant_id, cpu, mem)
+
+
+def _encode_command(msg: Command) -> bytes:
+    return _pack_str(msg.target_variant_id) + _COMMAND_TAIL.pack(int(msg.command), msg.degrade_level)
+
+
+def _decode_command(buf: bytes, start: int, end: int) -> Command:
+    target, pos = _str_at(buf, start, end)
+    _check_size(end - pos, _COMMAND_TAIL.size)
+    kind_raw, level = _COMMAND_TAIL.unpack_from(buf, pos)
+    try:
+        kind = CommandKind(kind_raw)
+    except ValueError:
+        raise MalformedPayload(f"unknown command value {kind_raw}") from None
+    return Command(target, kind, level)
+
+
+def _encode_heartbeat(msg: Heartbeat) -> bytes:
+    return _HEARTBEAT.pack(*msg)
+
+
+def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
+    _check_size(end - start, _HEARTBEAT.size)
+    return Heartbeat._make(_HEARTBEAT.unpack_from(buf, start))
+
+
+def _encode_result_chunk(msg: ResultChunk) -> bytes:
+    return (
+        _pack_str(msg.experiment_id)
+        + _RESULT_CHUNK_TAIL.pack(msg.chunk_index, msg.total_chunks)
+        + msg.data
+    )
+
+
+def _decode_result_chunk(buf: bytes, start: int, end: int) -> ResultChunk:
+    experiment_id, pos = _str_at(buf, start, end)
+    _check_min(end - pos, _RESULT_CHUNK_TAIL.size)
+    index, total = _RESULT_CHUNK_TAIL.unpack_from(buf, pos)
+    return ResultChunk(experiment_id, index, total, buf[pos + _RESULT_CHUNK_TAIL.size : end])
+
+
+_CODECS = (
+    (SensorFrame, _encode_sensor_frame, _decode_sensor_frame),
+    (ModuleOutput, _encode_module_output, _decode_module_output),
+    (ResourceReport, _encode_resource_report, _decode_resource_report),
+    (Command, _encode_command, _decode_command),
+    (Heartbeat, _encode_heartbeat, _decode_heartbeat),
+    (ResultChunk, _encode_result_chunk, _decode_result_chunk),
+)
+# record type -> (header msg_type, payload encoder)
+_ENCODERS = {record: (record.MSG_TYPE, enc) for record, enc, _dec in _CODECS}
+# header msg_type byte -> (MsgType, payload decoder)
+_DECODERS = {int(record.MSG_TYPE): (record.MSG_TYPE, dec) for record, _enc, dec in _CODECS}
 
 
 def encode(msg: Message, sender_id: int, seq: int, timestamp_us: int) -> bytes:
-    """Serialize a message into one datagram. Raises ``PayloadTooLarge``."""
-    payload = _encode_payload(msg)
+    """Serialize a message into one datagram. Raises ``PayloadTooLarge``,
+    and ``TypeError`` for anything but a message record."""
+    codec = _ENCODERS.get(type(msg))
+    if codec is None:
+        raise TypeError(f"not a bus message: {type(msg).__name__}")
+    msg_type, encode_payload = codec
+    payload = encode_payload(msg)
     if len(payload) > MAX_PAYLOAD:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    header = HEADER.pack(
-        MAGIC, VERSION, int(msg.MSG_TYPE), 0, sender_id, seq, timestamp_us, len(payload)
-    )
-    return header + payload
+    return HEADER.pack(MAGIC, VERSION, msg_type, 0, sender_id, seq, timestamp_us, len(payload)) + payload
 
 
 def decode(datagram: bytes) -> tuple[Envelope, Message]:
@@ -315,8 +370,8 @@ def decode(datagram: bytes) -> tuple[Envelope, Message]:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
-    msg_type = _MSG_TYPES.get(msg_type_raw)
-    if msg_type is None:
+    codec = _DECODERS.get(msg_type_raw)
+    if codec is None:
         raise UnknownType(f"unknown msg_type 0x{msg_type_raw:02x}")
     if flags != 0:
         raise MalformedPayload(f"reserved flags must be 0, got 0x{flags:04x}")
@@ -327,16 +382,24 @@ def decode(datagram: bytes) -> tuple[Envelope, Message]:
         raise Truncated(f"payload short: header says {payload_len}, got {body_len}")
     if body_len > payload_len:
         raise MalformedPayload(f"{body_len - payload_len} bytes beyond declared payload")
-    message = _decode_payload(msg_type, datagram, HEADER_LEN)
+    msg_type, decode_payload = codec
+    message = decode_payload(datagram, HEADER_LEN, size)
     return Envelope(msg_type, sender_id, seq, timestamp_us, payload_len), message
 
 
-@dataclass(frozen=True)
 class Received:
-    """One delivered datagram, decoded."""
+    """One delivered datagram, decoded: its ``envelope`` (header metadata)
+    and its ``message`` record. Fan-out hands the same object to every
+    subscriber of the msg_type in turn; treat it as read-only."""
 
-    envelope: Envelope
-    message: Message
+    __slots__ = ("envelope", "message", "__weakref__")
+
+    def __init__(self, envelope: Envelope, message: Message) -> None:
+        self.envelope = envelope
+        self.message = message
+
+    def __repr__(self) -> str:
+        return f"Received(envelope={self.envelope!r}, message={self.message!r})"
 
 
 class _Router:
@@ -360,10 +423,11 @@ class _Router:
 
     def _dispatch(self, raw: bytes) -> None:
         try:
-            item = Received(*decode(raw))
+            envelope, message = decode(raw)
         except DecodeError:
             return
-        for deliver in self._routes[item.envelope.msg_type]:
+        item = Received(envelope, message)
+        for deliver in self._routes[envelope.msg_type]:
             deliver(item)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from typing import Any
 
@@ -30,6 +31,29 @@ def recording_bus(monkeypatch):
     """``run_scenario`` builds a ``RecordingBus``; read it as ``outcome.bus``."""
     monkeypatch.setattr(harness, "LoopbackBus", RecordingBus)
     return RecordingBus
+
+
+class WireHashingBus(LoopbackBus):
+    """Loopback bus that hashes every raw datagram published on it, each
+    prefixed by its length, in publish order (a datagram published while
+    another fans out comes after that one), then dispatches it as usual."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.wire = hashlib.sha256()
+        self.datagrams = 0
+
+    def publish(self, datagram: bytes) -> None:
+        self.wire.update(len(datagram).to_bytes(4, "little") + datagram)
+        self.datagrams += 1
+        super().publish(datagram)
+
+
+@pytest.fixture
+def wire_hashing_bus(monkeypatch):
+    """``run_scenario`` builds a ``WireHashingBus``; read it as ``outcome.bus``."""
+    monkeypatch.setattr(harness, "LoopbackBus", WireHashingBus)
+    return WireHashingBus
 
 
 def layer_digests(store: LayerStore) -> set[str]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import random
 import tracemalloc
 from pathlib import Path
@@ -156,9 +158,32 @@ def test_binomial_bounds_and_mean():
 
 def test_poisson_mean_and_degenerate_cases():
     rng = random.Random(6)
-    draws = [H.sample_poisson(rng, 1.5) for _ in range(5_000)]
+    draws = [H.sample_poisson(rng, math.exp(-1.5)) for _ in range(5_000)]
     assert sum(draws) / len(draws) == pytest.approx(1.5, rel=0.1)
-    assert H.sample_poisson(rng, 0.0) == 0
+    assert H.sample_poisson(rng, math.exp(-1e-300)) == 0
+
+
+def _stream_digest(draws: list[int], rng: random.Random) -> str:
+    """sha256 of the draws and of the generator's next 64 bits, so a sampler
+    that consumes one uniform more or less than before changes it too."""
+    text = ",".join(map(str, [*draws, rng.getrandbits(64)]))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_sample_binomial_draws_the_pinned_stream():
+    rng = random.Random(2024)
+    draws = [
+        H.sample_binomial(rng, n, p)
+        for n, p in [(8, 0.72), (3, 0.5), (0, 0.5), (6, 0.0), (6, 1.0)]
+        for _ in range(1000)
+    ]
+    assert _stream_digest(draws, rng) == "a2825949015e6c5b3ae9b4c94699dc14fdeb1f57cc26c15e6617e9c6dab7fc97"
+
+
+def test_sample_poisson_draws_the_pinned_stream():
+    rng = random.Random(2025)
+    draws = [H.sample_poisson(rng, math.exp(-lam)) for lam in (0.1, 1.5, 12.0) for _ in range(1000)]
+    assert _stream_digest(draws, rng) == "1cb802419810a189507cec9413bd93fcb72ba58303d834393f1b7683596deaaa"
 
 
 # -- detector stubs ------------------------------------------------------------------

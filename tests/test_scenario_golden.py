@@ -76,6 +76,22 @@ def test_ceharness_run_reproduces_the_pinned_artifacts(name, tmp_path, capsys):
     assert digests(tmp_path) == GOLDEN[name]
 
 
+# Every raw datagram the loopback hub carries during a run, in publish
+# order: (count, sha256 over each datagram prefixed by its u32 length).
+# This pins the codec's bytes and the fan-out order, not only the files.
+WIRE = {
+    "ab_500": (2424, "8ff63292e73738259debcc3821057732c145a3b98be12e3fdb54bf573fd44724"),
+    "hostile": (1411, "67fcee10a354226cd6364e7d6a4217ef595429692e9f3237c8a249e095ee2ecc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE))
+def test_a_scenario_publishes_the_pinned_datagrams(name, tmp_path, wire_hashing_bus):
+    outcome = H.run_scenario(H.load_scenario(SCENARIOS / f"{name}.json"), data_dir=tmp_path)
+    assert outcome.ok, outcome.failures
+    assert (outcome.bus.datagrams, outcome.bus.wire.hexdigest()) == WIRE[name]
+
+
 def test_cesupd_fake_clock_reproduces_the_ab_500_artifacts(tmp_path, capsys):
     code = S.cli_main(
         [

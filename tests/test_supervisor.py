@@ -322,8 +322,14 @@ def test_report_roundtrips_through_json(tmp_path):
         lambda obj: obj.update(variants=3),
         lambda obj: obj.update(variants=["expA"]),
         lambda obj: obj["variants"][0].update(commands_received=None),
+        lambda obj: obj.update(timeline="abc"),
+        lambda obj: obj.update(variants={}),
+        lambda obj: obj["variants"][0].update(commands_received="ab"),
     ],
-    ids=["missing-report-key", "missing-variant-key", "variants-a-number", "variant-a-string", "commands-null"],
+    ids=[
+        "missing-report-key", "missing-variant-key", "variants-a-number", "variant-a-string",
+        "commands-null", "timeline-a-string", "variants-an-object", "commands-a-string",
+    ],
 )
 def test_report_reader_refuses_a_missing_key_or_a_wrong_shape(tmp_path, damage):
     protocol = two_variant_protocol()

@@ -102,6 +102,51 @@ def test_fuzz_10000_random_valid_messages_roundtrip_bit_exactly():
         assert W.encode(decoded, sender_id=i & 0xFFFF, seq=i, timestamp_us=i * 17) == datagram
 
 
+# one record of each kind, with the names of all its fields
+RECORDS = [
+    (W.SensorFrame(7, 3, bytes(32)), ("frame_id", "ground_truth_count", "pixels_digest")),
+    (W.ModuleOutput(7, "expA", 2, 31_000), ("frame_id", "variant_id", "detected_count", "latency_us")),
+    (W.ResourceReport("a", 1.0, 2.0), ("variant_id", "cpu_pct", "mem_mb")),
+    (W.Command("a", W.CommandKind.DEGRADE, 2), ("target_variant_id", "command", "degrade_level")),
+    (W.Heartbeat(1, 2), ("node_id", "uptime_s")),
+    (W.ResultChunk("exp-1", 0, 1, b"abc"), ("experiment_id", "chunk_index", "total_chunks", "data")),
+    (W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), ("msg_type", "sender_id", "seq", "timestamp_us", "payload_len")),
+]
+_record_ids = [type(record).__name__ for record, _names in RECORDS]
+
+
+@pytest.mark.parametrize("record, names", RECORDS, ids=_record_ids)
+def test_a_record_refuses_assignment_to_any_field_or_a_new_one(record, names):
+    before = [getattr(record, name) for name in names]
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert [getattr(record, name) for name in names] == before
+
+
+@pytest.mark.parametrize("record, names", RECORDS, ids=_record_ids)
+def test_a_record_hashes_like_an_equal_record(record, names):
+    twin = type(record)(*[getattr(record, name) for name in names])
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+    assert len({record, twin}) == 1
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (W.ResourceReport("a", 1.0, 2.0), W.Command("a", W.CommandKind.DEGRADE, 2)),
+        (W.Heartbeat(1, 2), (1, 2)),
+        (W.Heartbeat(1, 2), [1, 2]),
+        (W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), (W.MsgType.HEARTBEAT, 1, 2, 3, 12)),
+    ],
+    ids=["report-vs-command", "heartbeat-vs-tuple", "heartbeat-vs-list", "envelope-vs-tuple"],
+)
+def test_a_record_equals_no_value_of_another_type(left, right):
+    assert not left == right and left != right
+    assert not right == left and right != left
+
+
 def test_truncated_below_header():
     with pytest.raises(W.Truncated):
         W.decode(b"\x00" * 27)
@@ -204,6 +249,16 @@ def test_payload_too_large_on_encode():
     msg = W.ResultChunk(experiment_id="x", chunk_index=0, total_chunks=1, data=b"\x00" * (W.MAX_PAYLOAD + 1))
     with pytest.raises(W.PayloadTooLarge):
         W.encode(msg, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [(1, 0), {"node_id": 1, "uptime_s": 0}, None, W.Envelope(W.MsgType.HEARTBEAT, 1, 0, 0, 12)],
+    ids=["tuple", "dict", "none", "envelope"],
+)
+def test_encoding_anything_but_a_message_raises_type_error(value):
+    with pytest.raises(TypeError):
+        W.encode(value, 1, 0, 0)
 
 
 def test_fuzz_10000_random_blobs_never_crash_decoder():
