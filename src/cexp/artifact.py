@@ -14,15 +14,16 @@ datagram exchanges (``DatagramLink``), never to this bulk model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Container, Iterable, Optional, get_args, get_origin, get_type_hints
 
 _DIGEST_RE = re.compile(r"^sha256:[0-9a-f]{64}$")
 
@@ -57,10 +58,73 @@ class ManifestError(ValueError):
     pass
 
 
+class RecordError(ValueError):
+    """JSON that does not spell a record: a missing or unknown key, or a value of the wrong type."""
+
+
 def record_fields(record: Any) -> dict[str, Any]:
     """A dataclass record's fields by name, one level deep. As the
     ``default`` of ``json.dumps`` it writes records nested in records."""
     return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+_NUMBERS = {int: int, float: float, Optional[float]: lambda v: None if v is None else float(v)}
+
+
+# per field name of a record: whether it has a default, and its type; resolved once per class
+@functools.cache
+def _field_types(cls: type) -> dict[str, tuple[bool, Any]]:
+    hints = get_type_hints(cls)
+    return {f.name: (f.default is not MISSING or f.default_factory is not MISSING, hints[f.name]) for f in fields(cls)}
+
+
+def check_keys(obj: Any, known: Optional[Container[str]]) -> None:
+    """Raise ``RecordError`` unless ``obj`` is a JSON object with no key
+    outside ``known`` (None: any key)."""
+    if not isinstance(obj, dict):
+        raise RecordError(f"expected an object, got {type(obj).__name__}")
+    for key in obj:
+        if known is not None and key not in known:
+            raise RecordError(f"unknown key {key!r}")
+
+
+def record_from_object(cls: type, obj: Any, ignore_unknown: bool = False) -> Any:
+    """Build record ``cls`` from a JSON object keyed by its field names.
+
+    An absent key takes the field's default; an ``int``, ``float`` or
+    ``Optional[float]`` field goes through ``int()``/``float()``; a tuple
+    field takes a list, whose items are read as records where its type says
+    so. A missing key, a key no field names (unless ``ignore_unknown``) or
+    a value of the wrong type raises ``RecordError``.
+    """
+    types = _field_types(cls)
+    check_keys(obj, None if ignore_unknown else types)
+    kwargs = {}
+    for name, (has_default, hint) in types.items():
+        if name not in obj:
+            if has_default:
+                continue
+            raise RecordError(f"missing key {name!r}")
+        value = obj[name]
+        if get_origin(hint) is tuple:
+            if not isinstance(value, list):
+                raise RecordError(f"{name} is a {type(value).__name__}, not a list")
+            item = get_args(hint)[0]
+            value = tuple(record_from_object(item, v, ignore_unknown) if is_dataclass(item) else v for v in value)
+        elif hint in _NUMBERS:
+            try:
+                value = _NUMBERS[hint](value)
+            except (TypeError, ValueError) as exc:
+                raise RecordError(f"{name}: {exc}") from None
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write ``path`` through a temp-file rename: readers see the old bytes or the new."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def sha256_digest(payload: bytes) -> str:
@@ -178,27 +242,23 @@ class LinkProfile:
         return any(start <= t_s < end for start, end in self.outage_schedule)
 
     def to_object(self) -> dict[str, Any]:
-        return {
-            "bandwidth_bytes_per_s": self.bandwidth_bytes_per_s,
-            "outage_schedule": [
-                [start, None if math.isinf(end) else end] for start, end in self.outage_schedule
-            ],
-            "datagram_loss_pct": self.datagram_loss_pct,
-        }
+        schedule = [[start, None if math.isinf(end) else end] for start, end in self.outage_schedule]
+        return {**record_fields(self), "outage_schedule": schedule}
 
 
 def link_profile_from_object(obj: Any) -> LinkProfile:
-    if not isinstance(obj, dict):
-        raise ValueError("link profile must be an object")
-    schedule = []
-    for pair in obj.get("outage_schedule", []):
-        start, end = pair
-        schedule.append((float(start), math.inf if end is None else float(end)))
-    return LinkProfile(
-        bandwidth_bytes_per_s=int(obj.get("bandwidth_bytes_per_s", DEFAULT_BANDWIDTH_BYTES_PER_S)),
-        outage_schedule=tuple(schedule),
-        datagram_loss_pct=float(obj.get("datagram_loss_pct", 0.0)),
-    )
+    """Read a link profile (a scenario's ``uplink.link``, a ``cectl --link``
+    file) through ``record_from_object``: absent keys take the defaults and
+    an unknown key raises ``RecordError``. An outage's ``null`` end is
+    ``math.inf``."""
+    schedule = obj.get("outage_schedule") if isinstance(obj, dict) else None
+    if isinstance(schedule, list):
+        try:
+            schedule = [(float(start), math.inf if end is None else float(end)) for start, end in schedule]
+        except (TypeError, ValueError) as exc:
+            raise RecordError(f"outage_schedule: {exc}") from None
+        obj = {**obj, "outage_schedule": schedule}
+    return record_from_object(LinkProfile, obj)
 
 
 def transfer(byte_count: int, link: LinkProfile, start_t: float = 0.0) -> float:
@@ -311,18 +371,14 @@ class LayerStore:
             raise StorageFull(
                 f"storing {layer.size_bytes} bytes would exceed cap of {self.capacity_bytes}"
             )
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
+        _atomic_write(path, payload)
         return layer
 
     def put_manifest(self, manifest: BundleManifest) -> Path:
         path = self.root / "manifests" / f"{manifest.bundle_digest}.json"
         if path.is_file():
             return path  # named by its digest: the stored copy is this manifest
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(manifest.canonical_bytes())
-        os.replace(tmp, path)
+        _atomic_write(path, manifest.canonical_bytes())
         return path
 
 

@@ -25,11 +25,11 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .artifact import LinkProfile, link_profile_from_object, record_fields
+from .artifact import LinkProfile, RecordError, check_keys, link_profile_from_object, record_fields, record_from_object
 from .clock import FakeClock, Scheduler
 from .protocol import ExperimentationProtocol, Role, parse_protocol
 from .supervisor import (
@@ -136,10 +136,10 @@ class StubProfile:
     """Parametric detector variant: quality knobs plus CPU appetite."""
 
     variant_id: str
-    true_positive_rate: float
-    false_positive_rate_per_frame: float
-    cpu_burn_pct: float
-    seed: int
+    true_positive_rate: float = 1.0
+    false_positive_rate_per_frame: float = 0.0
+    cpu_burn_pct: float = 20.0
+    seed: int = 0
     mem_mb: float = 100.0
     crash_at_s: Optional[float] = None
 
@@ -422,7 +422,7 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class UplinkConfig:
-    profile: LinkProfile
+    link: LinkProfile = LinkProfile()
     seed: int = 0
 
 
@@ -445,6 +445,12 @@ class Scenario:
         raise ScenarioError(f"no stub profile for protocol variant {variant_id!r}")
 
 
+# a scenario object's keys: its fields, with protocol_file in place of an inline protocol
+_SCENARIO_KEYS = frozenset(f.name for f in fields(Scenario)) | {"protocol_file"}
+# the keys an expect block may hold, each checked by check_expectations
+_EXPECT_KEYS = frozenset({"final_state", "winner", "aborted_variants", "restart_count", "commands_to_production"})
+
+
 def load_scenario(path: Path) -> Scenario:
     """Parse a scenario file; paths inside it resolve relative to it."""
     try:
@@ -454,9 +460,23 @@ def load_scenario(path: Path) -> Scenario:
     return scenario_from_object(obj, base_dir=Path(path).resolve().parent)
 
 
+def _in_section(where: str, fn: Callable[..., Any], *args: Any) -> Any:
+    """``fn(*args)``, its ``RecordError`` raised as a ``ScenarioError`` naming ``where``."""
+    try:
+        return fn(*args)
+    except RecordError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def scenario_from_object(obj: dict[str, Any], base_dir: Optional[Path] = None) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    """Build a scenario from its JSON object; paths resolve against ``base_dir``.
+
+    Each section is read through ``record_from_object`` (``uplink.link``
+    through ``link_profile_from_object``), so an absent key takes its
+    record's default. A key no record names, at the top level, in any
+    section or in ``expect``, raises ``ScenarioError`` naming both.
+    """
+    _in_section("scenario", check_keys, obj, _SCENARIO_KEYS)
     if "protocol" in obj:
         protocol = parse_protocol(json.dumps(obj["protocol"]))
     elif "protocol_file" in obj:
@@ -467,42 +487,18 @@ def scenario_from_object(obj: dict[str, Any], base_dir: Optional[Path] = None) -
     else:
         raise ScenarioError("scenario needs 'protocol' (inline) or 'protocol_file'")
 
-    frames_obj = obj.get("frames", {})
-    frames = FrameConfig(
-        count=int(frames_obj.get("count", 500)),
-        rate_hz=float(frames_obj.get("rate_hz", 10.0)),
-        seed=int(frames_obj.get("seed", 1)),
-    )
+    frames = _in_section("frames", record_from_object, FrameConfig, obj.get("frames", {}))
     stubs = tuple(
-        StubProfile(
-            variant_id=s["variant_id"],
-            true_positive_rate=float(s.get("true_positive_rate", 1.0)),
-            false_positive_rate_per_frame=float(s.get("false_positive_rate_per_frame", 0.0)),
-            cpu_burn_pct=float(s.get("cpu_burn_pct", 20.0)),
-            seed=int(s.get("seed", 0)),
-            mem_mb=float(s.get("mem_mb", 100.0)),
-            crash_at_s=None if s.get("crash_at_s") is None else float(s["crash_at_s"]),
-        )
-        for s in obj.get("stubs", [])
+        _in_section(f"stubs[{i}]", record_from_object, StubProfile, s) for i, s in enumerate(obj.get("stubs", []))
     )
-    node_obj = obj.get("node", {})
-    node = NodeConfig(
-        capacity_pct=float(node_obj.get("capacity_pct", 400.0)),
-        heartbeat_period_ms=int(node_obj.get("heartbeat_period_ms", 1000)),
-        miss_threshold=int(node_obj.get("miss_threshold", 3)),
-        restart_delay_ms=int(node_obj.get("restart_delay_ms", 1000)),
-        silence_primary_at_s=(
-            None
-            if node_obj.get("silence_primary_at_s") is None
-            else float(node_obj["silence_primary_at_s"])
-        ),
-    )
+    node = _in_section("node", record_from_object, NodeConfig, obj.get("node", {}))
     uplink = None
     if "uplink" in obj:
-        uplink = UplinkConfig(
-            profile=link_profile_from_object(obj["uplink"].get("link", {})),
-            seed=int(obj["uplink"].get("seed", 0)),
-        )
+        # the reader keeps the link object as it is; it is read on its own
+        uplink = _in_section("uplink", record_from_object, UplinkConfig, obj["uplink"])
+        if "link" in obj["uplink"]:
+            uplink = replace(uplink, link=_in_section("uplink.link", link_profile_from_object, uplink.link))
+    _in_section("expect", check_keys, obj.get("expect", {}), _EXPECT_KEYS)
     data_dir = obj.get("data_dir")
     if data_dir is not None:
         data_dir = Path(data_dir)
@@ -583,7 +579,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
 
     uplink = None
     if scenario.uplink is not None:
-        uplink = OtaUplink(scenario.uplink.profile, seed=scenario.uplink.seed, hq_dir=root / "hq")
+        uplink = OtaUplink(scenario.uplink.link, seed=scenario.uplink.seed, hq_dir=root / "hq")
 
     sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
     sup = Supervisor(
@@ -673,12 +669,12 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
             for event in monitor.restart_events:
                 fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
 
-    failures = check_expectations(scenario, report, commands_to_production, monitor)
     decision = None
-    if "winner" in scenario.expect or scenario.expect.get("decision", False):
+    if "winner" in scenario.expect:
         from . import hqcli  # local import: hqcli sits above the harness
 
         decision = record_fields(hqcli.compare(report))
+    failures = check_expectations(scenario, report, commands_to_production, monitor, decision)
     return ScenarioOutcome(
         report=report,
         report_path=report_path,
@@ -695,19 +691,17 @@ def check_expectations(
     report: ExperimentReport,
     commands_to_production: int,
     monitor: FailoverMonitor,
+    decision: Optional[dict],
 ) -> list[str]:
     """``commands_to_production`` counts the COMMAND messages published
-    to the production variant during the run."""
+    to the production variant during the run; ``decision`` is HQ's
+    ``compare`` of the report, needed when the scenario expects a winner."""
     expect = scenario.expect
     failures: list[str] = []
     if "final_state" in expect and report.final_state != expect["final_state"]:
         failures.append(f"final_state: expected {expect['final_state']}, got {report.final_state}")
-    if "winner" in expect:
-        from . import hqcli
-
-        winner = hqcli.compare(report).winner
-        if winner != expect["winner"]:
-            failures.append(f"winner: expected {expect['winner']}, got {winner}")
+    if "winner" in expect and decision["winner"] != expect["winner"]:
+        failures.append(f"winner: expected {expect['winner']}, got {decision['winner']}")
     if "aborted_variants" in expect:
         aborted = sorted(v.variant_id for v in report.variants if v.final_status == "ABORTED")
         if aborted != sorted(expect["aborted_variants"]):
@@ -735,7 +729,11 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--data-dir", default=None, help="override the scenario data_dir")
     args = parser.parse_args(argv)
 
-    scenario = load_scenario(Path(args.scenario))
+    try:
+        scenario = load_scenario(Path(args.scenario))
+    except ValueError as exc:  # a scenario or its protocol that does not load
+        print(f"error: {exc}")
+        return 2
     data_dir = Path(args.data_dir) if args.data_dir else None
     outcome = run_scenario(scenario, data_dir=data_dir)
     report = outcome.report

@@ -28,7 +28,9 @@ from .artifact import (
     INTEGRATION_S,
     LayerStore,
     LinkProfile,
+    RecordError,
     TransferRecord,
+    _atomic_write,
     fetch_bundle,
     link_profile_from_object,
     parse_manifest,
@@ -41,7 +43,6 @@ from .supervisor import (
     ChunkCollector,
     ExperimentReport,
     UplinkFailed,
-    _atomic_write,
     report_from_json,
     uplink_report,
 )
@@ -159,7 +160,7 @@ def deploy(
     manifests: list,
     vehicle_root: Path,
     link: LinkProfile,
-    source: LayerStore,
+    source: Optional[LayerStore],
     start_t: float = 0.0,
 ) -> DeployRecord:
     """Push a protocol and its bundles to the vehicle over the OTA link.
@@ -167,7 +168,8 @@ def deploy(
     Validation comes first: a protocol that does not parse refuses the
     deploy before a single byte moves. Layers already on the vehicle are
     skipped entirely (delta plan); layer writes are atomic, so a failed
-    deploy leaves the store consistent.
+    deploy leaves the store consistent. ``source`` holds the bundles'
+    layers; a deploy without bundles needs none.
     """
     protocol = parse_protocol(protocol_text)
     vehicle_root = Path(vehicle_root)
@@ -393,17 +395,10 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "deploy":
             protocol_text = Path(args.protocol).read_text("utf-8")
-            manifests = []
-            source = None
-            for manifest_arg in args.bundle:
-                manifest_path = Path(manifest_arg)
-                manifests.append(parse_manifest(manifest_path.read_text("utf-8")))
-                if source is None:
-                    source = _source_store_for(manifest_path, args.source_store)
-            if source is None:
-                source = LayerStore(args.source_store) if args.source_store else LayerStore(
-                    Path(args.target) / "store"
-                )
+            manifest_paths = [Path(m) for m in args.bundle]
+            manifests = [parse_manifest(m.read_text("utf-8")) for m in manifest_paths]
+            # a protocol-only deploy moves no layers, so it needs no source store
+            source = _source_store_for(manifest_paths[0], args.source_store) if manifest_paths else None
             record = deploy(
                 protocol_text,
                 manifests,
@@ -462,7 +457,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             else:
                 _print_decision(decision)
             return 0
-    except (Unreachable, IncompleteReport) as exc:
+    except (Unreachable, IncompleteReport, RecordError) as exc:  # RecordError: a --link file refused
         print(f"error: {exc}")
         return 2
     return 1

@@ -15,30 +15,16 @@ byte-stable and diffable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any
 
-from .artifact import _DIGEST_RE
+from .artifact import _DIGEST_RE, record_fields
 
 MAX_EXPERIMENT_ID_LEN = 64
 MIN_SAMPLE_PERIOD_MS = 50
 MAX_SAMPLE_PERIOD_MS = 10_000
 MAX_CONCURRENT_BOUND = 2  # the testbed never runs more than two experiments at once
-
-_PROTOCOL_KEYS = {
-    "experiment_id",
-    "variants",
-    "cpu_threshold_pct",
-    "mem_threshold_mb",
-    "sustain_samples",
-    "sample_period_ms",
-    "degrade_grace_samples",
-    "max_duration_s",
-    "max_concurrent_experiments",
-    "upload_policy",
-}
-_VARIANT_KEYS = {"variant_id", "role", "bundle_digest", "launch_args"}
 
 
 class ProtocolSyntaxError(ValueError):
@@ -153,6 +139,11 @@ class ExperimentationProtocol:
         raise KeyError(variant_id)
 
 
+# the closed key sets of a protocol document and of each of its variants
+_PROTOCOL_KEYS = frozenset(f.name for f in fields(ExperimentationProtocol))
+_VARIANT_KEYS = frozenset(f.name for f in fields(VariantSpec))
+
+
 def _expect_str(obj: dict[str, Any], field: str) -> str:
     value = obj[field]
     if not isinstance(value, str):
@@ -175,7 +166,7 @@ def _expect_number(obj: dict[str, Any], field: str) -> float:
     return float(value)
 
 
-def _check_keys(obj: dict[str, Any], expected: set[str], where: str) -> None:
+def _check_keys(obj: dict[str, Any], expected: frozenset[str], where: str) -> None:
     missing = expected - obj.keys()
     if missing:
         field = sorted(missing)[0]
@@ -332,28 +323,12 @@ def parse_protocol(document: str) -> ExperimentationProtocol:
 
 
 def protocol_to_object(p: ExperimentationProtocol) -> dict[str, Any]:
-    """The protocol as the plain JSON object of its concrete syntax."""
+    """The protocol as the plain JSON object of its concrete syntax: its
+    fields, with each variant's role by value and the upload policy as its
+    string or ``{"PERIODIC": <seconds>}`` form."""
     policy: Any = "AT_END" if p.upload_policy.kind == "AT_END" else {"PERIODIC": p.upload_policy.interval_s}
-    return {
-        "experiment_id": p.experiment_id,
-        "variants": [
-            {
-                "variant_id": v.variant_id,
-                "role": v.role.value,
-                "bundle_digest": v.bundle_digest,
-                "launch_args": list(v.launch_args),
-            }
-            for v in p.variants
-        ],
-        "cpu_threshold_pct": p.cpu_threshold_pct,
-        "mem_threshold_mb": p.mem_threshold_mb,
-        "sustain_samples": p.sustain_samples,
-        "sample_period_ms": p.sample_period_ms,
-        "degrade_grace_samples": p.degrade_grace_samples,
-        "max_duration_s": p.max_duration_s,
-        "max_concurrent_experiments": p.max_concurrent_experiments,
-        "upload_policy": policy,
-    }
+    variants = [{**record_fields(v), "role": v.role.value, "launch_args": list(v.launch_args)} for v in p.variants]
+    return {**record_fields(p), "variants": variants, "upload_policy": policy}
 
 
 def serialize_protocol(p: ExperimentationProtocol) -> str:

@@ -19,15 +19,13 @@ production variant is monitored for reporting but never commanded.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import os
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional, get_args, get_origin, get_type_hints
+from typing import Any, Optional
 
-from .artifact import DatagramLink, LinkProfile, record_fields
+from .artifact import DatagramLink, LinkProfile, RecordError, _atomic_write, record_fields, record_from_object
 from .clock import Clock, Scheduler, WallClock
 from .protocol import (
     ExperimentationProtocol,
@@ -112,7 +110,6 @@ class VariantRunState:
     running: bool = True
     final_status: str = STATUS_RUNNING
     window: deque = field(default_factory=deque)
-    samples_received: int = 0
     samples_since_command: Optional[int] = None
     violations: int = 0
     commands: list = field(default_factory=list)
@@ -161,39 +158,19 @@ class ExperimentReport:
         raise KeyError(variant_id)
 
 
-# a record's field types, resolved once per class
-_field_types = functools.cache(get_type_hints)
-
-
-def _record_from_object(cls: type, obj: Any) -> Any:
-    """Build record ``cls`` from the keys its fields name. A tuple field
-    takes a JSON list only; its items become records where the field's type
-    says they are."""
-    hints = _field_types(cls)
-    kwargs = {}
-    for f in fields(cls):
-        value = obj[f.name]
-        if get_origin(hints[f.name]) is tuple:
-            if not isinstance(value, list):
-                raise TypeError(f"{f.name} is a {type(value).__name__}, not a list")
-            item = get_args(hints[f.name])[0]
-            value = tuple(_record_from_object(item, v) if is_dataclass(item) else v for v in value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
-
-
 def report_from_object(obj: Any) -> ExperimentReport:
     """Read back an ``ExperimentReport`` from its JSON object.
 
     Every field of the report and of each variant result must be present;
     keys the records do not name are ignored. Lists come back as tuples, so
     ``report_from_json(r.to_json()) == r``. A missing key, a report or
-    variant that is not an object, or anything but a list where a list
-    belongs raises ``ValueError``. Field values are not otherwise checked.
+    variant that is not an object, anything but a list where a list
+    belongs, or a number field ``int()``/``float()`` refuses raises
+    ``ValueError``. Other values are not checked.
     """
     try:
-        return _record_from_object(ExperimentReport, obj)
-    except (KeyError, TypeError) as exc:
+        return record_from_object(ExperimentReport, obj, ignore_unknown=True)
+    except RecordError as exc:
         raise ValueError(f"not a valid experiment report: {exc}") from exc
 
 
@@ -208,12 +185,6 @@ def sandbox_line(t_us: int, frame_id: int, detected_count: int, ground_truth_cou
         f'{{"detected_count":{detected_count},"frame_id":{frame_id},'
         f'"ground_truth_count":{ground_truth_count},"latency_us":{latency_us},"t_us":{t_us}}}\n'
     )
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def chunk_payloads(data: bytes, chunk_bytes: int = CHUNK_BYTES) -> list[bytes]:
@@ -491,7 +462,6 @@ class Supervisor:
         state = self.variants.get(msg.variant_id)
         if state is None or not state.running:
             return
-        state.samples_received += 1
         if state.samples_since_command is not None:
             state.samples_since_command += 1
         state.cpu_sum += msg.cpu_pct
@@ -744,12 +714,17 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    protocol = parse_protocol(Path(args.protocol).read_text("utf-8"))
+    try:
+        protocol = parse_protocol(Path(args.protocol).read_text("utf-8"))
+        if args.fake_clock is not None:
+            from . import harness  # scenario machinery lives with the testbed
+
+            scenario = replace(harness.load_scenario(Path(args.fake_clock)), protocol=protocol)
+    except ValueError as exc:  # a protocol or scenario that does not load
+        print(f"error: {exc}")
+        return 2
 
     if args.fake_clock is not None:
-        from . import harness  # scenario machinery lives with the testbed
-
-        scenario = replace(harness.load_scenario(Path(args.fake_clock)), protocol=protocol)
         outcome = harness.run_scenario(scenario, data_dir=Path(args.data_dir))
         print(f"run complete: state={outcome.report.final_state} report={outcome.report_path}")
         return 0

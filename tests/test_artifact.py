@@ -233,6 +233,11 @@ def test_link_profile_object_roundtrip():
     assert A.link_profile_from_object(link.to_object()) == link
 
 
+def test_link_profile_refuses_an_unknown_key():
+    with pytest.raises(ValueError, match="unknown key 'datagram_loss'"):
+        A.link_profile_from_object({"datagram_loss": 5})
+
+
 # -- datagram link ---------------------------------------------------------------
 
 

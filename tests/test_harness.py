@@ -15,7 +15,7 @@ from cexp.clock import FakeClock, Scheduler
 from cexp import harness as H
 from cexp.protocol import Role
 from cexp.wirebus import Command, CommandKind, LoopbackBus, ModuleOutput, MsgType, Sender, SensorFrame
-from conftest import make_ab_scenario, make_baseline_scenario, make_hostile_scenario
+from conftest import make_ab_scenario, make_baseline_scenario, make_hostile_scenario, make_protocol_doc
 
 
 def _frame_world():
@@ -402,6 +402,76 @@ def test_scenario_protocol_file_resolves_relative_to_scenario(tmp_path):
     assert loaded.protocol.experiment_id == protocol_obj["experiment_id"]
 
 
+def test_scenario_with_only_required_keys_loads_with_the_documented_defaults():
+    variants = ("prod", "expA", "expB")
+    required = {"protocol": make_protocol_doc(), "stubs": [{"variant_id": v} for v in variants], "uplink": {}}
+    written_out = {
+        "name": "scenario",
+        "fake_clock": True,
+        "protocol": make_protocol_doc(),
+        "frames": {"count": 500, "rate_hz": 10.0, "seed": 1},
+        "stubs": [
+            {
+                "variant_id": v,
+                "true_positive_rate": 1.0,
+                "false_positive_rate_per_frame": 0.0,
+                "cpu_burn_pct": 20.0,
+                "seed": 0,
+                "mem_mb": 100.0,
+                "crash_at_s": None,
+            }
+            for v in variants
+        ],
+        "node": {
+            "capacity_pct": 400.0,
+            "heartbeat_period_ms": 1000,
+            "miss_threshold": 3,
+            "restart_delay_ms": 1000,
+            "silence_primary_at_s": None,
+        },
+        "uplink": {
+            "link": {"bandwidth_bytes_per_s": 5_952_380, "outage_schedule": [], "datagram_loss_pct": 0.0},
+            "seed": 0,
+        },
+        "data_dir": None,
+        "expect": {},
+    }
+    assert H.scenario_from_object(required) == H.scenario_from_object(written_out)
+    without_uplink = dict(required)
+    del without_uplink["uplink"]
+    assert H.scenario_from_object(without_uplink).uplink is None
+
+
+def _section(scenario: dict, where: str) -> dict:
+    """The object of section ``where`` (``stubs[1]``, ``uplink.link``, ...) inside
+    ``scenario``; ``scenario`` is the top level."""
+    obj = scenario
+    for part in where.split(".") if where != "scenario" else ():
+        name, _, index = part.partition("[")
+        obj = obj[name] if not index else obj[name][int(index.rstrip("]"))]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "where, misspelt",
+    [
+        ("frames", "rate"),
+        ("stubs[1]", "true_postive_rate"),
+        ("node", "heartbeat_period"),
+        ("uplink", "sead"),
+        ("uplink.link", "datagram_loss"),
+        ("expect", "winer"),
+        ("scenario", "expcet"),
+    ],
+)
+def test_scenario_refuses_a_misspelt_key(where, misspelt):
+    scenario = make_ab_scenario(uplink={"link": {"datagram_loss_pct": 10.0}, "seed": 4})
+    _section(scenario, where)[misspelt] = 0.1
+    with pytest.raises(H.ScenarioError) as refused:
+        H.scenario_from_object(scenario)
+    assert str(refused.value) == f"{where}: unknown key {misspelt!r}"
+
+
 def test_ab_scenario_selects_the_better_variant(tmp_path):
     outcome = H.run_scenario(H.scenario_from_object(make_ab_scenario()), data_dir=tmp_path)
     assert outcome.ok, outcome.failures
@@ -411,6 +481,18 @@ def test_ab_scenario_selects_the_better_variant(tmp_path):
     assert acc["expA"] == pytest.approx(0.72, abs=0.05)
     assert acc["expB"] == pytest.approx(0.68, abs=0.05)
     assert acc["prod"] == pytest.approx(0.60, abs=0.05)
+
+
+def test_run_scenario_compares_the_report_once(tmp_path, monkeypatch):
+    from cexp import hqcli
+
+    compared = []
+    compare = hqcli.compare
+    monkeypatch.setattr(hqcli, "compare", lambda report: compared.append(report) or compare(report))
+    outcome = H.run_scenario(H.scenario_from_object(make_ab_scenario()), data_dir=tmp_path)
+    assert outcome.ok, outcome.failures
+    assert outcome.decision["winner"] == "expA"
+    assert compared == [outcome.report]
 
 
 def test_crash_scenario_marks_variant_crashed(tmp_path):
@@ -461,6 +543,25 @@ def test_cli_run_fails_on_broken_expectation(tmp_path, capsys):
     code = H.cli_main(["run", "--scenario", str(path), "--data-dir", str(tmp_path / "out")])
     assert code == 1
     assert "EXPECTATION FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda s: s["node"].update(heartbeat_period=500), "node: unknown key 'heartbeat_period'"),
+        (lambda s: s["protocol"].pop("max_duration_s"), "max_duration_s: missing key"),
+    ],
+    ids=["unknown-scenario-key", "protocol-missing-key"],
+)
+def test_cli_run_refuses_a_scenario_that_does_not_load(tmp_path, capsys, damage, message):
+    scenario = make_ab_scenario()
+    damage(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), "utf-8")
+    code = H.cli_main(["run", "--scenario", str(path), "--data-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_paced_idle_step_calls_before_wait_only_when_it_is_about_to_sleep(monkeypatch):

@@ -403,6 +403,26 @@ def test_cli_deploy_roundtrip(tmp_path, capsys):
     }
 
 
+def test_cli_deploy_without_bundles_to_a_scenario_target(tmp_path, capsys):
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({"data_dir": "vehicle"}), "utf-8")
+    code = HQ.cli_main(["deploy", "--protocol", str(protocol_path), "--target", str(scenario_path)])
+    assert code == 0
+    assert "deployed exp-ab: 0 payload bytes" in capsys.readouterr().out
+    deployed = tmp_path / "vehicle" / "protocols" / "exp-ab.json"
+    assert deployed.read_bytes() == protocol_path.read_bytes()
+
+
+def test_cli_refuses_a_link_file_with_an_unknown_key(tmp_path, capsys):
+    link_path = tmp_path / "link.json"
+    link_path.write_text(json.dumps({"datagram_loss": 5}), "utf-8")
+    code = HQ.cli_main(["status", "--target", str(tmp_path), "--link", str(link_path)])
+    assert code == 2
+    assert capsys.readouterr().out == "error: unknown key 'datagram_loss'\n"
+
+
 @pytest.mark.udp
 def test_fetch_udp_collects_chunk_stream(tmp_path):
     import threading

@@ -669,6 +669,32 @@ def test_cesupd_fake_clock_scenario_run(tmp_path, capsys):
     assert report_path.is_file()
 
 
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        ("scenario", "stubs[1]: unknown key 'true_postive_rate'"),
+        ("protocol", "sample_period_ms: missing key"),
+    ],
+)
+def test_cesupd_fake_clock_refuses_inputs_that_do_not_load(tmp_path, capsys, broken, message):
+    scenario = make_ab_scenario()
+    protocol = dict(scenario["protocol"])
+    if broken == "scenario":
+        scenario["stubs"][1]["true_postive_rate"] = 0.1
+    else:
+        del protocol["sample_period_ms"]
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(protocol), "utf-8")
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), "utf-8")
+    code = S.cli_main(
+        ["--protocol", str(protocol_path), "--data-dir", str(tmp_path / "vehicle"), "--fake-clock", str(scenario_path)]
+    )
+    assert code == 2
+    assert capsys.readouterr().out == f"error: {message}\n"
+    assert not (tmp_path / "vehicle").exists()
+
+
 @pytest.mark.udp
 @pytest.mark.slow
 def test_cesupd_realtime_over_udp(tmp_path):
