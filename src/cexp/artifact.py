@@ -10,6 +10,9 @@ layers out of many.
 The link model is fluid-flow: bytes move at a nominal bandwidth, pause
 during outages, and the per-datagram loss percentage applies only to
 datagram exchanges (``DatagramLink``), never to this bulk model.
+
+``record_from_object`` is the one reader that turns JSON (a scenario, a
+protocol, a manifest, a link profile, a report) into its records.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import os
 import random
 import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Any, Container, Iterable, Optional, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Optional, get_args, get_origin, get_type_hints
 
 _DIGEST_RE = re.compile(r"^sha256:[0-9a-f]{64}$")
 
@@ -55,11 +59,19 @@ class NeverCompletes(ArtifactError):
 
 
 class ManifestError(ValueError):
-    pass
+    """A well-typed manifest that breaks a manifest invariant."""
 
 
-class RecordError(ValueError):
-    """JSON that does not spell a record: a missing or unknown key, or a value of the wrong type."""
+class SchemaError(ValueError):
+    """JSON that does not spell its record: a missing or unknown key, or a
+    value of the wrong type. ``field`` is the path of the value at fault
+    (``frames.count``, ``variants[1].bundle_digest``, ``$`` for the whole
+    document), or of the object holding an unknown key."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(f"{field}: {message}" if field else message)
+        self.field = field
+        self.message = message
 
 
 def record_fields(record: Any) -> dict[str, Any]:
@@ -68,56 +80,108 @@ def record_fields(record: Any) -> dict[str, Any]:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-_NUMBERS = {int: int, float: float, Optional[float]: lambda v: None if v is None else float(v)}
+def _wrong_type(path: str, expected: str, value: Any) -> SchemaError:
+    got = f"list of {len(value)}" if type(value) is list else type(value).__name__
+    return SchemaError(path or "$", f"expected {expected}, got {got}")
 
 
-# per field name of a record: whether it has a default, and its type; resolved once per class
+# the JSON types each scalar hint accepts: an int is also a float, a bool is never a number
+_SCALARS: dict[Any, tuple[type, ...]] = {str: (str,), bool: (bool,), int: (int,), float: (int, float), dict: (dict,)}
+
+_Read = Callable[[Any, str], Any]  # (JSON value, its path) -> the value read
+
+
 @functools.cache
-def _field_types(cls: type) -> dict[str, tuple[bool, Any]]:
+def _reader(hint: Any, ignore_unknown: bool) -> _Read:
+    """The function that reads a JSON value of type ``hint``; built once per type."""
+    if is_dataclass(hint):
+        return _record_reader(hint, ignore_unknown)
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if args[1:] == (Ellipsis,):
+            item = _reader(args[0], ignore_unknown)
+
+            def read_tuple(value: Any, path: str) -> tuple:
+                if type(value) is not list:
+                    raise _wrong_type(path, "list", value)
+                return tuple([item(v, f"{path}[{i}]") for i, v in enumerate(value)])
+
+            return read_tuple
+        items = [_reader(a, ignore_unknown) for a in args]
+
+        def read_fixed(value: Any, path: str) -> tuple:
+            if type(value) is not list or len(value) != len(items):
+                raise _wrong_type(path, f"list of {len(items)}", value)
+            return tuple([read(v, f"{path}[{i}]") for i, (read, v) in enumerate(zip(items, value))])
+
+        return read_fixed
+    if type(None) in args:  # Optional[X]
+        (inner_hint,) = (a for a in args if a is not type(None))
+        inner = _reader(inner_hint, ignore_unknown)
+        return lambda value, path: None if value is None else inner(value, path)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+
+        def read_enum(value: Any, path: str) -> Enum:
+            try:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: an unhashable value
+                raise SchemaError(path, f"expected one of {list(members)}, got {value!r}") from None
+
+        return read_enum
+    accepted = _SCALARS[hint]
+    name = "object" if hint is dict else hint.__name__
+
+    def read_scalar(value: Any, path: str) -> Any:
+        if type(value) is hint:
+            return value
+        if type(value) in accepted:
+            return hint(value)  # an int where a float belongs
+        raise _wrong_type(path, name, value)
+
+    return read_scalar
+
+
+def _record_reader(cls: type, ignore_unknown: bool) -> _Read:
     hints = get_type_hints(cls)
-    return {f.name: (f.default is not MISSING or f.default_factory is not MISSING, hints[f.name]) for f in fields(cls)}
+    specs = [
+        (f.name, f.default is MISSING and f.default_factory is MISSING, _reader(hints[f.name], ignore_unknown))
+        for f in fields(cls)
+    ]
+    known = None if ignore_unknown else frozenset(name for name, _, _ in specs)
 
+    def read_record(value: Any, path: str) -> Any:
+        if type(value) is not dict:
+            raise _wrong_type(path, "object", value)
+        if known is not None and not known.issuperset(value):
+            key = next(k for k in value if k not in known)
+            raise SchemaError(path, f"unknown key {key!r}")
+        prefix = f"{path}." if path else ""
+        kwargs = {}
+        for name, required, read in specs:
+            if name in value:
+                kwargs[name] = read(value[name], prefix + name)
+            elif required:
+                raise SchemaError(prefix + name, "missing key")
+        return cls(**kwargs)
 
-def check_keys(obj: Any, known: Optional[Container[str]]) -> None:
-    """Raise ``RecordError`` unless ``obj`` is a JSON object with no key
-    outside ``known`` (None: any key)."""
-    if not isinstance(obj, dict):
-        raise RecordError(f"expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if known is not None and key not in known:
-            raise RecordError(f"unknown key {key!r}")
+    return read_record
 
 
 def record_from_object(cls: type, obj: Any, ignore_unknown: bool = False) -> Any:
     """Build record ``cls`` from a JSON object keyed by its field names.
 
-    An absent key takes the field's default; an ``int``, ``float`` or
-    ``Optional[float]`` field goes through ``int()``/``float()``; a tuple
-    field takes a list, whose items are read as records where its type says
-    so. A missing key, a key no field names (unless ``ignore_unknown``) or
-    a value of the wrong type raises ``RecordError``.
+    Each value is read by its field's type hint: a record from an object, a
+    ``tuple[X, ...]`` or a fixed ``tuple[A, B]`` from a list,
+    ``Optional[X]`` from null or an X, an ``Enum`` by its value, a ``dict``
+    as the object it is, and ``str``, ``bool``, ``int`` or ``float`` from
+    that JSON type alone: an int is accepted as a float, and a bool is never
+    a number. An absent key takes the field's default. A missing key, a key
+    no field names (unless ``ignore_unknown``, which holds for nested
+    records too) or a value of the wrong type raises ``SchemaError`` naming
+    its path; a record's ``__post_init__`` refuses values out of range.
     """
-    types = _field_types(cls)
-    check_keys(obj, None if ignore_unknown else types)
-    kwargs = {}
-    for name, (has_default, hint) in types.items():
-        if name not in obj:
-            if has_default:
-                continue
-            raise RecordError(f"missing key {name!r}")
-        value = obj[name]
-        if get_origin(hint) is tuple:
-            if not isinstance(value, list):
-                raise RecordError(f"{name} is a {type(value).__name__}, not a list")
-            item = get_args(hint)[0]
-            value = tuple(record_from_object(item, v, ignore_unknown) if is_dataclass(item) else v for v in value)
-        elif hint in _NUMBERS:
-            try:
-                value = _NUMBERS[hint](value)
-            except (TypeError, ValueError) as exc:
-                raise RecordError(f"{name}: {exc}") from None
-        kwargs[name] = value
-    return cls(**kwargs)
+    return _reader(cls, ignore_unknown)(obj, "")
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -135,12 +199,11 @@ def sha256_digest(payload: bytes) -> str:
 class Layer:
     digest: str
     size_bytes: int
-    payload: bytes
 
 
 def ingest_layer(payload: bytes) -> Layer:
-    """Wrap raw bytes as a content-addressed layer."""
-    return Layer(digest=sha256_digest(payload), size_bytes=len(payload), payload=payload)
+    """The content-addressed layer of raw bytes."""
+    return Layer(digest=sha256_digest(payload), size_bytes=len(payload))
 
 
 @dataclass(frozen=True)
@@ -154,6 +217,21 @@ class BundleManifest:
     entrypoint: str
     layers: tuple[LayerRef, ...]
 
+    def __post_init__(self) -> None:
+        if not self.entrypoint:
+            raise ManifestError("entrypoint must be a nonempty string")
+        if not self.layers:
+            raise ManifestError("layers must be a nonempty array")
+        seen: set[str] = set()
+        for i, ref in enumerate(self.layers):
+            if not _DIGEST_RE.fullmatch(ref.digest):
+                raise ManifestError(f"layers[{i}].digest is not a valid sha256 digest")
+            if ref.digest in seen:
+                raise ManifestError(f"layers[{i}].digest duplicates {ref.digest}")
+            seen.add(ref.digest)
+            if ref.size < 0:
+                raise ManifestError(f"layers[{i}].size must be a nonnegative integer")
+
     @property
     def bundle_digest(self) -> str:
         return sha256_digest(self.canonical_bytes())
@@ -166,30 +244,9 @@ class BundleManifest:
 
 
 def manifest_from_object(obj: Any) -> BundleManifest:
-    if not isinstance(obj, dict) or set(obj.keys()) != {"entrypoint", "layers"}:
-        raise ManifestError("manifest must be an object with exactly 'entrypoint' and 'layers'")
-    entrypoint = obj["entrypoint"]
-    if not isinstance(entrypoint, str) or not entrypoint:
-        raise ManifestError("entrypoint must be a nonempty string")
-    layers_raw = obj["layers"]
-    if not isinstance(layers_raw, list) or len(layers_raw) == 0:
-        raise ManifestError("layers must be a nonempty array")
-    refs = []
-    seen: set[str] = set()
-    for i, item in enumerate(layers_raw):
-        if not isinstance(item, dict) or set(item.keys()) != {"digest", "size"}:
-            raise ManifestError(f"layers[{i}] must be an object with 'digest' and 'size'")
-        digest = item["digest"]
-        if not isinstance(digest, str) or not _DIGEST_RE.fullmatch(digest):
-            raise ManifestError(f"layers[{i}].digest is not a valid sha256 digest")
-        if digest in seen:
-            raise ManifestError(f"layers[{i}].digest duplicates {digest}")
-        seen.add(digest)
-        size = item["size"]
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-            raise ManifestError(f"layers[{i}].size must be a nonnegative integer")
-        refs.append(LayerRef(digest=digest, size=size))
-    return BundleManifest(entrypoint=entrypoint, layers=tuple(refs))
+    """Read a manifest through ``record_from_object``: a wrong shape raises
+    ``SchemaError``, a broken invariant ``ManifestError``."""
+    return record_from_object(BundleManifest, obj)
 
 
 def parse_manifest(text: str) -> BundleManifest:
@@ -246,19 +303,20 @@ class LinkProfile:
         return {**record_fields(self), "outage_schedule": schedule}
 
 
+def open_outages(obj: Any) -> Any:
+    """A link profile object with each outage's ``null`` end read as ``math.inf``."""
+    schedule = obj.get("outage_schedule") if type(obj) is dict else None
+    if type(schedule) is not list:
+        return obj
+    ends = [item[:1] + [math.inf] if type(item) is list and item[1:] == [None] else item for item in schedule]
+    return {**obj, "outage_schedule": ends}
+
+
 def link_profile_from_object(obj: Any) -> LinkProfile:
-    """Read a link profile (a scenario's ``uplink.link``, a ``cectl --link``
-    file) through ``record_from_object``: absent keys take the defaults and
-    an unknown key raises ``RecordError``. An outage's ``null`` end is
-    ``math.inf``."""
-    schedule = obj.get("outage_schedule") if isinstance(obj, dict) else None
-    if isinstance(schedule, list):
-        try:
-            schedule = [(float(start), math.inf if end is None else float(end)) for start, end in schedule]
-        except (TypeError, ValueError) as exc:
-            raise RecordError(f"outage_schedule: {exc}") from None
-        obj = {**obj, "outage_schedule": schedule}
-    return record_from_object(LinkProfile, obj)
+    """Read a link profile (a ``cectl --link`` file) through
+    ``record_from_object``: absent keys take the defaults and a wrong key or
+    value raises ``SchemaError``. An outage's ``null`` end is ``math.inf``."""
+    return record_from_object(LinkProfile, open_outages(obj))
 
 
 def transfer(byte_count: int, link: LinkProfile, start_t: float = 0.0) -> float:

@@ -25,11 +25,11 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .artifact import LinkProfile, RecordError, check_keys, link_profile_from_object, record_fields, record_from_object
+from .artifact import LinkProfile, SchemaError, open_outages, record_fields, record_from_object
 from .clock import FakeClock, Scheduler
 from .protocol import ExperimentationProtocol, Role, parse_protocol
 from .supervisor import (
@@ -427,28 +427,38 @@ class UplinkConfig:
 
 
 @dataclass(frozen=True)
+class Expectations:
+    """What a scenario run must show; an absent (null) key is not checked."""
+
+    final_state: Optional[str] = None
+    winner: Optional[str] = None
+    aborted_variants: Optional[tuple[str, ...]] = None
+    restart_count: Optional[int] = None
+    commands_to_production: int = 0  # at most this many commands may reach production
+
+
+@dataclass(frozen=True)
 class Scenario:
-    name: str
-    protocol: ExperimentationProtocol
-    frames: FrameConfig
-    stubs: tuple[StubProfile, ...]
+    """A scenario file's sections, and the protocol it holds inline
+    (``protocol``) or names by path (``protocol_file``)."""
+
+    name: str = "scenario"
+    frames: FrameConfig = FrameConfig()
+    stubs: tuple[StubProfile, ...] = ()
     node: NodeConfig = NodeConfig()
     uplink: Optional[UplinkConfig] = None
     fake_clock: bool = True
-    data_dir: Optional[Path] = None
-    expect: dict = field(default_factory=dict)
+    data_dir: Optional[str] = None
+    expect: Expectations = Expectations()
+    protocol_file: Optional[str] = None
+    # read by parse_protocol on its own, so its errors name the protocol's fields
+    protocol: Optional[ExperimentationProtocol] = None
 
     def stub_for(self, variant_id: str) -> StubProfile:
         for stub in self.stubs:
             if stub.variant_id == variant_id:
                 return stub
         raise ScenarioError(f"no stub profile for protocol variant {variant_id!r}")
-
-
-# a scenario object's keys: its fields, with protocol_file in place of an inline protocol
-_SCENARIO_KEYS = frozenset(f.name for f in fields(Scenario)) | {"protocol_file"}
-# the keys an expect block may hold, each checked by check_expectations
-_EXPECT_KEYS = frozenset({"final_state", "winner", "aborted_variants", "restart_count", "commands_to_production"})
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -460,62 +470,35 @@ def load_scenario(path: Path) -> Scenario:
     return scenario_from_object(obj, base_dir=Path(path).resolve().parent)
 
 
-def _in_section(where: str, fn: Callable[..., Any], *args: Any) -> Any:
-    """``fn(*args)``, its ``RecordError`` raised as a ``ScenarioError`` naming ``where``."""
-    try:
-        return fn(*args)
-    except RecordError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-def scenario_from_object(obj: dict[str, Any], base_dir: Optional[Path] = None) -> Scenario:
+def scenario_from_object(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
     """Build a scenario from its JSON object; paths resolve against ``base_dir``.
 
-    Each section is read through ``record_from_object`` (``uplink.link``
-    through ``link_profile_from_object``), so an absent key takes its
-    record's default. A key no record names, at the top level, in any
-    section or in ``expect``, raises ``ScenarioError`` naming both.
+    The sections are read through ``record_from_object``: an absent key
+    takes its record's default, and a key no record names or a value of the
+    wrong type raises ``ScenarioError`` naming its path. An outage's
+    ``null`` end in ``uplink.link`` is ``math.inf``.
     """
-    _in_section("scenario", check_keys, obj, _SCENARIO_KEYS)
+    sections = obj
+    if type(obj) is dict:
+        sections = {k: v for k, v in obj.items() if k != "protocol"}
+        uplink = obj.get("uplink")
+        if type(uplink) is dict and "link" in uplink:
+            sections["uplink"] = {**uplink, "link": open_outages(uplink["link"])}
+    try:
+        scenario = record_from_object(Scenario, sections)
+    except SchemaError as exc:
+        where = exc.field if exc.field not in ("", "$") else "scenario"
+        raise ScenarioError(f"{where}: {exc.message}") from None
+    base = Path(base_dir or ".")  # joined to an absolute path, it leaves that path as it is
     if "protocol" in obj:
         protocol = parse_protocol(json.dumps(obj["protocol"]))
-    elif "protocol_file" in obj:
-        proto_path = Path(obj["protocol_file"])
-        if base_dir is not None and not proto_path.is_absolute():
-            proto_path = base_dir / proto_path
-        protocol = parse_protocol(proto_path.read_text("utf-8"))
+    elif scenario.protocol_file is not None:
+        protocol = parse_protocol((base / scenario.protocol_file).read_text("utf-8"))
     else:
         raise ScenarioError("scenario needs 'protocol' (inline) or 'protocol_file'")
-
-    frames = _in_section("frames", record_from_object, FrameConfig, obj.get("frames", {}))
-    stubs = tuple(
-        _in_section(f"stubs[{i}]", record_from_object, StubProfile, s) for i, s in enumerate(obj.get("stubs", []))
-    )
-    node = _in_section("node", record_from_object, NodeConfig, obj.get("node", {}))
-    uplink = None
-    if "uplink" in obj:
-        # the reader keeps the link object as it is; it is read on its own
-        uplink = _in_section("uplink", record_from_object, UplinkConfig, obj["uplink"])
-        if "link" in obj["uplink"]:
-            uplink = replace(uplink, link=_in_section("uplink.link", link_profile_from_object, uplink.link))
-    _in_section("expect", check_keys, obj.get("expect", {}), _EXPECT_KEYS)
-    data_dir = obj.get("data_dir")
-    if data_dir is not None:
-        data_dir = Path(data_dir)
-        if base_dir is not None and not data_dir.is_absolute():
-            data_dir = base_dir / data_dir
-    scenario = Scenario(
-        name=str(obj.get("name", "scenario")),
-        protocol=protocol,
-        frames=frames,
-        stubs=stubs,
-        node=node,
-        uplink=uplink,
-        fake_clock=bool(obj.get("fake_clock", True)),
-        data_dir=data_dir,
-        expect=dict(obj.get("expect", {})),
-    )
-    for variant in scenario.protocol.variants:
+    data_dir = None if scenario.data_dir is None else str(base / scenario.data_dir)
+    scenario = replace(scenario, protocol=protocol, data_dir=data_dir)
+    for variant in protocol.variants:
         scenario.stub_for(variant.variant_id)  # raises when a profile is missing
     return scenario
 
@@ -670,7 +653,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
                 fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
 
     decision = None
-    if "winner" in scenario.expect:
+    if scenario.expect.winner is not None:
         from . import hqcli  # local import: hqcli sits above the harness
 
         decision = record_fields(hqcli.compare(report))
@@ -698,22 +681,20 @@ def check_expectations(
     ``compare`` of the report, needed when the scenario expects a winner."""
     expect = scenario.expect
     failures: list[str] = []
-    if "final_state" in expect and report.final_state != expect["final_state"]:
-        failures.append(f"final_state: expected {expect['final_state']}, got {report.final_state}")
-    if "winner" in expect and decision["winner"] != expect["winner"]:
-        failures.append(f"winner: expected {expect['winner']}, got {decision['winner']}")
-    if "aborted_variants" in expect:
+    if expect.final_state is not None and report.final_state != expect.final_state:
+        failures.append(f"final_state: expected {expect.final_state}, got {report.final_state}")
+    if expect.winner is not None and decision["winner"] != expect.winner:
+        failures.append(f"winner: expected {expect.winner}, got {decision['winner']}")
+    if expect.aborted_variants is not None:
         aborted = sorted(v.variant_id for v in report.variants if v.final_status == "ABORTED")
-        if aborted != sorted(expect["aborted_variants"]):
-            failures.append(f"aborted_variants: expected {expect['aborted_variants']}, got {aborted}")
-    if "restart_count" in expect and len(monitor.restart_events) != expect["restart_count"]:
+        if aborted != sorted(expect.aborted_variants):
+            failures.append(f"aborted_variants: expected {list(expect.aborted_variants)}, got {aborted}")
+    if expect.restart_count is not None and len(monitor.restart_events) != expect.restart_count:
+        failures.append(f"restart_count: expected {expect.restart_count}, got {len(monitor.restart_events)}")
+    if commands_to_production > expect.commands_to_production:
         failures.append(
-            f"restart_count: expected {expect['restart_count']}, got {len(monitor.restart_events)}"
-        )
-    max_prod_commands = int(expect.get("commands_to_production", 0))
-    if commands_to_production > max_prod_commands:
-        failures.append(
-            f"commands_to_production: {commands_to_production} issued, at most {max_prod_commands} allowed"
+            f"commands_to_production: {commands_to_production} issued, "
+            f"at most {expect.commands_to_production} allowed"
         )
     return failures
 

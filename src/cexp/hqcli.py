@@ -28,7 +28,6 @@ from .artifact import (
     INTEGRATION_S,
     LayerStore,
     LinkProfile,
-    RecordError,
     TransferRecord,
     _atomic_write,
     fetch_bundle,
@@ -457,7 +456,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             else:
                 _print_decision(decision)
             return 0
-    except (Unreachable, IncompleteReport, RecordError) as exc:  # RecordError: a --link file refused
+    except (Unreachable, IncompleteReport, ValueError) as exc:  # ValueError: an input that does not load
         print(f"error: {exc}")
         return 2
     return 1

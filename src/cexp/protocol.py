@@ -15,11 +15,11 @@ byte-stable and diffable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .artifact import _DIGEST_RE, record_fields
+from .artifact import _DIGEST_RE, SchemaError, record_fields, record_from_object
 
 MAX_EXPERIMENT_ID_LEN = 64
 MIN_SAMPLE_PERIOD_MS = 50
@@ -29,14 +29,6 @@ MAX_CONCURRENT_BOUND = 2  # the testbed never runs more than two experiments at 
 
 class ProtocolSyntaxError(ValueError):
     """Document is not well-formed JSON."""
-
-
-class SchemaError(ValueError):
-    """Missing/unknown key or a value of the wrong shape."""
-
-    def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 class ConstraintError(ValueError):
@@ -102,13 +94,12 @@ class UploadPolicy:
     kind: str  # "AT_END" | "PERIODIC"
     interval_s: int | None = None
 
-    @classmethod
-    def at_end(cls) -> "UploadPolicy":
-        return cls(kind="AT_END")
-
-    @classmethod
-    def periodic(cls, interval_s: int) -> "UploadPolicy":
-        return cls(kind="PERIODIC", interval_s=interval_s)
+    def __post_init__(self) -> None:
+        if self.kind == "PERIODIC":
+            if self.interval_s is None or self.interval_s < 1:
+                raise ConstraintError("upload_policy", f"PERIODIC interval must be >= 1, got {self.interval_s}")
+        elif self.kind != "AT_END":
+            raise ConstraintError("upload_policy", f"unknown policy {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -132,88 +123,69 @@ class ExperimentationProtocol:
     max_concurrent_experiments: int
     upload_policy: UploadPolicy
 
-    def variant(self, variant_id: str) -> VariantSpec:
-        for v in self.variants:
-            if v.variant_id == variant_id:
-                return v
-        raise KeyError(variant_id)
+    def __post_init__(self) -> None:
+        if not self.experiment_id:
+            raise ConstraintError("experiment_id", "must be nonempty")
+        if len(self.experiment_id) > MAX_EXPERIMENT_ID_LEN:
+            raise ConstraintError(
+                "experiment_id", f"length {len(self.experiment_id)} exceeds {MAX_EXPERIMENT_ID_LEN}"
+            )
+        if not self.variants:
+            raise ConstraintError("variants", "at least one variant is required")
+        seen: set[str] = set()
+        for i, v in enumerate(self.variants):
+            if not v.variant_id:
+                raise ConstraintError(f"variants[{i}].variant_id", "must be nonempty")
+            if v.variant_id in seen:
+                raise ConstraintError(f"variants[{i}].variant_id", f"duplicate variant_id {v.variant_id!r}")
+            seen.add(v.variant_id)
+            if not _DIGEST_RE.fullmatch(v.bundle_digest):
+                raise ConstraintError(f"variants[{i}].bundle_digest", f"not a valid sha256 digest: {v.bundle_digest!r}")
+        production_count = sum(1 for v in self.variants if v.role is Role.PRODUCTION)
+        if production_count != 1:
+            raise ConstraintError("variants", f"exactly one PRODUCTION variant required, got {production_count}")
+        if not (0.0 < self.cpu_threshold_pct <= 100.0):
+            raise ConstraintError("cpu_threshold_pct", f"must be in (0, 100], got {self.cpu_threshold_pct}")
+        if self.mem_threshold_mb <= 0:
+            raise ConstraintError("mem_threshold_mb", f"must be positive, got {self.mem_threshold_mb}")
+        if self.sustain_samples < 1:
+            raise ConstraintError("sustain_samples", f"must be >= 1, got {self.sustain_samples}")
+        if not (MIN_SAMPLE_PERIOD_MS <= self.sample_period_ms <= MAX_SAMPLE_PERIOD_MS):
+            raise ConstraintError(
+                "sample_period_ms",
+                f"must be in [{MIN_SAMPLE_PERIOD_MS}, {MAX_SAMPLE_PERIOD_MS}], got {self.sample_period_ms}",
+            )
+        if self.degrade_grace_samples < 1:
+            raise ConstraintError("degrade_grace_samples", f"must be >= 1, got {self.degrade_grace_samples}")
+        if self.max_duration_s <= 0:
+            raise ConstraintError("max_duration_s", f"must be positive, got {self.max_duration_s}")
+        if not (1 <= self.max_concurrent_experiments <= MAX_CONCURRENT_BOUND):
+            raise ConstraintError(
+                "max_concurrent_experiments",
+                f"must be in [1, {MAX_CONCURRENT_BOUND}], got {self.max_concurrent_experiments}",
+            )
+        experimental_count = len(self.variants) - production_count
+        if experimental_count > self.max_concurrent_experiments:
+            raise ConstraintError(
+                "variants",
+                f"{experimental_count} EXPERIMENTAL variants exceed "
+                f"max_concurrent_experiments={self.max_concurrent_experiments}",
+            )
+        if self.sustain_samples * self.sample_period_ms >= self.max_duration_s * 1000:
+            raise ConstraintError(
+                "sustain_samples",
+                "sustain_samples * sample_period_ms must be shorter than max_duration_s",
+            )
 
 
-# the closed key sets of a protocol document and of each of its variants
-_PROTOCOL_KEYS = frozenset(f.name for f in fields(ExperimentationProtocol))
-_VARIANT_KEYS = frozenset(f.name for f in fields(VariantSpec))
-
-
-def _expect_str(obj: dict[str, Any], field: str) -> str:
-    value = obj[field]
-    if not isinstance(value, str):
-        raise SchemaError(field, f"expected string, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(obj: dict[str, Any], field: str) -> int:
-    value = obj[field]
-    # bool is an int subclass; a protocol never uses booleans
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(field, f"expected integer, got {type(value).__name__}")
-    return value
-
-
-def _expect_number(obj: dict[str, Any], field: str) -> float:
-    value = obj[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(field, f"expected number, got {type(value).__name__}")
-    return float(value)
-
-
-def _check_keys(obj: dict[str, Any], expected: frozenset[str], where: str) -> None:
-    missing = expected - obj.keys()
-    if missing:
-        field = sorted(missing)[0]
-        raise SchemaError(f"{where}{field}" if where else field, "missing key")
-    unknown = obj.keys() - expected
-    if unknown:
-        field = sorted(unknown)[0]
-        raise SchemaError(f"{where}{field}" if where else field, "unknown key")
-
-
-def _parse_upload_policy(raw: Any) -> UploadPolicy:
-    if isinstance(raw, str):
-        if raw != "AT_END":
-            raise SchemaError("upload_policy", f"unknown policy {raw!r}")
-        return UploadPolicy.at_end()
-    if isinstance(raw, dict):
-        if set(raw.keys()) != {"PERIODIC"}:
-            raise SchemaError("upload_policy", "object form must be {\"PERIODIC\": <seconds>}")
-        interval = raw["PERIODIC"]
-        if isinstance(interval, bool) or not isinstance(interval, int):
-            raise SchemaError("upload_policy", "PERIODIC interval must be an integer")
-        if interval < 1:
-            raise ConstraintError("upload_policy", f"PERIODIC interval must be >= 1, got {interval}")
-        return UploadPolicy.periodic(interval)
-    raise SchemaError("upload_policy", f"expected string or object, got {type(raw).__name__}")
-
-
-def _parse_variant(raw: Any, index: int) -> VariantSpec:
-    where = f"variants[{index}]."
-    if not isinstance(raw, dict):
-        raise SchemaError(f"variants[{index}]", f"expected object, got {type(raw).__name__}")
-    _check_keys(raw, _VARIANT_KEYS, where)
-    variant_id = _expect_str(raw, "variant_id")
-    if not variant_id:
-        raise ConstraintError(f"{where}variant_id", "must be nonempty")
-    role_raw = _expect_str(raw, "role")
-    try:
-        role = Role(role_raw)
-    except ValueError:
-        raise SchemaError(f"{where}role", f"unknown role {role_raw!r}") from None
-    digest = _expect_str(raw, "bundle_digest")
-    if not _DIGEST_RE.fullmatch(digest):
-        raise ConstraintError(f"{where}bundle_digest", f"not a valid sha256 digest: {digest!r}")
-    args_raw = raw["launch_args"]
-    if not isinstance(args_raw, list) or not all(isinstance(a, str) for a in args_raw):
-        raise SchemaError(f"{where}launch_args", "expected list of strings")
-    return VariantSpec(variant_id=variant_id, role=role, bundle_digest=digest, launch_args=tuple(args_raw))
+def _upload_policy_fields(raw: Any) -> dict[str, Any]:
+    """``upload_policy``'s concrete syntax, ``"AT_END"`` or ``{"PERIODIC": <seconds>}``,
+    as the fields of ``UploadPolicy``."""
+    if raw == "AT_END":
+        return {"kind": "AT_END"}
+    if type(raw) is dict and raw.keys() == {"PERIODIC"}:
+        return {"kind": "PERIODIC", "interval_s": raw["PERIODIC"]}
+    raise SchemaError("upload_policy", f'expected "AT_END" or {{"PERIODIC": <seconds>}}, got {raw!r}')
 
 
 def parse_protocol(document: str) -> ExperimentationProtocol:
@@ -227,99 +199,9 @@ def parse_protocol(document: str) -> ExperimentationProtocol:
         obj = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ProtocolSyntaxError(f"malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("$", f"expected top-level object, got {type(obj).__name__}")
-    _check_keys(obj, _PROTOCOL_KEYS, "")
-
-    experiment_id = _expect_str(obj, "experiment_id")
-    if not experiment_id:
-        raise ConstraintError("experiment_id", "must be nonempty")
-    if len(experiment_id) > MAX_EXPERIMENT_ID_LEN:
-        raise ConstraintError(
-            "experiment_id", f"length {len(experiment_id)} exceeds {MAX_EXPERIMENT_ID_LEN}"
-        )
-
-    variants_raw = obj["variants"]
-    if not isinstance(variants_raw, list):
-        raise SchemaError("variants", f"expected array, got {type(variants_raw).__name__}")
-    if len(variants_raw) < 1:
-        raise ConstraintError("variants", "at least one variant is required")
-    variants = tuple(_parse_variant(v, i) for i, v in enumerate(variants_raw))
-
-    seen_ids: set[str] = set()
-    for v in variants:
-        if v.variant_id in seen_ids:
-            raise ConstraintError("variants.variant_id", f"duplicate variant_id {v.variant_id!r}")
-        seen_ids.add(v.variant_id)
-
-    production_count = sum(1 for v in variants if v.role is Role.PRODUCTION)
-    if production_count != 1:
-        raise ConstraintError(
-            "variants", f"exactly one PRODUCTION variant required, got {production_count}"
-        )
-
-    cpu_threshold_pct = _expect_number(obj, "cpu_threshold_pct")
-    if not (0.0 < cpu_threshold_pct <= 100.0):
-        raise ConstraintError("cpu_threshold_pct", f"must be in (0, 100], got {cpu_threshold_pct}")
-
-    mem_threshold_mb = _expect_int(obj, "mem_threshold_mb")
-    if mem_threshold_mb <= 0:
-        raise ConstraintError("mem_threshold_mb", f"must be positive, got {mem_threshold_mb}")
-
-    sustain_samples = _expect_int(obj, "sustain_samples")
-    if sustain_samples < 1:
-        raise ConstraintError("sustain_samples", f"must be >= 1, got {sustain_samples}")
-
-    sample_period_ms = _expect_int(obj, "sample_period_ms")
-    if not (MIN_SAMPLE_PERIOD_MS <= sample_period_ms <= MAX_SAMPLE_PERIOD_MS):
-        raise ConstraintError(
-            "sample_period_ms",
-            f"must be in [{MIN_SAMPLE_PERIOD_MS}, {MAX_SAMPLE_PERIOD_MS}], got {sample_period_ms}",
-        )
-
-    degrade_grace_samples = _expect_int(obj, "degrade_grace_samples")
-    if degrade_grace_samples < 1:
-        raise ConstraintError("degrade_grace_samples", f"must be >= 1, got {degrade_grace_samples}")
-
-    max_duration_s = _expect_int(obj, "max_duration_s")
-    if max_duration_s <= 0:
-        raise ConstraintError("max_duration_s", f"must be positive, got {max_duration_s}")
-
-    max_concurrent = _expect_int(obj, "max_concurrent_experiments")
-    if not (1 <= max_concurrent <= MAX_CONCURRENT_BOUND):
-        raise ConstraintError(
-            "max_concurrent_experiments",
-            f"must be in [1, {MAX_CONCURRENT_BOUND}], got {max_concurrent}",
-        )
-
-    experimental_count = sum(1 for v in variants if v.role is Role.EXPERIMENTAL)
-    if experimental_count > max_concurrent:
-        raise ConstraintError(
-            "variants",
-            f"{experimental_count} EXPERIMENTAL variants exceed "
-            f"max_concurrent_experiments={max_concurrent}",
-        )
-
-    if sustain_samples * sample_period_ms >= max_duration_s * 1000:
-        raise ConstraintError(
-            "sustain_samples",
-            "sustain_samples * sample_period_ms must be shorter than max_duration_s",
-        )
-
-    upload_policy = _parse_upload_policy(obj["upload_policy"])
-
-    return ExperimentationProtocol(
-        experiment_id=experiment_id,
-        variants=variants,
-        cpu_threshold_pct=cpu_threshold_pct,
-        mem_threshold_mb=mem_threshold_mb,
-        sustain_samples=sustain_samples,
-        sample_period_ms=sample_period_ms,
-        degrade_grace_samples=degrade_grace_samples,
-        max_duration_s=max_duration_s,
-        max_concurrent_experiments=max_concurrent,
-        upload_policy=upload_policy,
-    )
+    if type(obj) is dict and "upload_policy" in obj:
+        obj = {**obj, "upload_policy": _upload_policy_fields(obj["upload_policy"])}
+    return record_from_object(ExperimentationProtocol, obj)
 
 
 def protocol_to_object(p: ExperimentationProtocol) -> dict[str, Any]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .artifact import DatagramLink, LinkProfile, RecordError, _atomic_write, record_fields, record_from_object
+from .artifact import DatagramLink, LinkProfile, _atomic_write, record_fields, record_from_object
 from .clock import Clock, Scheduler, WallClock
 from .protocol import (
     ExperimentationProtocol,
@@ -159,19 +159,12 @@ class ExperimentReport:
 
 
 def report_from_object(obj: Any) -> ExperimentReport:
-    """Read back an ``ExperimentReport`` from its JSON object.
-
-    Every field of the report and of each variant result must be present;
-    keys the records do not name are ignored. Lists come back as tuples, so
-    ``report_from_json(r.to_json()) == r``. A missing key, a report or
-    variant that is not an object, anything but a list where a list
-    belongs, or a number field ``int()``/``float()`` refuses raises
-    ``ValueError``. Other values are not checked.
-    """
-    try:
-        return record_from_object(ExperimentReport, obj, ignore_unknown=True)
-    except RecordError as exc:
-        raise ValueError(f"not a valid experiment report: {exc}") from exc
+    """Read back an ``ExperimentReport`` from its JSON object through
+    ``record_from_object``: every field of the report and of each variant
+    result must be present and of its type, and keys the records do not
+    name are ignored. Lists come back as tuples, so
+    ``report_from_json(r.to_json()) == r``. Raises ``SchemaError``."""
+    return record_from_object(ExperimentReport, obj, ignore_unknown=True)
 
 
 def report_from_json(text: str) -> ExperimentReport:
@@ -487,23 +480,12 @@ class Supervisor:
                 mem_mb=msg.mem_mb,
             )
         if state.role is Role.EXPERIMENTAL:
-            command = self.enforce_step(msg.variant_id, verdict)
-            if command is not None:
-                self._issue_command(state, command)
-
-    def enforce_step(self, variant_id: str, verdict: ViolationVerdict) -> Optional[Command]:
-        """Escalation decision for one experimental, running variant."""
-        state = self.variants[variant_id]
-        decision = enforce_step(
-            verdict,
-            state.degrade_level,
-            state.samples_since_command,
-            self.protocol.degrade_grace_samples,
-        )
-        if decision is None:
-            return None
-        kind, level = decision
-        return Command(target_variant_id=variant_id, command=kind, degrade_level=level)
+            decision = enforce_step(
+                verdict, state.degrade_level, state.samples_since_command, self.protocol.degrade_grace_samples
+            )
+            if decision is not None:
+                kind, level = decision
+                self._issue_command(state, Command(target_variant_id=msg.variant_id, command=kind, degrade_level=level))
 
     def _issue_command(self, state: VariantRunState, command: Command) -> None:
         self.sender.send(command)

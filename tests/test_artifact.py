@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import json
 import math
 import random
+import re
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
 from cexp import artifact as A
-from conftest import layer_digests, stored_manifest
+from cexp import harness as H
+from cexp import protocol as P
+from conftest import digest, layer_digests, make_ab_scenario, make_protocol_doc, stored_manifest
 
 
 def _layer(content: bytes) -> A.Layer:
@@ -358,3 +366,69 @@ def test_store_layout_on_disk(tmp_path):
     assert (tmp_path / "store" / "layers" / layer.digest).is_file()
     assert (tmp_path / "store" / "manifests" / f"{manifest.bundle_digest}.json").is_file()
     assert layer.digest.startswith("sha256:") and len(layer.digest) == len("sha256:") + 64
+
+
+# -- every input record through its public reader ----------------------------------
+
+# a JSON value of another type, for each scalar type a field may have
+_WRONG_JSON = {str: 5, int: 2.5, float: "1.5", bool: "false"}
+
+
+def _wrong_value(hint):
+    """A JSON value no field typed ``hint`` accepts; None when ``hint`` is not a scalar."""
+    if type(None) in get_args(hint):  # Optional[X]
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return 5
+    return _WRONG_JSON.get(hint)
+
+
+def _object_at(doc, path):
+    """The object at ``path`` (``frames``, ``variants[1]``; ``""`` is ``doc``) inside ``doc``."""
+    for part in filter(None, path.replace("]", "").replace("[", ".").split(".")):
+        doc = doc[int(part)] if part.isdigit() else doc[part]
+    return doc
+
+
+def _parse_protocol_doc(doc):
+    return P.parse_protocol(json.dumps(doc))
+
+
+_MANIFEST = {"entrypoint": "bin/run", "layers": [{"digest": digest(1), "size": 1}]}
+_SCENARIO = make_ab_scenario(uplink={"link": {}, "seed": 4})
+
+
+@pytest.mark.parametrize(
+    "record, doc, path, read",
+    [
+        pytest.param(*case, id=f"{case[0].__name__}@{case[2] or '$'}")
+        for case in [
+            (P.ExperimentationProtocol, make_protocol_doc(), "", _parse_protocol_doc),
+            (P.VariantSpec, make_protocol_doc(), "variants[1]", _parse_protocol_doc),
+            (A.BundleManifest, _MANIFEST, "", A.manifest_from_object),
+            (A.LayerRef, _MANIFEST, "layers[0]", A.manifest_from_object),
+            (H.Scenario, _SCENARIO, "", H.scenario_from_object),
+            (H.FrameConfig, _SCENARIO, "frames", H.scenario_from_object),
+            (H.StubProfile, _SCENARIO, "stubs[1]", H.scenario_from_object),
+            (H.NodeConfig, _SCENARIO, "node", H.scenario_from_object),
+            (H.UplinkConfig, _SCENARIO, "uplink", H.scenario_from_object),
+            (H.Expectations, _SCENARIO, "expect", H.scenario_from_object),
+            (A.LinkProfile, _SCENARIO, "uplink.link", H.scenario_from_object),
+            (A.LinkProfile, {}, "", A.link_profile_from_object),
+        ]
+    ],
+)
+def test_each_scalar_field_of_an_input_record_refuses_a_wrong_json_type(record, doc, path, read):
+    hints = get_type_hints(record)
+    checked = 0
+    for f in fields(record):
+        wrong = _wrong_value(hints[f.name])
+        if wrong is None:
+            continue
+        damaged = copy.deepcopy(doc)
+        _object_at(damaged, path)[f.name] = wrong
+        where = f"{path}.{f.name}" if path else f.name
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)}: expected "):
+            read(damaged)
+        checked += 1
+    assert checked > 0

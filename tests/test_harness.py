@@ -472,6 +472,28 @@ def test_scenario_refuses_a_misspelt_key(where, misspelt):
     assert str(refused.value) == f"{where}: unknown key {misspelt!r}"
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda s: s.update(fake_clock="false"), "fake_clock: expected bool, got str"),
+        (lambda s: s.update(name=5), "name: expected str, got int"),
+        (lambda s: s.update(stubs=3), "stubs: expected list, got int"),
+        (lambda s: s["frames"].update(count=2.7), "frames.count: expected int, got float"),
+        (lambda s: s["stubs"][0].update(seed="7"), "stubs[0].seed: expected int, got str"),
+        (lambda s: s["node"].update(miss_threshold=True), "node.miss_threshold: expected int, got bool"),
+    ],
+    ids=[
+        "fake-clock-a-string", "name-a-number", "stubs-a-number", "count-a-float", "seed-a-string", "threshold-a-bool",
+    ],
+)
+def test_scenario_refuses_a_value_of_the_wrong_type(damage, message):
+    scenario = make_ab_scenario()
+    damage(scenario)
+    with pytest.raises(H.ScenarioError) as refused:
+        H.scenario_from_object(scenario)
+    assert str(refused.value) == message
+
+
 def test_ab_scenario_selects_the_better_variant(tmp_path):
     outcome = H.run_scenario(H.scenario_from_object(make_ab_scenario()), data_dir=tmp_path)
     assert outcome.ok, outcome.failures

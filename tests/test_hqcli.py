@@ -471,3 +471,44 @@ def test_fetch_udp_collects_chunk_stream(tmp_path):
     listener.join(timeout=10)
     assert "error" not in results, results.get("error")
     assert results["path"].read_bytes() == payload
+
+
+def test_cli_refuses_a_link_file_with_a_float_bandwidth(tmp_path, capsys):
+    link_path = tmp_path / "link.json"
+    link_path.write_text(json.dumps({"bandwidth_bytes_per_s": 1e3}), "utf-8")
+    code = HQ.cli_main(["status", "--target", str(tmp_path), "--link", str(link_path)])
+    assert code == 2
+    assert capsys.readouterr().out == "error: bandwidth_bytes_per_s: expected int, got float\n"
+
+
+def test_cli_deploy_refuses_a_protocol_that_does_not_load(tmp_path, capsys):
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps({"experiment_id": "exp-x"}), "utf-8")
+    code = HQ.cli_main(["deploy", "--protocol", str(protocol_path), "--target", str(tmp_path / "vehicle")])
+    assert code == 2
+    assert capsys.readouterr().out == "error: variants: missing key\n"
+    assert not (tmp_path / "vehicle").exists()
+
+
+def test_cli_deploy_refuses_a_manifest_that_does_not_load(tmp_path, capsys):
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
+    manifest_path = tmp_path / "manifests" / "bundle.json"
+    manifest_path.parent.mkdir()
+    manifest_path.write_text(json.dumps({"entrypoint": "bin/run", "layers": [{"digest": "sha256:xyz", "size": 1}]}))
+    code = HQ.cli_main([
+        "deploy", "--protocol", str(protocol_path), "--bundle", str(manifest_path), "--target", str(tmp_path / "vehicle"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().out == "error: layers[0].digest is not a valid sha256 digest\n"
+    assert not (tmp_path / "vehicle").exists()
+
+
+def test_cli_compare_refuses_a_report_that_does_not_load(tmp_path, capsys):
+    report = json.loads(make_report([make_result("prod", "PRODUCTION", 0.60)]).to_json())
+    del report["variants"][0]["accuracy"]
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report), "utf-8")
+    code = HQ.cli_main(["compare", "--report", str(report_path)])
+    assert code == 2
+    assert capsys.readouterr().out == "error: variants[0].accuracy: missing key\n"

@@ -32,7 +32,7 @@ def test_parse_minimal_valid_maps_fields():
     assert len(p.variants) == 2
     assert p.variants[0].role is P.Role.PRODUCTION
     assert p.variants[1].role is P.Role.EXPERIMENTAL
-    assert p.upload_policy == P.UploadPolicy.at_end()
+    assert p.upload_policy == P.UploadPolicy(kind="AT_END")
     assert [v.variant_id for v in p.variants if v.role is P.Role.PRODUCTION] == ["prod"]
     assert [v.variant_id for v in p.variants if v.role is P.Role.EXPERIMENTAL] == ["expA"]
 
@@ -89,7 +89,7 @@ def test_fixture_file_is_byte_stable_canonical_form():
 def test_periodic_policy_roundtrip():
     doc = make_protocol_doc(upload_policy={"PERIODIC": 30})
     p = P.parse_protocol(json.dumps(doc))
-    assert p.upload_policy == P.UploadPolicy.periodic(30)
+    assert p.upload_policy == P.UploadPolicy(kind="PERIODIC", interval_s=30)
     serialized = P.serialize_protocol(p)
     assert '"PERIODIC":30' in serialized
     assert P.parse_protocol(serialized) == p

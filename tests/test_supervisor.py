@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cexp import harness
-from cexp.artifact import DatagramLink, LinkProfile
+from cexp.artifact import DatagramLink, LinkProfile, SchemaError
 from cexp.clock import FakeClock, Scheduler
 from cexp.protocol import parse_protocol
 from cexp.resmon import Axis, Verdict, ViolationVerdict
@@ -340,6 +340,16 @@ def test_report_reader_refuses_a_missing_key_or_a_wrong_shape(tmp_path, damage):
         S.report_from_object(obj)
     with pytest.raises(ValueError):
         S.report_from_object([obj])
+
+
+def test_report_reader_names_the_path_of_a_value_of_the_wrong_type(tmp_path):
+    protocol = two_variant_protocol()
+    report, _, _ = drive_run(protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path)
+    obj = json.loads(report.to_json())
+    obj["variants"][1]["frames_processed"] = "12"
+    with pytest.raises(SchemaError) as refused:
+        S.report_from_object(obj)
+    assert str(refused.value) == "variants[1].frames_processed: expected int, got str"
 
 
 def test_status_snapshot_is_written_and_monotone(tmp_path):
