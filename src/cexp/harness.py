@@ -122,12 +122,8 @@ class SensorReplayer:
         scheduler.call_every(scheduler.clock.now_us(), self.period_us, self.frame_count, self._emit)
 
     def _emit(self, frame_id: int) -> None:
-        frame = SensorFrame(
-            frame_id=frame_id,
-            ground_truth_count=self._rng.randint(0, 8),
-            pixels_digest=synthetic_pixels_digest(self.seed, frame_id),
-        )
-        self._sender.send(frame)
+        ground_truth_count = self._rng.randint(0, 8)
+        self._sender.send(SensorFrame(frame_id, ground_truth_count, synthetic_pixels_digest(self.seed, frame_id)))
         self.frames_sent += 1
 
 
@@ -166,22 +162,24 @@ class NodeCpuModel:
         if capacity_pct <= 0:
             raise ScenarioError("capacity_pct must be positive")
         self.capacity_pct = capacity_pct
-        self._shares: dict[str, tuple[float, float]] = {}  # vid -> (share, demand)
+        self._shares: dict[str, float] = {}
+        # share / demand, which each stub reads once per frame, computed once
+        # per recompute; a module that demands nothing is never starved
+        self._ratios: dict[str, float] = {}
 
     def recompute(self, demands: dict[str, float]) -> None:
         total = sum(demands.values())
         scale = 1.0 if total <= self.capacity_pct else self.capacity_pct / total
-        self._shares = {vid: (demand * scale, demand) for vid, demand in demands.items()}
+        self._shares = {vid: demand * scale for vid, demand in demands.items()}
+        self._ratios = {
+            vid: 1.0 if demand <= 0.0 else demand * scale / demand for vid, demand in demands.items()
+        }
 
     def share_pct(self, variant_id: str) -> float:
-        share, _ = self._shares.get(variant_id, (0.0, 0.0))
-        return share
+        return self._shares.get(variant_id, 0.0)
 
     def processing_ratio(self, variant_id: str) -> float:
-        share, demand = self._shares.get(variant_id, (0.0, 0.0))
-        if demand <= 0.0:
-            return 1.0
-        return share / demand
+        return self._ratios.get(variant_id, 1.0)
 
 
 class StubActor:
@@ -202,6 +200,7 @@ class StubActor:
         node: NodeCpuModel,
     ) -> None:
         self.profile = profile
+        self.variant_id = profile.variant_id
         self.role = role
         self.clock = clock
         self.node = node
@@ -233,9 +232,9 @@ class StubActor:
 
     def _on_message(self, received: Received) -> None:
         msg = received.message
-        if isinstance(msg, SensorFrame):
+        if type(msg) is SensorFrame:
             self._on_frame(msg)
-        elif isinstance(msg, Command) and msg.target_variant_id == self.profile.variant_id:
+        elif type(msg) is Command and msg.target_variant_id == self.variant_id:
             self._on_command(msg)
 
     def _on_command(self, msg: Command) -> None:
@@ -253,33 +252,24 @@ class StubActor:
             return
         if frame.frame_id % (1 << self.degrade_level) != 0:
             return  # degraded: process every 2^level-th frame
-        self._credit += self.node.processing_ratio(self.profile.variant_id)
+        self._credit += self.node.processing_ratio(self.variant_id)
         if self._credit < 1.0:
             return  # starved by contention this frame
         self._credit -= 1.0
-        detected = sample_binomial(self._rng, frame.ground_truth_count, self.profile.true_positive_rate)
+        rng = self._rng
+        detected = sample_binomial(rng, frame.ground_truth_count, self.profile.true_positive_rate)
         if self._fp_exp_neg_lam is not None:
-            detected += sample_poisson(self._rng, self._fp_exp_neg_lam)
+            detected += sample_poisson(rng, self._fp_exp_neg_lam)
         self.frames_processed += 1
-        self._sender.send(
-            ModuleOutput(
-                frame_id=frame.frame_id,
-                variant_id=self.profile.variant_id,
-                detected_count=min(detected, 0xFFFF),
-                latency_us=self._rng.randint(15_000, 45_000),
-            )
-        )
+        # randrange(a, b + 1) draws the stream randint(a, b) does, one call shallower
+        latency_us = rng.randrange(15_000, 45_001)
+        self._sender.send(ModuleOutput(frame.frame_id, self.variant_id, min(detected, 0xFFFF), latency_us))
 
     def report_resources(self) -> None:
         if not (self.alive and self.running):
             return
-        self._sender.send(
-            ResourceReport(
-                variant_id=self.profile.variant_id,
-                cpu_pct=self.node.share_pct(self.profile.variant_id),
-                mem_mb=self.profile.mem_mb,
-            )
-        )
+        cpu_pct = self.node.share_pct(self.variant_id)
+        self._sender.send(ResourceReport(self.variant_id, cpu_pct, self.profile.mem_mb))
 
 
 @dataclass(frozen=True)

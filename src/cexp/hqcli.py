@@ -34,6 +34,7 @@ from .artifact import (
     link_profile_from_object,
     parse_manifest,
     record_fields,
+    record_from_object,
     transfer,
 )
 from .clock import WallClock
@@ -307,13 +308,21 @@ def fetch_udp(
     return out_path
 
 
+@dataclass(frozen=True)
+class _TargetFile:
+    """The one key of a scenario file that names a vehicle root."""
+
+    data_dir: Optional[str] = None
+
+
 def resolve_target(target: str) -> Path:
     """A target is a vehicle root directory or a scenario file whose
-    data_dir points at one."""
+    data_dir points at one. The file is read through ``record_from_object``,
+    ignoring every other key; one that does not load raises ``ValueError``."""
     path = Path(target)
     if path.is_file() and path.suffix == ".json":
         obj = json.loads(path.read_text("utf-8"))
-        data_dir = obj.get("data_dir")
+        data_dir = record_from_object(_TargetFile, obj, ignore_unknown=True).data_dir
         if data_dir is None:
             raise Unreachable(f"scenario {target} has no data_dir")
         resolved = Path(data_dir)

@@ -2,12 +2,16 @@
 
 The supervisor consumes one ordered stream of bus messages plus its own
 timer ticks (one logical event loop; all state mutation happens there).
-It watches resource reports against the deployed protocol thresholds,
-escalates enforcement DEGRADE(1) -> DEGRADE(2) -> STOP per variant,
-logs every experimental module output to a sandbox log (write-only:
-experimental outputs are never republished or actuated), and at the end
-of the run writes an experiment report and uplinks it to HQ over the
-constrained link as NACK-retransmitted result chunks.
+It ignores its own traffic (whatever carries its own sender id). It
+watches resource reports against the deployed protocol thresholds by
+folding ``resmon.evaluate_window`` over each variant's reports, which
+keeps one counter per variant (the trailing violating run, capped at
+``sustain_samples + degrade_grace_samples``). It escalates enforcement
+DEGRADE(1) -> DEGRADE(2) -> STOP per variant, logs every experimental
+module output to a sandbox log (write-only: experimental outputs are
+never republished or actuated), and at the end of the run writes an
+experiment report and uplinks it to HQ over the constrained link as
+NACK-retransmitted result chunks.
 
 Enforcement policy: the first sustained violation earns DEGRADE level 1;
 each further escalation requires the violation to persist through
@@ -36,7 +40,7 @@ from .protocol import (
     protocol_to_object,
     transition,
 )
-from .resmon import ResourceSample, Verdict, ViolationVerdict, evaluate_window
+from .resmon import Verdict, ViolationVerdict, evaluate_window
 from .wirebus import (
     DEFAULT_GROUP,
     DEFAULT_PORT,
@@ -109,7 +113,7 @@ class VariantRunState:
     degrade_level: int = 0
     running: bool = True
     final_status: str = STATUS_RUNNING
-    window: deque = field(default_factory=deque)
+    violating_span: int = 0  # the last verdict's, capped at the window length
     samples_since_command: Optional[int] = None
     violations: int = 0
     commands: list = field(default_factory=list)
@@ -352,16 +356,15 @@ class Supervisor:
         # frame_id -> ground truth of the last GROUND_TRUTH_WINDOW frames, oldest first
         self._ground_truth: OrderedDict[int, int] = OrderedDict()
         handles = handles or {}
-        window_len = protocol.sustain_samples + protocol.degrade_grace_samples
+        # the resource window: the trailing samples a verdict looks at
+        self._window_samples = protocol.sustain_samples + protocol.degrade_grace_samples
         self.variants: dict[str, VariantRunState] = {}
         for spec in protocol.variants:
-            state = VariantRunState(
+            self.variants[spec.variant_id] = VariantRunState(
                 variant_id=spec.variant_id,
                 role=spec.role,
                 handle=handles.get(spec.variant_id),
             )
-            state.window = deque(maxlen=window_len)
-            self.variants[spec.variant_id] = state
             self._variant_logs[spec.variant_id] = open(
                 self.log_dir / f"{spec.variant_id}.jsonl", "w", encoding="utf-8"
             )
@@ -425,33 +428,33 @@ class Supervisor:
         if received.envelope.sender_id == self.sender.sender_id:
             return  # own traffic
         msg = received.message
-        if isinstance(msg, SensorFrame):
+        kind = type(msg)  # module outputs are the bulk of the traffic: tested first
+        if kind is ModuleOutput:
+            self._on_module_output(msg)
+        elif kind is SensorFrame:
             ground_truth = self._ground_truth
             ground_truth[msg.frame_id] = msg.ground_truth_count
             if len(ground_truth) > GROUND_TRUTH_WINDOW:
                 ground_truth.popitem(last=False)
-        elif isinstance(msg, ModuleOutput):
-            self._on_module_output(msg)
-        elif isinstance(msg, ResourceReport):
-            self._on_resource_report(received.envelope.timestamp_us, msg)
+        elif kind is ResourceReport:
+            self._on_resource_report(msg)
         # heartbeats and result chunks are other actors' business
 
     def _on_module_output(self, msg: ModuleOutput) -> None:
-        state = self.variants.get(msg.variant_id)
+        frame_id, variant_id, detected, latency_us = msg
+        state = self.variants.get(variant_id)
         if state is None:
             return
-        gt = self._ground_truth.get(msg.frame_id, 0)
+        gt = self._ground_truth.get(frame_id, 0)
         state.frames_processed += 1
-        state.detections_total += msg.detected_count
-        state.detections_correct += min(msg.detected_count, gt)
+        state.detections_total += detected
+        state.detections_correct += min(detected, gt)
         state.ground_truth_total += gt
         # sandbox rule: outputs are appended to the variant log, never
         # republished or forwarded anywhere else
-        self._variant_logs[msg.variant_id].write(
-            sandbox_line(self.clock.now_us(), msg.frame_id, msg.detected_count, gt, msg.latency_us)
-        )
+        self._variant_logs[variant_id].write(sandbox_line(self.clock.now_us(), frame_id, detected, gt, latency_us))
 
-    def _on_resource_report(self, t_us: int, msg: ResourceReport) -> None:
+    def _on_resource_report(self, msg: ResourceReport) -> None:
         state = self.variants.get(msg.variant_id)
         if state is None or not state.running:
             return
@@ -460,15 +463,17 @@ class Supervisor:
         state.cpu_sum += msg.cpu_pct
         state.cpu_max = max(state.cpu_max, msg.cpu_pct)
         state.cpu_samples += 1
-        state.window.append(
-            ResourceSample(variant_id=msg.variant_id, t_us=t_us, cpu_pct=msg.cpu_pct, mem_mb=msg.mem_mb)
-        )
+        protocol = self.protocol
         verdict = evaluate_window(
-            list(state.window),
-            self.protocol.cpu_threshold_pct,
-            self.protocol.mem_threshold_mb,
-            self.protocol.sustain_samples,
+            state.violating_span,
+            msg.cpu_pct,
+            msg.mem_mb,
+            protocol.cpu_threshold_pct,
+            protocol.mem_threshold_mb,
+            protocol.sustain_samples,
+            self._window_samples,
         )
+        state.violating_span = verdict.violating_span
         if verdict.verdict is Verdict.SUSTAINED_VIOLATION:
             state.violations += 1
             self._log(

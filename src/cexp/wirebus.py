@@ -18,7 +18,10 @@ error, never a crash.
 
 Messages and the ``Envelope`` are ``NamedTuple`` records: immutable,
 hashable, and equal only to a record of the same type, never to a bare
-tuple or to a message of another type with the same values.
+tuple or to a message of another type with the same values. The
+decoders build them with ``tuple.__new__`` from the unpacked fields,
+skipping the constructor's argument binding: each struct layout fixes
+its record's arity.
 
 Two transports are provided: an in-memory loopback hub (exactly-once,
 publish-order delivery; the deterministic test substrate) and a real
@@ -35,7 +38,7 @@ from __future__ import annotations
 import socket
 import struct
 from enum import IntEnum
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, NoReturn, Union
 
 from .clock import Clock
 
@@ -202,21 +205,23 @@ _HEARTBEAT = struct.Struct("<IQ")
 _RESULT_CHUNK_TAIL = struct.Struct("<II")
 
 
-def _check_min(size: int, needed: int) -> None:
-    if size < needed:
-        raise MalformedPayload(f"payload short by {needed - size} bytes")
+# builds a decoded record from its fields (see the module docstring)
+_new = tuple.__new__
 
 
-def _check_size(size: int, expected: int) -> None:
-    """A payload part of the wrong size, short or long, is a MalformedPayload."""
-    _check_min(size, expected)
-    if size > expected:
-        raise MalformedPayload(f"{size - expected} trailing payload bytes")
+def _wrong_size(size: int, expected: int) -> NoReturn:
+    """Raise for a payload part of ``size`` bytes where ``expected`` belong.
+    Callers test the size inline (``!=`` for an exact size, ``<`` for a
+    minimum) and call this only to raise: short or long, it is a
+    ``MalformedPayload``."""
+    if size < expected:
+        raise MalformedPayload(f"payload short by {expected - size} bytes")
+    raise MalformedPayload(f"{size - expected} trailing payload bytes")
 
 
 def _text(buf: bytes, start: int, stop: int) -> str:
     try:
-        return str(buf[start:stop], "utf-8")
+        return buf[start:stop].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedPayload(f"invalid UTF-8 in string field: {exc}") from exc
 
@@ -224,10 +229,12 @@ def _text(buf: bytes, start: int, stop: int) -> str:
 def _str_at(buf: bytes, start: int, end: int) -> tuple[str, int]:
     """The string field at ``start`` and the offset just past it; the
     field must end at or before ``end``."""
-    _check_min(end - start, _U16.size)
+    if end - start < _U16.size:
+        _wrong_size(end - start, _U16.size)
     (length,) = _U16.unpack_from(buf, start)
     stop = start + _U16.size + length
-    _check_min(end - start, stop - start)
+    if stop > end:
+        _wrong_size(end - start, stop - start)
     return _text(buf, start + _U16.size, stop), stop
 
 
@@ -255,8 +262,9 @@ def _encode_sensor_frame(msg: SensorFrame) -> bytes:
 
 
 def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
-    _check_size(end - start, _SENSOR_FRAME.size)
-    return SensorFrame._make(_SENSOR_FRAME.unpack_from(buf, start))
+    if end - start != _SENSOR_FRAME.size:
+        _wrong_size(end - start, _SENSOR_FRAME.size)
+    return _new(SensorFrame, _SENSOR_FRAME.unpack_from(buf, start))
 
 
 def _encode_module_output(msg: ModuleOutput) -> bytes:
@@ -269,12 +277,15 @@ def _encode_module_output(msg: ModuleOutput) -> bytes:
 
 
 def _decode_module_output(buf: bytes, start: int, end: int) -> ModuleOutput:
-    _check_min(end - start, _MODULE_OUTPUT_HEAD.size)
+    if end - start < _MODULE_OUTPUT_HEAD.size:
+        _wrong_size(end - start, _MODULE_OUTPUT_HEAD.size)
     frame_id, length = _MODULE_OUTPUT_HEAD.unpack_from(buf, start)
     pos = start + _MODULE_OUTPUT_HEAD.size
-    _check_size(end - pos, length + _MODULE_OUTPUT_TAIL.size)
-    detected, latency = _MODULE_OUTPUT_TAIL.unpack_from(buf, pos + length)
-    return ModuleOutput(frame_id, _text(buf, pos, pos + length), detected, latency)
+    stop = pos + length
+    if end - stop != _MODULE_OUTPUT_TAIL.size:
+        _wrong_size(end - pos, length + _MODULE_OUTPUT_TAIL.size)
+    detected, latency = _MODULE_OUTPUT_TAIL.unpack_from(buf, stop)
+    return _new(ModuleOutput, (frame_id, _text(buf, pos, stop), detected, latency))
 
 
 def _encode_resource_report(msg: ResourceReport) -> bytes:
@@ -283,9 +294,10 @@ def _encode_resource_report(msg: ResourceReport) -> bytes:
 
 def _decode_resource_report(buf: bytes, start: int, end: int) -> ResourceReport:
     variant_id, pos = _str_at(buf, start, end)
-    _check_size(end - pos, _RESOURCE_REPORT_TAIL.size)
+    if end - pos != _RESOURCE_REPORT_TAIL.size:
+        _wrong_size(end - pos, _RESOURCE_REPORT_TAIL.size)
     cpu, mem = _RESOURCE_REPORT_TAIL.unpack_from(buf, pos)
-    return ResourceReport(variant_id, cpu, mem)
+    return _new(ResourceReport, (variant_id, cpu, mem))
 
 
 def _encode_command(msg: Command) -> bytes:
@@ -294,13 +306,14 @@ def _encode_command(msg: Command) -> bytes:
 
 def _decode_command(buf: bytes, start: int, end: int) -> Command:
     target, pos = _str_at(buf, start, end)
-    _check_size(end - pos, _COMMAND_TAIL.size)
+    if end - pos != _COMMAND_TAIL.size:
+        _wrong_size(end - pos, _COMMAND_TAIL.size)
     kind_raw, level = _COMMAND_TAIL.unpack_from(buf, pos)
     try:
         kind = CommandKind(kind_raw)
     except ValueError:
         raise MalformedPayload(f"unknown command value {kind_raw}") from None
-    return Command(target, kind, level)
+    return _new(Command, (target, kind, level))
 
 
 def _encode_heartbeat(msg: Heartbeat) -> bytes:
@@ -308,8 +321,9 @@ def _encode_heartbeat(msg: Heartbeat) -> bytes:
 
 
 def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
-    _check_size(end - start, _HEARTBEAT.size)
-    return Heartbeat._make(_HEARTBEAT.unpack_from(buf, start))
+    if end - start != _HEARTBEAT.size:
+        _wrong_size(end - start, _HEARTBEAT.size)
+    return _new(Heartbeat, _HEARTBEAT.unpack_from(buf, start))
 
 
 def _encode_result_chunk(msg: ResultChunk) -> bytes:
@@ -322,9 +336,10 @@ def _encode_result_chunk(msg: ResultChunk) -> bytes:
 
 def _decode_result_chunk(buf: bytes, start: int, end: int) -> ResultChunk:
     experiment_id, pos = _str_at(buf, start, end)
-    _check_min(end - pos, _RESULT_CHUNK_TAIL.size)
+    if end - pos < _RESULT_CHUNK_TAIL.size:
+        _wrong_size(end - pos, _RESULT_CHUNK_TAIL.size)
     index, total = _RESULT_CHUNK_TAIL.unpack_from(buf, pos)
-    return ResultChunk(experiment_id, index, total, buf[pos + _RESULT_CHUNK_TAIL.size : end])
+    return _new(ResultChunk, (experiment_id, index, total, buf[pos + _RESULT_CHUNK_TAIL.size : end]))
 
 
 _CODECS = (
@@ -384,7 +399,7 @@ def decode(datagram: bytes) -> tuple[Envelope, Message]:
         raise MalformedPayload(f"{body_len - payload_len} bytes beyond declared payload")
     msg_type, decode_payload = codec
     message = decode_payload(datagram, HEADER_LEN, size)
-    return Envelope(msg_type, sender_id, seq, timestamp_us, payload_len), message
+    return _new(Envelope, (msg_type, sender_id, seq, timestamp_us, payload_len)), message
 
 
 class Received:

@@ -1,0 +1,50 @@
+"""The benchmark's span tracer still finds, and sees called, every entry
+point it wraps by name. A renamed entry point would otherwise drop out of
+``--trace 1`` silently and read as a per-layer metric of 0."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from cexp import resmon, supervisor
+from cexp.harness import run_scenario, scenario_from_object
+from conftest import make_hostile_scenario
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_finds_every_entry_point_but_the_deleted_digests_scan():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        assert supervisor.evaluate_window is not resmon.evaluate_window
+    assert tracer.missing == ["LayerStore.digests"]
+    assert supervisor.evaluate_window is resmon.evaluate_window
+
+
+def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    scenario = scenario_from_object(make_hostile_scenario())
+    with spans.instrument(tracer):
+        run_scenario(scenario, data_dir=tmp_path)
+    for name in (
+        "wirebus.encode",
+        "wirebus.decode",
+        "wirebus.publish",
+        "wirebus.send",
+        "resmon.evaluate",
+        "supervisor.handle",
+        "harness.stub",
+    ):
+        assert tracer.calls[name] > 0, name
+    assert tracer.counts["resmon.sustained_verdicts"] > 0
+    assert tracer.counts["harness.frames.processed"] > 0

@@ -20,7 +20,7 @@ from cexp.supervisor import (
     VariantResult,
 )
 from cexp.wirebus import LoopbackBus, ResourceReport, Sender
-from conftest import layer_digests, make_protocol_doc
+from conftest import layer_digests, make_ab_scenario, make_protocol_doc
 
 
 def make_result(variant_id, role, accuracy, mean_cpu=20.0, violations=0, status="COMPLETED"):
@@ -512,3 +512,29 @@ def test_cli_compare_refuses_a_report_that_does_not_load(tmp_path, capsys):
     code = HQ.cli_main(["compare", "--report", str(report_path)])
     assert code == 2
     assert capsys.readouterr().out == "error: variants[0].accuracy: missing key\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([], "error: $: expected object, got list of 0\n"),
+        ({"data_dir": 5}, "error: data_dir: expected str, got int\n"),
+    ],
+    ids=["array", "int_data_dir"],
+)
+def test_cli_status_refuses_a_target_file_that_does_not_load(tmp_path, capsys, content, message):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(content), "utf-8")
+    code = HQ.cli_main(["status", "--target", str(scenario_path)])
+    assert code == 2
+    assert capsys.readouterr().out == message
+
+
+def test_resolve_target_reads_a_full_scenario_file(tmp_path):
+    """A scenario's other sections are not the target's business: only
+    data_dir is read."""
+    scenario = make_ab_scenario()
+    scenario["data_dir"] = "runs"
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), "utf-8")
+    assert HQ.resolve_target(str(scenario_path)) == tmp_path / "runs"

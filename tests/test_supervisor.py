@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from cexp import harness
 from cexp.artifact import DatagramLink, LinkProfile, SchemaError
 from cexp.clock import FakeClock, Scheduler
-from cexp.protocol import parse_protocol
+from cexp.protocol import ExperimentState, parse_protocol
 from cexp.resmon import Axis, Verdict, ViolationVerdict
 from cexp import supervisor as S
 from cexp.wirebus import (
@@ -448,6 +449,38 @@ def test_ground_truth_keeps_a_window_and_evicted_frames_score_zero(tmp_path):
     assert [json.loads(line)["ground_truth_count"] for line in lines] == [0, 0, 4, 4]
     exp = report.variant("expA")
     assert (exp.frames_processed, exp.ground_truth_total, exp.detections_correct) == (4, 8, 6)
+
+
+def test_traffic_under_the_supervisors_own_sender_id_changes_nothing(tmp_path):
+    """Frames, module outputs and resource reports that carry the
+    supervisor's own sender id are its own traffic: they leave every
+    variant counter, sandbox log, ladder and logged event as they were."""
+    protocol = two_variant_protocol(cpu_threshold_pct=20.0)
+    clock = FakeClock(0)
+    bus = LoopbackBus()
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(bus, S.SUPERVISOR_SENDER_ID, clock))
+    sup.begin()
+    bus.subscribe(callback=sup.handle)
+    variants_before = copy.deepcopy(sup.variants)
+    events_before = logged_events(sup)
+    echo = Sender(bus, S.SUPERVISOR_SENDER_ID, clock)
+    for k in range(3 * (protocol.sustain_samples + protocol.degrade_grace_samples)):
+        clock.advance_to((k + 1) * protocol.sample_period_ms * 1000)
+        echo.send(SensorFrame(frame_id=k, ground_truth_count=4, pixels_digest=bytes(32)))
+        for variant_id in ("prod", "expA"):
+            echo.send(ModuleOutput(frame_id=k, variant_id=variant_id, detected_count=3, latency_us=20_000))
+            echo.send(ResourceReport(variant_id=variant_id, cpu_pct=99.0, mem_mb=100.0))
+    assert sup.variants == variants_before
+    assert len(sup._ground_truth) == 0
+    assert logged_events(sup) == events_before
+    assert sup.state is ExperimentState.RUNNING
+
+    # the same report from the variant's own sender id is taken
+    Sender(bus, 100, clock).send(ResourceReport(variant_id="expA", cpu_pct=99.0, mem_mb=100.0))
+    assert sup.variants["expA"].cpu_samples == 1
+    sup.finish()
+    for variant_id in ("prod", "expA"):
+        assert (sup.run_dir / "logs" / f"{variant_id}.jsonl").read_bytes() == b""
 
 
 def test_finish_serialises_the_report_once_for_disk_and_uplink(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import socket
 import string
@@ -286,6 +287,38 @@ def test_mutated_valid_datagrams_never_crash_decoder():
             W.decode(bytes(datagram))
         except W.DecodeError:
             pass
+
+
+def _decode_outcome(datagram: bytes) -> str:
+    try:
+        envelope, message = W.decode(datagram)
+    except W.DecodeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{envelope!r} {message!r}"
+
+
+def test_every_rejection_keeps_its_pinned_class_and_message():
+    """Every cut, extension and seeded byte mutation of each message type
+    decodes to the same record or raises the same error class with the same
+    message, pinned as one digest of all outcomes."""
+    messages = FIXED_LAYOUT_MESSAGES + [
+        W.Command(target_variant_id="expA", command=W.CommandKind.DEGRADE, degrade_level=1),
+        W.ResultChunk(experiment_id="exp-1", chunk_index=0, total_chunks=3, data=b"abc"),
+    ]
+    rng = random.Random(0xC0DEC)
+    outcomes = []
+    for msg in messages:
+        good = W.encode(msg, 1, 0, 0)
+        payload = good[W.HEADER_LEN :]
+        for cut in range(len(payload) + 4):
+            outcomes.append(_decode_outcome(_with_payload(good, (payload + b"\x00\xff\x01")[:cut])))
+        for _ in range(300):
+            bad = bytearray(payload)
+            for _ in range(rng.randint(1, 3)):
+                bad[rng.randrange(len(bad))] = rng.getrandbits(8)
+            outcomes.append(_decode_outcome(_with_payload(good, bytes(bad))))
+    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    assert digest == "0826c56abd150f2968f10b33ae4f712b08c128fd24605ae0bb0198d45c820efc"
 
 
 # -- loopback transport -------------------------------------------------------
