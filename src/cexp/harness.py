@@ -10,11 +10,19 @@ production throughput, and a heartbeat/failover pair simulating the
 primary/secondary computing nodes. Fixed seeds plus the fake clock give
 byte-identical experiment reports run after run.
 
+A scenario file is the simulated vehicle's only configuration. Its frozen
+records (``FrameConfig``, ``StubProfile``, ``NodeConfig``) check every
+range the actors rely on in ``__post_init__``, so a value out of range,
+NaN or infinite is refused when the file loads, and each actor takes its
+record whole (the replayer its ``FrameConfig``, each stub its
+``StubProfile``, the heartbeat pair the ``NodeConfig``).
+
 Detector stubs are statistical stand-ins: per processed frame they
 detect ``binomial(ground_truth, tpr)`` objects plus Poisson false
 positives. A stub honors DEGRADE by processing every 2^level-th frame
 (half rate at level 1, quarter rate at level 2) and STOP by exiting
-cleanly; its modeled CPU demand shrinks with the same factor.
+cleanly; its modeled CPU demand shrinks with the same factor. It obeys
+commands from the supervisor's sender id only.
 """
 
 from __future__ import annotations
@@ -92,39 +100,49 @@ def sample_poisson(rng: random.Random, exp_neg_lam: float) -> int:
     return k
 
 
+def _require(ok: bool, key: str, accepted: str, value: Any) -> None:
+    """Refuse a scenario value out of its accepted range. Each caller writes
+    ``ok`` as a comparison that NaN fails, so a NaN is always refused."""
+    if not ok:
+        raise ScenarioError(f"{key}: must be {accepted}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class FrameConfig:
+    """The replayed recording: ``count`` frames at ``rate_hz`` from ``seed``."""
+
+    count: int = 500
+    rate_hz: float = 10.0
+    seed: int = 1
+
+    def __post_init__(self) -> None:
+        _require(self.count >= 0, "frames.count", ">= 0", self.count)
+        _require(
+            0.0 < self.rate_hz <= MAX_FRAME_RATE_HZ, "frames.rate_hz", f"in (0, {MAX_FRAME_RATE_HZ}]", self.rate_hz
+        )
+
+
 class SensorReplayer:
-    """Publishes a seeded stream of sensor frames at a fixed rate.
+    """Publishes the seeded stream of ``frames`` at its fixed rate.
 
     Ground-truth object counts are uniform on [0, 8]; identical seeds
     produce identical streams, which is what lets the same recording be
     replayed against every variant.
     """
 
-    def __init__(
-        self,
-        bus: LoopbackBus,
-        clock: FakeClock,
-        frame_count: int,
-        frame_rate_hz: float,
-        seed: int,
-        sender_id: int = REPLAYER_SENDER_ID,
-    ) -> None:
-        if frame_rate_hz <= 0 or frame_rate_hz > MAX_FRAME_RATE_HZ:
-            raise ScenarioError(f"frame_rate_hz must be in (0, {MAX_FRAME_RATE_HZ}]")
-        self.frame_count = frame_count
-        self.period_us = round(1_000_000 / frame_rate_hz)
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._sender = Sender(bus, sender_id, clock)
-        self.frames_sent = 0
+    def __init__(self, bus: LoopbackBus, clock: FakeClock, frames: FrameConfig) -> None:
+        self.frames = frames
+        self.period_us = round(1_000_000 / frames.rate_hz)
+        self.seed = frames.seed
+        self._rng = random.Random(frames.seed)
+        self._sender = Sender(bus, REPLAYER_SENDER_ID, clock)
 
     def start(self, scheduler: Scheduler) -> None:
-        scheduler.call_every(scheduler.clock.now_us(), self.period_us, self.frame_count, self._emit)
+        scheduler.call_every(scheduler.clock.now_us(), self.period_us, self.frames.count, self._emit)
 
     def _emit(self, frame_id: int) -> None:
         ground_truth_count = self._rng.randint(0, 8)
         self._sender.send(SensorFrame(frame_id, ground_truth_count, synthetic_pixels_digest(self.seed, frame_id)))
-        self.frames_sent += 1
 
 
 @dataclass(frozen=True)
@@ -140,12 +158,15 @@ class StubProfile:
     crash_at_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.true_positive_rate <= 1.0):
-            raise ScenarioError(f"{self.variant_id}: true_positive_rate must be in [0, 1]")
-        if self.false_positive_rate_per_frame < 0.0:
-            raise ScenarioError(f"{self.variant_id}: false_positive_rate_per_frame must be >= 0")
-        if self.cpu_burn_pct < 0.0:
-            raise ScenarioError(f"{self.variant_id}: cpu_burn_pct must be >= 0")
+        where = f"stubs[{self.variant_id!r}]"
+        tpr = self.true_positive_rate
+        _require(0.0 <= tpr <= 1.0, f"{where}.true_positive_rate", "in [0, 1]", tpr)
+        for key in ("false_positive_rate_per_frame", "cpu_burn_pct", "mem_mb"):
+            value = getattr(self, key)
+            _require(0.0 <= value < math.inf, f"{where}.{key}", "finite and >= 0", value)
+        crash = self.crash_at_s
+        if crash is not None:
+            _require(0.0 <= crash < math.inf, f"{where}.crash_at_s", "null or finite and >= 0", crash)
 
 
 class NodeCpuModel:
@@ -159,8 +180,6 @@ class NodeCpuModel:
     """
 
     def __init__(self, capacity_pct: float) -> None:
-        if capacity_pct <= 0:
-            raise ScenarioError("capacity_pct must be positive")
         self.capacity_pct = capacity_pct
         self._shares: dict[str, float] = {}
         # share / demand, which each stub reads once per frame, computed once
@@ -186,22 +205,16 @@ class StubActor:
     """One software variant under test, as a process-like task on the bus.
 
     Exposes ``is_alive`` so the supervisor can treat it like a launched
-    process handle: alive until it crashes (scenario trigger) or exits
-    on STOP.
+    process handle: alive until it crashes (at its profile's
+    ``crash_at_s``) or exits on STOP. It obeys a command only when the
+    supervisor sent it.
     """
 
     def __init__(
-        self,
-        profile: StubProfile,
-        role: Role,
-        bus: LoopbackBus,
-        clock: FakeClock,
-        sender_id: int,
-        node: NodeCpuModel,
+        self, profile: StubProfile, bus: LoopbackBus, clock: FakeClock, sender_id: int, node: NodeCpuModel
     ) -> None:
         self.profile = profile
         self.variant_id = profile.variant_id
-        self.role = role
         self.clock = clock
         self.node = node
         self.degrade_level = 0
@@ -223,8 +236,10 @@ class StubActor:
             return 0.0
         return self.profile.cpu_burn_pct * (0.5 ** self.degrade_level)
 
-    def start(self, bus: LoopbackBus) -> None:
+    def start(self, bus: LoopbackBus, scheduler: Scheduler) -> None:
         bus.subscribe(types={MsgType.SENSOR_FRAME, MsgType.COMMAND}, callback=self._on_message)
+        if self.profile.crash_at_s is not None:
+            scheduler.call_at(int(self.profile.crash_at_s * 1_000_000), self.crash)
 
     def crash(self) -> None:
         self.alive = False
@@ -234,7 +249,11 @@ class StubActor:
         msg = received.message
         if type(msg) is SensorFrame:
             self._on_frame(msg)
-        elif type(msg) is Command and msg.target_variant_id == self.variant_id:
+        elif (
+            type(msg) is Command
+            and received.envelope.sender_id == SUPERVISOR_SENDER_ID
+            and msg.target_variant_id == self.variant_id
+        ):
             self._on_command(msg)
 
     def _on_command(self, msg: Command) -> None:
@@ -274,6 +293,9 @@ class StubActor:
 
 @dataclass(frozen=True)
 class NodeConfig:
+    """The computing node: CPU capacity, and the primary's heartbeat,
+    failure detection and restart."""
+
     capacity_pct: float = 400.0
     heartbeat_period_ms: int = 1000
     miss_threshold: int = 3
@@ -281,30 +303,29 @@ class NodeConfig:
     silence_primary_at_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.miss_threshold < 2:
-            raise ScenarioError("miss_threshold must be >= 2")
+        _require(0.0 < self.capacity_pct < math.inf, "node.capacity_pct", "finite and > 0", self.capacity_pct)
+        _require(self.heartbeat_period_ms > 0, "node.heartbeat_period_ms", "> 0", self.heartbeat_period_ms)
+        _require(self.miss_threshold >= 2, "node.miss_threshold", ">= 2", self.miss_threshold)
+        _require(self.restart_delay_ms >= 0, "node.restart_delay_ms", ">= 0", self.restart_delay_ms)
+        silence = self.silence_primary_at_s
+        if silence is not None:
+            _require(0.0 <= silence < math.inf, "node.silence_primary_at_s", "null or finite and >= 0", silence)
 
 
 class HeartbeatEmitter:
-    """Primary-node liveness beacon; can be silenced (simulated crash) and
-    resumed by a restart."""
+    """The primary node's liveness beacon, every ``node.heartbeat_period_ms``;
+    silenced (a simulated crash) from ``node.silence_primary_at_s`` until a
+    restart brings it back ``node.restart_delay_ms`` later."""
 
-    def __init__(
-        self,
-        bus: LoopbackBus,
-        clock: FakeClock,
-        period_us: int,
-        node_id: int = PRIMARY_NODE_ID,
-        sender_id: int = PRIMARY_NODE_SENDER_ID,
-        silence_at_us: Optional[int] = None,
-    ) -> None:
-        self.period_us = period_us
-        self.node_id = node_id
-        self.silence_at_us = silence_at_us
+    def __init__(self, bus: LoopbackBus, clock: FakeClock, node: NodeConfig) -> None:
+        self.node = node
+        self.period_us = node.heartbeat_period_ms * 1000
+        silence_s = node.silence_primary_at_s
+        self.silence_at_us = None if silence_s is None else int(silence_s * 1_000_000)
         self.silenced = False
         self.beats_sent = 0
         self._started_us = 0
-        self._sender = Sender(bus, sender_id, clock)
+        self._sender = Sender(bus, PRIMARY_NODE_SENDER_ID, clock)
         self._clock = clock
 
     def start(self, scheduler: Scheduler) -> None:
@@ -316,25 +337,25 @@ class HeartbeatEmitter:
                 self.silenced = True
             if not self.silenced:
                 self._sender.send(
-                    Heartbeat(node_id=self.node_id, uptime_s=(now - self._started_us) // 1_000_000)
+                    Heartbeat(node_id=PRIMARY_NODE_ID, uptime_s=(now - self._started_us) // 1_000_000)
                 )
                 self.beats_sent += 1
             scheduler.call_after(self.period_us, beat)
 
         beat()  # first beat immediately, then every period
 
-    def restart(self, scheduler: Scheduler, delay_us: int) -> None:
+    def restart(self, scheduler: Scheduler) -> None:
         def relaunch() -> None:
             self.silenced = False
             self.silence_at_us = None
 
-        scheduler.call_after(delay_us, relaunch)
+        scheduler.call_after(self.node.restart_delay_ms * 1000, relaunch)
 
 
 class FailoverMonitor:
     """Secondary-node failure detector over primary heartbeats.
 
-    Declares the primary down after ``miss_threshold`` consecutive
+    Declares the primary down after ``node.miss_threshold`` consecutive
     missed beats (staleness > threshold x period at a period-aligned
     check) and issues one simulated restart. Isolated losses shorter
     than the threshold never trigger.
@@ -344,19 +365,10 @@ class FailoverMonitor:
     SUSPECT = "SUSPECT"
     RESTARTING = "RESTARTING"
 
-    def __init__(
-        self,
-        clock: FakeClock,
-        period_us: int,
-        miss_threshold: int,
-        primary_node_id: int = PRIMARY_NODE_ID,
-    ) -> None:
-        if miss_threshold < 2:
-            raise ScenarioError("miss_threshold must be >= 2")
+    def __init__(self, clock: FakeClock, node: NodeConfig) -> None:
         self.clock = clock
-        self.period_us = period_us
-        self.miss_threshold = miss_threshold
-        self.primary_node_id = primary_node_id
+        self.period_us = node.heartbeat_period_ms * 1000
+        self.miss_threshold = node.miss_threshold
         self.state = self.UP
         self.last_beat_us: Optional[int] = None
         self.restart_events: list[dict] = []
@@ -375,7 +387,7 @@ class FailoverMonitor:
 
     def _on_heartbeat(self, received: Received) -> None:
         msg = received.message
-        if isinstance(msg, Heartbeat) and msg.node_id == self.primary_node_id:
+        if isinstance(msg, Heartbeat) and msg.node_id == PRIMARY_NODE_ID:
             self.observe_beat(received.envelope.timestamp_us)
 
     def observe_beat(self, t_us: int) -> None:
@@ -393,7 +405,7 @@ class FailoverMonitor:
             event = {
                 "t_us": now,
                 "kind": "restart",
-                "node_id": self.primary_node_id,
+                "node_id": PRIMARY_NODE_ID,
                 "staleness_us": staleness_us,
             }
             self.restart_events.append(event)
@@ -401,13 +413,6 @@ class FailoverMonitor:
                 self._on_restart()
         elif staleness_us > self.period_us:
             self.state = self.SUSPECT
-
-
-@dataclass(frozen=True)
-class FrameConfig:
-    count: int = 500
-    rate_hz: float = 10.0
-    seed: int = 1
 
 
 @dataclass(frozen=True)
@@ -515,7 +520,6 @@ class ScenarioOutcome:
     report: ExperimentReport
     report_path: Path
     bus: LoopbackBus
-    stubs: dict[str, StubActor]
     restart_events: list[dict]
     failures: list[str]
     decision: Optional[dict] = None
@@ -545,10 +549,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     stubs: dict[str, StubActor] = {}
     for index, variant in enumerate(protocol.variants):
         profile = scenario.stub_for(variant.variant_id)
-        stub = StubActor(
-            profile, variant.role, bus, clock, sender_id=STUB_SENDER_BASE + index, node=node_model
-        )
-        stubs[variant.variant_id] = stub
+        stubs[variant.variant_id] = StubActor(profile, bus, clock, STUB_SENDER_BASE + index, node_model)
 
     uplink = None
     if scenario.uplink is not None:
@@ -571,35 +572,14 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     # must record the ground truth before any stub's output comes back in
     sup.schedule(scheduler, bus)
 
-    replayer = SensorReplayer(
-        bus, clock, scenario.frames.count, scenario.frames.rate_hz, scenario.frames.seed
-    )
-    replayer.start(scheduler)
-
-    heartbeat = HeartbeatEmitter(
-        bus,
-        clock,
-        period_us=scenario.node.heartbeat_period_ms * 1000,
-        silence_at_us=(
-            None
-            if scenario.node.silence_primary_at_s is None
-            else int(scenario.node.silence_primary_at_s * 1_000_000)
-        ),
-    )
+    SensorReplayer(bus, clock, scenario.frames).start(scheduler)
+    heartbeat = HeartbeatEmitter(bus, clock, scenario.node)
     heartbeat.start(scheduler)
-    monitor = FailoverMonitor(
-        clock,
-        period_us=scenario.node.heartbeat_period_ms * 1000,
-        miss_threshold=scenario.node.miss_threshold,
-    )
-    monitor.attach(
-        bus,
-        scheduler,
-        on_restart=lambda: heartbeat.restart(scheduler, scenario.node.restart_delay_ms * 1000),
-    )
+    monitor = FailoverMonitor(clock, scenario.node)
+    monitor.attach(bus, scheduler, on_restart=lambda: heartbeat.restart(scheduler))
 
-    for variant in protocol.variants:
-        stubs[variant.variant_id].start(bus)
+    for stub in stubs.values():
+        stub.start(bus, scheduler)  # which also schedules the stub's crash
 
     # the production-protection audit, counted off the wire as commands go out
     production_id = next(v.variant_id for v in protocol.variants if v.role is Role.PRODUCTION)
@@ -611,13 +591,6 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
             commands_to_production += 1
 
     bus.subscribe(types={MsgType.COMMAND}, callback=on_command)
-
-    for variant in protocol.variants:
-        profile = scenario.stub_for(variant.variant_id)
-        if profile.crash_at_s is not None:
-            scheduler.call_at(
-                int(profile.crash_at_s * 1_000_000), stubs[variant.variant_id].crash
-            )
 
     period_us = protocol.sample_period_ms * 1000
     node_model.recompute({vid: stub.demand_pct() for vid, stub in stubs.items()})
@@ -647,12 +620,12 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
         from . import hqcli  # local import: hqcli sits above the harness
 
         decision = record_fields(hqcli.compare(report))
-    failures = check_expectations(scenario, report, commands_to_production, monitor, decision)
+    restart_count = len(monitor.restart_events)
+    failures = check_expectations(scenario, report, commands_to_production, restart_count, decision)
     return ScenarioOutcome(
         report=report,
         report_path=report_path,
         bus=bus,
-        stubs=stubs,
         restart_events=monitor.restart_events,
         failures=failures,
         decision=decision,
@@ -663,12 +636,13 @@ def check_expectations(
     scenario: Scenario,
     report: ExperimentReport,
     commands_to_production: int,
-    monitor: FailoverMonitor,
+    restart_count: int,
     decision: Optional[dict],
 ) -> list[str]:
     """``commands_to_production`` counts the COMMAND messages published
-    to the production variant during the run; ``decision`` is HQ's
-    ``compare`` of the report, needed when the scenario expects a winner."""
+    to the production variant during the run, ``restart_count`` the
+    failover monitor's restarts; ``decision`` is HQ's ``compare`` of the
+    report, needed when the scenario expects a winner."""
     expect = scenario.expect
     failures: list[str] = []
     if expect.final_state is not None and report.final_state != expect.final_state:
@@ -679,8 +653,8 @@ def check_expectations(
         aborted = sorted(v.variant_id for v in report.variants if v.final_status == "ABORTED")
         if aborted != sorted(expect.aborted_variants):
             failures.append(f"aborted_variants: expected {list(expect.aborted_variants)}, got {aborted}")
-    if expect.restart_count is not None and len(monitor.restart_events) != expect.restart_count:
-        failures.append(f"restart_count: expected {expect.restart_count}, got {len(monitor.restart_events)}")
+    if expect.restart_count is not None and restart_count != expect.restart_count:
+        failures.append(f"restart_count: expected {expect.restart_count}, got {restart_count}")
     if commands_to_production > expect.commands_to_production:
         failures.append(
             f"commands_to_production: {commands_to_production} issued, "
@@ -705,8 +679,11 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:  # a scenario or its protocol that does not load
         print(f"error: {exc}")
         return 2
-    data_dir = Path(args.data_dir) if args.data_dir else None
-    outcome = run_scenario(scenario, data_dir=data_dir)
+    data_dir = args.data_dir or scenario.data_dir
+    if data_dir is None:
+        print("error: scenario has no data_dir and --data-dir was not given")
+        return 2
+    outcome = run_scenario(scenario, data_dir=Path(data_dir))
     report = outcome.report
     print(f"scenario {scenario.name}: final_state={report.final_state}")
     for variant in report.variants:

@@ -76,9 +76,6 @@ _TRANSITIONS: dict[tuple[ExperimentState, ExperimentEvent], ExperimentState] = {
     (ExperimentState.DEGRADED, ExperimentEvent.ABORT): ExperimentState.ABORTED,
 }
 
-TERMINAL_STATES = frozenset({ExperimentState.COMPLETED, ExperimentState.ABORTED})
-
-
 def transition(state: ExperimentState, event: ExperimentEvent) -> ExperimentState:
     """Next lifecycle state, or ``IllegalTransition`` for any pair not in the table."""
     try:

@@ -22,6 +22,7 @@ from cexp.clock import FakeClock, Scheduler
 from cexp.harness import (
     FailoverMonitor,
     HeartbeatEmitter,
+    NodeConfig,
     run_scenario,
     scenario_from_object,
 )
@@ -149,9 +150,10 @@ def test_criterion_6_failover_timing_and_no_false_restarts(tmp_path):
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    emitter = HeartbeatEmitter(bus, clock, period_us=1_000_000)
+    node = NodeConfig(heartbeat_period_ms=1000, miss_threshold=3)
+    emitter = HeartbeatEmitter(bus, clock, node)
     emitter.start(scheduler)
-    monitor = FailoverMonitor(clock, period_us=1_000_000, miss_threshold=3)
+    monitor = FailoverMonitor(clock, node)
     monitor.attach(bus, scheduler)
     scheduler.run_until(10_000 * 1_000_000)
     assert emitter.beats_sent >= 10_000

@@ -13,7 +13,7 @@ import pytest
 
 from cexp.clock import FakeClock, Scheduler
 from cexp import harness as H
-from cexp.protocol import Role
+from cexp.supervisor import SUPERVISOR_SENDER_ID
 from cexp.wirebus import Command, CommandKind, LoopbackBus, ModuleOutput, MsgType, Sender, SensorFrame
 from conftest import make_ab_scenario, make_baseline_scenario, make_hostile_scenario, make_protocol_doc
 
@@ -30,7 +30,7 @@ def _replay_counts(seed: int, count: int = 10):
     clock, scheduler, bus = _frame_world()
     frames = []
     bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
-    H.SensorReplayer(bus, clock, count, 10.0, seed).start(scheduler)
+    H.SensorReplayer(bus, clock, H.FrameConfig(count, 10.0, seed)).start(scheduler)
     scheduler.run_until(10_000_000)
     return [item.message.ground_truth_count for item in frames]
 
@@ -48,7 +48,7 @@ def test_frame_ids_strictly_increase():
     clock, scheduler, bus = _frame_world()
     frames = []
     bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
-    H.SensorReplayer(bus, clock, 50, 25.0, 3).start(scheduler)
+    H.SensorReplayer(bus, clock, H.FrameConfig(50, 25.0, 3)).start(scheduler)
     scheduler.run_until(10_000_000)
     ids = [item.message.frame_id for item in frames]
     assert ids == list(range(50))
@@ -58,7 +58,7 @@ def test_500_frames_at_50hz_span_9_98_seconds():
     clock, scheduler, bus = _frame_world()
     frames = []
     bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
-    H.SensorReplayer(bus, clock, 500, 50.0, 9).start(scheduler)
+    H.SensorReplayer(bus, clock, H.FrameConfig(500, 50.0, 9)).start(scheduler)
     scheduler.run_until(60_000_000)
     stamps = [item.envelope.timestamp_us for item in frames]
     assert len(stamps) == 500
@@ -74,7 +74,7 @@ def test_frames_tie_with_events_by_when_the_replayer_started():
     )
     # frame 5 of a 10 Hz replay goes out at 500 ms
     scheduler.call_at(500_000, lambda: order.append(("before", scheduler.pending())))
-    H.SensorReplayer(bus, clock, 10, 10.0, 1).start(scheduler)
+    H.SensorReplayer(bus, clock, H.FrameConfig(10, 10.0, 1)).start(scheduler)
     scheduler.call_at(500_000, lambda: order.append(("after", scheduler.pending())))
     scheduler.run_until(2_000_000)
     names = [name for name, _ in order]
@@ -135,10 +135,9 @@ def test_run_memory_does_not_grow_with_frame_count(tmp_path):
     assert long - short < 1024 * 1024
 
 
-def test_replayer_rejects_excessive_rate():
-    clock, scheduler, bus = _frame_world()
-    with pytest.raises(H.ScenarioError):
-        H.SensorReplayer(bus, clock, 10, 101.0, 1)
+def test_frame_config_rejects_excessive_rate():
+    with pytest.raises(H.ScenarioError, match=r"^frames\.rate_hz: must be in \(0, 100\], got 101\.0$"):
+        H.FrameConfig(count=10, rate_hz=101.0, seed=1)
 
 
 def test_pixels_digest_is_32_bytes_and_seed_dependent():
@@ -192,13 +191,18 @@ def test_sample_poisson_draws_the_pinned_stream():
 def _stub_world(profile: H.StubProfile, capacity: float = 400.0):
     clock, scheduler, bus = _frame_world()
     node = H.NodeCpuModel(capacity)
-    stub = H.StubActor(profile, Role.EXPERIMENTAL, bus, clock, sender_id=100, node=node)
+    stub = H.StubActor(profile, bus, clock, 100, node)
     node.recompute({profile.variant_id: stub.demand_pct()})
     outputs = []  # every MODULE_OUTPUT the stub publishes, in order
     bus.subscribe(outputs.append, types={MsgType.MODULE_OUTPUT})
-    stub.start(bus)
+    stub.start(bus, scheduler)
     feeder = Sender(bus, 2, clock)
     return clock, scheduler, bus, stub, outputs, feeder
+
+
+def _command(feeder, target, kind, level=0, sender_id=SUPERVISOR_SENDER_ID):
+    """Publish a command on the stub world's bus, from the supervisor unless ``sender_id`` says otherwise."""
+    Sender(feeder.bus, sender_id, feeder.clock).send(Command(target, kind, level))
 
 
 def _feed_frames(feeder, start_id, n, gt=4):
@@ -236,7 +240,7 @@ def test_degrade_level_one_halves_processing_exactly():
     _, _, _, stub, outputs, feeder = _stub_world(profile)
     _feed_frames(feeder, 0, 100)
     before = len(outputs)
-    feeder.send(Command(target_variant_id="expA", command=CommandKind.DEGRADE, degrade_level=1))
+    _command(feeder, "expA", CommandKind.DEGRADE, 1)
     assert stub.degrade_level == 1
     _feed_frames(feeder, 100, 100)
     after = [item.message.frame_id for item in outputs[before:]]
@@ -248,7 +252,7 @@ def test_degrade_level_one_halves_processing_exactly():
 def test_degrade_level_two_quarters_processing():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, stub, outputs, feeder = _stub_world(profile)
-    feeder.send(Command(target_variant_id="expA", command=CommandKind.DEGRADE, degrade_level=2))
+    _command(feeder, "expA", CommandKind.DEGRADE, 2)
     _feed_frames(feeder, 0, 100)
     got = [item.message.frame_id for item in outputs]
     assert len(got) == 25
@@ -258,7 +262,7 @@ def test_degrade_level_two_quarters_processing():
 def test_stop_command_exits_cleanly():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, stub, outputs, feeder = _stub_world(profile)
-    feeder.send(Command(target_variant_id="expA", command=CommandKind.STOP, degrade_level=0))
+    _command(feeder, "expA", CommandKind.STOP)
     assert not stub.is_alive()
     _feed_frames(feeder, 0, 10)
     assert outputs == []
@@ -267,17 +271,27 @@ def test_stop_command_exits_cleanly():
 def test_commands_for_other_variants_are_ignored():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, stub, _, feeder = _stub_world(profile)
-    feeder.send(Command(target_variant_id="expB", command=CommandKind.STOP, degrade_level=0))
+    _command(feeder, "expB", CommandKind.STOP)
     assert stub.is_alive()
+
+
+@pytest.mark.parametrize("kind, level", [(CommandKind.STOP, 0), (CommandKind.DEGRADE, 2)], ids=["stop", "degrade"])
+def test_commands_from_anyone_but_the_supervisor_are_ignored(kind, level):
+    profile = H.StubProfile("prod", cpu_burn_pct=10, seed=1)
+    _, _, _, stub, outputs, feeder = _stub_world(profile)
+    _command(feeder, "prod", kind, level, sender_id=4242)
+    _feed_frames(feeder, 0, 4)
+    assert stub.is_alive() and stub.running and stub.degrade_level == 0
+    assert len(outputs) == 4
 
 
 def test_degrade_halves_cpu_demand():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=80, seed=1)
     _, _, _, stub, _, feeder = _stub_world(profile)
     assert stub.demand_pct() == 80.0
-    feeder.send(Command(target_variant_id="expA", command=CommandKind.DEGRADE, degrade_level=1))
+    _command(feeder, "expA", CommandKind.DEGRADE, 1)
     assert stub.demand_pct() == 40.0
-    feeder.send(Command(target_variant_id="expA", command=CommandKind.DEGRADE, degrade_level=2))
+    _command(feeder, "expA", CommandKind.DEGRADE, 2)
     assert stub.demand_pct() == 20.0
 
 
@@ -313,15 +327,16 @@ def test_starved_stub_drops_frames_proportionally():
 
 def _failover_world(silence_at_s=None, period_ms=1000, miss_threshold=3):
     clock, scheduler, bus = _frame_world()
-    emitter = H.HeartbeatEmitter(
-        bus,
-        clock,
-        period_us=period_ms * 1000,
-        silence_at_us=None if silence_at_s is None else int(silence_at_s * 1_000_000),
+    node = H.NodeConfig(
+        heartbeat_period_ms=period_ms,
+        miss_threshold=miss_threshold,
+        restart_delay_ms=period_ms,
+        silence_primary_at_s=silence_at_s,
     )
+    emitter = H.HeartbeatEmitter(bus, clock, node)
     emitter.start(scheduler)
-    monitor = H.FailoverMonitor(clock, period_us=period_ms * 1000, miss_threshold=miss_threshold)
-    monitor.attach(bus, scheduler, on_restart=lambda: emitter.restart(scheduler, period_ms * 1000))
+    monitor = H.FailoverMonitor(clock, node)
+    monitor.attach(bus, scheduler, on_restart=lambda: emitter.restart(scheduler))
     return clock, scheduler, emitter, monitor
 
 
@@ -351,7 +366,7 @@ def test_zero_false_restarts_over_10000_clean_beats():
 
 def test_two_isolated_missed_beats_do_not_restart():
     clock = FakeClock(0)
-    monitor = H.FailoverMonitor(clock, period_us=1_000_000, miss_threshold=3)
+    monitor = H.FailoverMonitor(clock, H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3))
     monitor.last_beat_us = 0
     dropped = {4, 7}
     for second in range(1, 13):
@@ -365,7 +380,7 @@ def test_two_isolated_missed_beats_do_not_restart():
 
 def test_monitor_marks_suspect_before_restarting():
     clock = FakeClock(0)
-    monitor = H.FailoverMonitor(clock, period_us=1_000_000, miss_threshold=3)
+    monitor = H.FailoverMonitor(clock, H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3))
     monitor.last_beat_us = 0
     clock.advance_to(2_500_000)
     monitor.check_now()
@@ -376,9 +391,9 @@ def test_monitor_marks_suspect_before_restarting():
     assert len(monitor.restart_events) == 1
 
 
-def test_miss_threshold_floor():
-    with pytest.raises(H.ScenarioError):
-        H.FailoverMonitor(FakeClock(0), period_us=1_000_000, miss_threshold=1)
+def test_node_config_miss_threshold_floor():
+    with pytest.raises(H.ScenarioError, match=r"^node\.miss_threshold: must be >= 2, got 1$"):
+        H.NodeConfig(miss_threshold=1)
 
 
 # -- scenarios ---------------------------------------------------------------------------
@@ -494,6 +509,51 @@ def test_scenario_refuses_a_value_of_the_wrong_type(damage, message):
     assert str(refused.value) == message
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _out_of_range(where, key, value, message):
+    return pytest.param(where, key, value, message, id=f"{where}.{key}={value}")
+
+
+@pytest.mark.parametrize(
+    "where, key, value, message",
+    [
+        _out_of_range("frames", "rate_hz", 0, "frames.rate_hz: must be in (0, 100], got 0.0"),
+        _out_of_range("frames", "rate_hz", 101, "frames.rate_hz: must be in (0, 100], got 101.0"),
+        _out_of_range("frames", "rate_hz", NAN, "frames.rate_hz: must be in (0, 100], got nan"),
+        _out_of_range("frames", "count", -1, "frames.count: must be >= 0, got -1"),
+        _out_of_range("node", "capacity_pct", 0, "node.capacity_pct: must be finite and > 0, got 0.0"),
+        _out_of_range("node", "capacity_pct", NAN, "node.capacity_pct: must be finite and > 0, got nan"),
+        _out_of_range("node", "heartbeat_period_ms", 0, "node.heartbeat_period_ms: must be > 0, got 0"),
+        _out_of_range("node", "heartbeat_period_ms", -5, "node.heartbeat_period_ms: must be > 0, got -5"),
+        _out_of_range("node", "restart_delay_ms", -1, "node.restart_delay_ms: must be >= 0, got -1"),
+        _out_of_range(
+            "node", "silence_primary_at_s", -1, "node.silence_primary_at_s: must be null or finite and >= 0, got -1.0"
+        ),
+        _out_of_range(
+            "node", "silence_primary_at_s", NAN, "node.silence_primary_at_s: must be null or finite and >= 0, got nan"
+        ),
+        *[
+            _out_of_range("stubs[1]", key, value, f"stubs['expA'].{key}: must be finite and >= 0, got {float(value)!r}")
+            for key in ("cpu_burn_pct", "false_positive_rate_per_frame", "mem_mb")
+            for value in (NAN, INF, -1)
+        ],
+        _out_of_range(
+            "stubs[1]", "crash_at_s", -1, "stubs['expA'].crash_at_s: must be null or finite and >= 0, got -1.0"
+        ),
+    ],
+)
+def test_scenario_refuses_a_value_out_of_range_at_load(where, key, value, message):
+    """Checked at load, never by running: on a scenario that loads, a zero
+    heartbeat period would loop forever at t=0."""
+    scenario = make_ab_scenario()
+    _section(scenario, where)[key] = value
+    with pytest.raises(H.ScenarioError) as refused:
+        H.scenario_from_object(scenario)
+    assert str(refused.value) == message
+
+
 def test_ab_scenario_selects_the_better_variant(tmp_path):
     outcome = H.run_scenario(H.scenario_from_object(make_ab_scenario()), data_dir=tmp_path)
     assert outcome.ok, outcome.failures
@@ -584,6 +644,26 @@ def test_cli_run_refuses_a_scenario_that_does_not_load(tmp_path, capsys, damage,
     assert code == 2
     assert capsys.readouterr().out == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_a_bare_nan_literal(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make_ab_scenario(data_dir="run")).replace('"cpu_burn_pct": 25', '"cpu_burn_pct": NaN', 1), "utf-8")
+    assert "NaN" in path.read_text()
+    code = H.cli_main(["run", "--scenario", str(path)])
+    assert code == 2
+    assert capsys.readouterr().out == "error: stubs['expA'].cpu_burn_pct: must be finite and >= 0, got nan\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_without_a_data_dir_is_an_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make_ab_scenario()), "utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = H.cli_main(["run", "--scenario", str(path)])
+    assert code == 2
+    assert capsys.readouterr().out == "error: scenario has no data_dir and --data-dir was not given\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_paced_idle_step_calls_before_wait_only_when_it_is_about_to_sleep(monkeypatch):
