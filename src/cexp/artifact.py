@@ -5,7 +5,10 @@ A deployable bundle is a manifest naming content-addressed layers
 (sha256 of the raw payload). Re-deploying a bundle only moves the
 layers the target does not already hold, which is what keeps remote
 updates over a mobile link affordable: most rebuilds change one or two
-layers out of many.
+layers out of many. For the same reason HQ's store does not hash a layer
+it already holds again: a cheap key (size and edge bytes) names a
+candidate, and a byte compare against the stored file confirms it, as
+rsync's weak checksum finds a block and its strong one confirms it.
 
 The link model is fluid-flow: bytes move at a nominal bandwidth, pause
 during outages, and the per-datagram loss percentage applies only to
@@ -232,12 +235,19 @@ class BundleManifest:
             if ref.size < 0:
                 raise ManifestError(f"layers[{i}].size must be a nonnegative integer")
 
-    @property
+    # A frozen manifest never changes, so each is canonicalised and hashed
+    # once; cached_property stores the value in the instance __dict__,
+    # which neither the frozen check nor the field-wise __eq__ sees.
+    @functools.cached_property
     def bundle_digest(self) -> str:
         return sha256_digest(self.canonical_bytes())
 
-    def canonical_bytes(self) -> bytes:
+    @functools.cached_property
+    def _canonical(self) -> bytes:
         return json.dumps(self, default=record_fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    def canonical_bytes(self) -> bytes:
+        return self._canonical
 
     def total_bytes(self) -> int:
         return sum(l.size for l in self.layers)
@@ -385,6 +395,10 @@ class TransferRecord:
         return {**record_fields(self), "duration_s": self.duration_s}
 
 
+# bytes at each end of a payload that its content key holds
+_EDGE_BYTES = 64
+
+
 class LayerStore:
     """On-disk content-addressed store.
 
@@ -392,6 +406,17 @@ class LayerStore:
     ``<root>/manifests/<bundle_digest>.json``. Writes go through a
     temp-file rename so a layer is either fully present or absent;
     re-ingesting an existing layer is a no-op.
+
+    Each store object keeps an in-memory index from a layer's content key
+    (its size and first and last ``_EDGE_BYTES`` bytes) to the digest of a
+    layer it stored or found stored. ``put`` takes a key's digest without
+    hashing only when the stored file reads back equal to the payload, byte
+    for byte, so a key that two payloads share, a file deleted or altered
+    behind the store and an ``expected_digest`` that differs all fall back
+    to hashing. The store trusts its own files, as ``has`` and ``get``
+    always have: a file rewritten behind it with another payload of the
+    same key is taken for that payload. ``fetch_bundle`` puts only layers
+    whose files the receiver lacks, so every fetched layer is hashed.
     """
 
     def __init__(self, root: str | Path, capacity_bytes: Optional[int] = None) -> None:
@@ -399,6 +424,7 @@ class LayerStore:
         self.capacity_bytes = capacity_bytes
         (self.root / "layers").mkdir(parents=True, exist_ok=True)
         (self.root / "manifests").mkdir(parents=True, exist_ok=True)
+        self._digest_by_key: dict[tuple[int, bytes, bytes], str] = {}
 
     def _layer_path(self, digest: str) -> Path:
         return self.root / "layers" / digest
@@ -410,26 +436,34 @@ class LayerStore:
         return sum(p.stat().st_size for p in (self.root / "layers").iterdir() if p.is_file())
 
     def get(self, digest: str) -> bytes:
-        path = self._layer_path(digest)
-        if not path.is_file():
-            raise KeyError(digest)
-        return path.read_bytes()
+        try:
+            return self._layer_path(digest).read_bytes()
+        except FileNotFoundError:
+            raise KeyError(digest) from None
 
     def put(self, payload: bytes, expected_digest: Optional[str] = None) -> Layer:
         """Verify and store one layer. Raises ``DigestMismatch`` when the
         payload does not hash to ``expected_digest``, ``StorageFull`` when a
         capacity cap would be exceeded."""
+        key = (len(payload), payload[:_EDGE_BYTES], payload[-_EDGE_BYTES:])
+        known = self._digest_by_key.get(key)
+        if known is not None and expected_digest in (None, known):
+            try:
+                if self.get(known) == payload:
+                    return Layer(digest=known, size_bytes=len(payload))
+            except KeyError:
+                pass  # deleted behind the store: hash and write it again
         layer = ingest_layer(payload)
         if expected_digest is not None and layer.digest != expected_digest:
             raise DigestMismatch(f"expected {expected_digest}, payload hashes to {layer.digest}")
         path = self._layer_path(layer.digest)
-        if path.is_file():
-            return layer  # idempotent re-ingest
-        if self.capacity_bytes is not None and self.total_bytes() + layer.size_bytes > self.capacity_bytes:
-            raise StorageFull(
-                f"storing {layer.size_bytes} bytes would exceed cap of {self.capacity_bytes}"
-            )
-        _atomic_write(path, payload)
+        if not path.is_file():
+            if self.capacity_bytes is not None and self.total_bytes() + layer.size_bytes > self.capacity_bytes:
+                raise StorageFull(
+                    f"storing {layer.size_bytes} bytes would exceed cap of {self.capacity_bytes}"
+                )
+            _atomic_write(path, payload)
+        self._digest_by_key[key] = layer.digest
         return layer
 
     def put_manifest(self, manifest: BundleManifest) -> Path:

@@ -676,7 +676,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
 
     try:
         scenario = load_scenario(Path(args.scenario))
-    except ValueError as exc:  # a scenario or its protocol that does not load
+    except (ValueError, OSError) as exc:  # a scenario or its protocol that does not load or cannot be read
         print(f"error: {exc}")
         return 2
     data_dir = args.data_dir or scenario.data_dir

@@ -338,9 +338,7 @@ def _source_store_for(manifest_path: Path, override: Optional[str]) -> LayerStor
     # convention: manifests live at <store>/manifests/<digest>.json
     if manifest_path.parent.name == "manifests":
         return LayerStore(manifest_path.parent.parent)
-    raise SystemExit(
-        f"cannot infer the source store for {manifest_path}; pass --source-store"
-    )
+    raise ValueError(f"cannot infer the source store for {manifest_path}; pass --source-store")
 
 
 def _load_link(path: Optional[str]) -> LinkProfile:
@@ -447,7 +445,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
                 out_path = fetch_udp(group, int(port), args.experiment, Path(args.out), args.timeout)
             else:
                 if args.target is None:
-                    raise SystemExit("fetch needs --target or --udp")
+                    raise ValueError("fetch needs --target or --udp")
                 out_path = fetch(
                     resolve_target(args.target),
                     args.experiment,
@@ -465,7 +463,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             else:
                 _print_decision(decision)
             return 0
-    except (Unreachable, IncompleteReport, ValueError) as exc:  # ValueError: an input that does not load
+    # ValueError: an input that does not load or a missing option; OSError: a file that cannot be read
+    except (Unreachable, IncompleteReport, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
     return 1

@@ -707,7 +707,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             from . import harness  # scenario machinery lives with the testbed
 
             scenario = replace(harness.load_scenario(Path(args.fake_clock)), protocol=protocol)
-    except ValueError as exc:  # a protocol or scenario that does not load
+    except (ValueError, OSError) as exc:  # a protocol or scenario that does not load or cannot be read
         print(f"error: {exc}")
         return 2
 

@@ -25,6 +25,10 @@ def _layer(content: bytes) -> A.Layer:
     return A.ingest_layer(content)
 
 
+def digest_of(payload: bytes) -> str:
+    return "sha256:" + hashlib.sha256(payload).hexdigest()
+
+
 def _mib(n: float) -> int:
     return int(n * 1024 * 1024)
 
@@ -74,6 +78,78 @@ def test_store_roundtrips_payload(tmp_path):
         store.get("sha256:" + "f" * 64)
 
 
+# -- re-ingest without hashing ---------------------------------------------------
+
+# two payloads of one size whose first and last 64 bytes agree: one content key
+_EDGES = bytes(range(64))
+_PAYLOAD = _EDGES + b"m" * 1000 + _EDGES
+_TWIN = _EDGES + b"M" * 1000 + _EDGES
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The payloads ``artifact`` hashes from now on, in order."""
+    seen = []
+    real = A.sha256_digest
+
+    def spy(payload):
+        seen.append(bytes(payload))
+        return real(payload)
+
+    monkeypatch.setattr(A, "sha256_digest", spy)
+    return seen
+
+
+def test_reingesting_an_equal_payload_returns_its_layer_without_hashing(tmp_path, hashed):
+    store = A.LayerStore(tmp_path / "store")
+    layer = store.put(_PAYLOAD)
+    fresh = bytes(bytearray(_PAYLOAD))  # equal bytes, another object
+    assert fresh is not _PAYLOAD
+    assert store.put(fresh) == layer
+    assert store.put(fresh, expected_digest=layer.digest) == layer
+    assert hashed == [_PAYLOAD]
+
+
+def test_a_payload_sharing_a_content_key_is_hashed_and_stored_under_its_digest(tmp_path, hashed):
+    store = A.LayerStore(tmp_path / "store")
+    first = store.put(_PAYLOAD)
+    twin = store.put(_TWIN)
+    assert twin.digest == digest_of(_TWIN) != first.digest
+    assert store.get(twin.digest) == _TWIN
+    assert store.get(first.digest) == _PAYLOAD
+    assert hashed == [_PAYLOAD, _TWIN]
+
+
+def test_a_layer_deleted_behind_the_store_is_hashed_and_written_again(tmp_path, hashed):
+    store = A.LayerStore(tmp_path / "store")
+    layer = store.put(_PAYLOAD)
+    (store.root / "layers" / layer.digest).unlink()
+    with pytest.raises(KeyError):
+        store.get(layer.digest)
+    assert store.put(_PAYLOAD) == layer
+    assert store.get(layer.digest) == _PAYLOAD
+    assert hashed == [_PAYLOAD, _PAYLOAD]
+
+
+def test_a_layer_altered_on_disk_is_not_taken_for_the_payload(tmp_path, hashed):
+    store = A.LayerStore(tmp_path / "store")
+    layer = store.put(_PAYLOAD)
+    (store.root / "layers" / layer.digest).write_bytes(_TWIN)
+    assert store.put(_PAYLOAD) == layer
+    assert hashed == [_PAYLOAD, _PAYLOAD]
+
+
+def test_a_differing_expected_digest_still_raises_digest_mismatch(tmp_path):
+    store = A.LayerStore(tmp_path / "store")
+    layer = store.put(_PAYLOAD)
+    with pytest.raises(A.DigestMismatch):
+        store.put(_PAYLOAD, expected_digest=digest_of(_TWIN))
+    # the twin shares the payload's key and claims its digest: bytes decide
+    with pytest.raises(A.DigestMismatch):
+        store.put(_TWIN, expected_digest=layer.digest)
+    assert store.get(layer.digest) == _PAYLOAD
+
+
 # -- manifests -----------------------------------------------------------------
 
 
@@ -81,6 +157,8 @@ def test_manifest_digest_is_hash_of_canonical_bytes():
     manifest = A.manifest_for_layers("bin/run", [_layer(b"a"), _layer(b"bb")])
     blob = manifest.canonical_bytes()
     assert manifest.bundle_digest == "sha256:" + hashlib.sha256(blob).hexdigest()
+    assert manifest.bundle_digest == A.sha256_digest(manifest.canonical_bytes())
+    assert manifest.canonical_bytes() is blob  # canonicalised once per manifest
     assert A.parse_manifest(blob.decode("utf-8")) == manifest
 
 

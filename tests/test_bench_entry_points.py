@@ -5,11 +5,13 @@ point it wraps by name. A renamed entry point would otherwise drop out of
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
-from cexp import resmon, supervisor
+from cexp import hqcli, resmon, supervisor
+from cexp.artifact import LayerStore, LinkProfile, manifest_for_layers
 from cexp.harness import run_scenario, scenario_from_object
-from conftest import make_hostile_scenario
+from conftest import make_hostile_scenario, make_protocol_doc
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -48,3 +50,18 @@ def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["resmon.sustained_verdicts"] > 0
     assert tracer.counts["harness.frames.processed"] > 0
+
+
+def test_a_traced_pair_of_deploys_calls_each_artifact_entry_point(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    hq = LayerStore(tmp_path / "hq")
+    payloads = [bytes([i]) * 4096 for i in range(3)]
+    with spans.instrument(tracer):
+        for _ in range(2):  # the second ingest re-puts layers the store holds
+            manifest = manifest_for_layers("bin/run", [hq.put(p) for p in payloads])
+            hq.put_manifest(manifest)
+            hqcli.deploy(json.dumps(make_protocol_doc()), [manifest], tmp_path / "vehicle", LinkProfile(), hq)
+    for name in ("artifact.put", "artifact.put_manifest", "artifact.plan_delta", "artifact.fetch_bundle"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.calls["artifact.fetch_bundle"] == 2

@@ -656,6 +656,22 @@ def test_cli_run_refuses_a_bare_nan_literal(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("missing", ["scenario", "protocol_file"])
+def test_cli_run_refuses_an_input_file_it_cannot_read(tmp_path, capsys, missing):
+    path = tmp_path / "scenario.json"
+    absent = path
+    if missing == "protocol_file":
+        scenario = make_ab_scenario()
+        del scenario["protocol"]
+        scenario["protocol_file"] = "missing/ab.json"
+        path.write_text(json.dumps(scenario), "utf-8")
+        absent = tmp_path / "missing" / "ab.json"
+    code = H.cli_main(["run", "--scenario", str(path), "--data-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: [Errno 2] No such file or directory: '{absent}'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_without_a_data_dir_is_an_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(make_ab_scenario()), "utf-8")

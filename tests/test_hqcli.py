@@ -530,6 +530,51 @@ def test_cli_status_refuses_a_target_file_that_does_not_load(tmp_path, capsys, c
     assert capsys.readouterr().out == message
 
 
+def test_cli_compare_refuses_a_report_it_cannot_read(tmp_path, capsys):
+    report_path = tmp_path / "missing.json"
+    code = HQ.cli_main(["compare", "--report", str(report_path)])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: [Errno 2] No such file or directory: '{report_path}'\n"
+
+
+def test_cli_deploy_refuses_a_link_file_it_cannot_read(tmp_path, capsys):
+    source, manifest = _bundle(tmp_path)
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
+    link_path = tmp_path / "missing.json"
+    code = HQ.cli_main([
+        "deploy", "--protocol", str(protocol_path),
+        "--bundle", str(source.root / "manifests" / f"{manifest.bundle_digest}.json"),
+        "--target", str(tmp_path / "vehicle"), "--link", str(link_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: [Errno 2] No such file or directory: '{link_path}'\n"
+    assert not (tmp_path / "vehicle").exists()
+
+
+def test_cli_fetch_without_a_target_or_udp_is_an_error(tmp_path, capsys):
+    code = HQ.cli_main(["fetch", "--experiment", "exp-x", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().out == "error: fetch needs --target or --udp\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_deploy_without_a_source_store_it_can_infer_is_an_error(tmp_path, capsys):
+    source, manifest = _bundle(tmp_path)
+    bundle_path = tmp_path / "bundle.json"  # not under <store>/manifests/
+    bundle_path.write_bytes(manifest.canonical_bytes())
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
+    code = HQ.cli_main([
+        "deploy", "--protocol", str(protocol_path), "--bundle", str(bundle_path), "--target", str(tmp_path / "vehicle"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        f"error: cannot infer the source store for {bundle_path}; pass --source-store\n"
+    )
+    assert not (tmp_path / "vehicle").exists()
+
+
 def test_resolve_target_reads_a_full_scenario_file(tmp_path):
     """A scenario's other sections are not the target's business: only
     data_dir is read."""

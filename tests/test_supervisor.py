@@ -738,6 +738,14 @@ def test_cesupd_fake_clock_refuses_inputs_that_do_not_load(tmp_path, capsys, bro
     assert not (tmp_path / "vehicle").exists()
 
 
+def test_cesupd_refuses_a_protocol_file_it_cannot_read(tmp_path, capsys):
+    protocol_path = tmp_path / "missing.json"
+    code = S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(tmp_path / "vehicle")])
+    assert code == 2
+    assert capsys.readouterr().out == f"error: [Errno 2] No such file or directory: '{protocol_path}'\n"
+    assert not (tmp_path / "vehicle").exists()
+
+
 @pytest.mark.udp
 @pytest.mark.slow
 def test_cesupd_realtime_over_udp(tmp_path):
