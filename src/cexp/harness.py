@@ -204,9 +204,9 @@ class NodeCpuModel:
 class StubActor:
     """One software variant under test, as a process-like task on the bus.
 
-    Exposes ``is_alive`` so the supervisor can treat it like a launched
-    process handle: alive until it crashes (at its profile's
-    ``crash_at_s``) or exits on STOP. It obeys a command only when the
+    It runs until it crashes (at its profile's ``crash_at_s``) or exits on
+    STOP; then it falls silent, and the supervisor learns of it only from
+    its missing resource reports. It obeys a command only when the
     supervisor sent it.
     """
 
@@ -219,7 +219,6 @@ class StubActor:
         self.node = node
         self.degrade_level = 0
         self.running = True
-        self.alive = True
         self.frames_processed = 0
         self._credit = 0.0
         self._rng = random.Random(profile.seed)
@@ -228,11 +227,8 @@ class StubActor:
         lam = profile.false_positive_rate_per_frame
         self._fp_exp_neg_lam = math.exp(-lam) if lam > 0.0 else None
 
-    def is_alive(self) -> bool:
-        return self.alive
-
     def demand_pct(self) -> float:
-        if not (self.alive and self.running):
+        if not self.running:
             return 0.0
         return self.profile.cpu_burn_pct * (0.5 ** self.degrade_level)
 
@@ -242,7 +238,6 @@ class StubActor:
             scheduler.call_at(int(self.profile.crash_at_s * 1_000_000), self.crash)
 
     def crash(self) -> None:
-        self.alive = False
         self.running = False
 
     def _on_message(self, received: Received) -> None:
@@ -257,17 +252,15 @@ class StubActor:
             self._on_command(msg)
 
     def _on_command(self, msg: Command) -> None:
-        if not (self.alive and self.running):
+        if not self.running:
             return
         if msg.command is CommandKind.DEGRADE:
             self.degrade_level = max(self.degrade_level, msg.degrade_level)
         elif msg.command is CommandKind.STOP:
-            # clean exit: stop processing and let the handle read as gone
-            self.running = False
-            self.alive = False
+            self.running = False  # clean exit
 
     def _on_frame(self, frame: SensorFrame) -> None:
-        if not (self.alive and self.running):
+        if not self.running:
             return
         if frame.frame_id % (1 << self.degrade_level) != 0:
             return  # degraded: process every 2^level-th frame
@@ -285,7 +278,7 @@ class StubActor:
         self._sender.send(ModuleOutput(frame.frame_id, self.variant_id, min(detected, 0xFFFF), latency_us))
 
     def report_resources(self) -> None:
-        if not (self.alive and self.running):
+        if not self.running:
             return
         cpu_pct = self.node.share_pct(self.variant_id)
         self._sender.send(ResourceReport(self.variant_id, cpu_pct, self.profile.mem_mb))
@@ -556,14 +549,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
         uplink = OtaUplink(scenario.uplink.link, seed=scenario.uplink.seed, hq_dir=root / "hq")
 
     sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
-    sup = Supervisor(
-        protocol,
-        clock,
-        root / "data",
-        sender,
-        handles={vid: stub for vid, stub in stubs.items()},
-        uplink=uplink,
-    )
+    sup = Supervisor(protocol, clock, root / "data", sender, uplink=uplink)
     scheduler = Scheduler(
         clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock, sup.refresh_status)
     )

@@ -18,6 +18,11 @@ each further escalation requires the violation to persist through
 ``degrade_grace_samples`` more received samples; a sustained violation at
 maximum degrade level (2) once the grace has passed earns STOP. The
 production variant is monitored for reporting but never commanded.
+
+Liveness is read off the same stream: a running variant whose last
+resource report is more than ``LIVENESS_MISSED_SAMPLES`` sample periods
+old at a tick is declared lost (``CRASHED``), the heartbeat-timeout
+failure detector ``harness.FailoverMonitor`` applies to the primary node.
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ MAX_DEGRADE_LEVEL = 2
 CHUNK_BYTES = 4096
 CHUNK_RETRY_BUDGET = 5  # retransmissions allowed per chunk after the first send
 STATUS_EVENTS = 10  # events kept for status.json's last_events
+# sample periods of silence a running variant may show before a tick
+# declares it lost; the default of the node's heartbeat miss_threshold
+LIVENESS_MISSED_SAMPLES = 3
 # frames whose ground truth is kept for scoring module outputs: about 10 s
 # at the replayer's top rate. An output for an older frame scores gt = 0,
 # like one for a frame never seen. On loopback an output arrives within its
@@ -109,12 +117,12 @@ class VariantRunState:
 
     variant_id: str
     role: Role
-    handle: Optional[Any] = None  # anything with is_alive() -> bool
     degrade_level: int = 0
     running: bool = True
     final_status: str = STATUS_RUNNING
     violating_span: int = 0  # the last verdict's, capped at the window length
     samples_since_command: Optional[int] = None
+    last_report_us: int = 0  # supervisor clock at begin, then at each report handled
     violations: int = 0
     commands: list = field(default_factory=list)
     frames_processed: int = 0
@@ -332,7 +340,6 @@ class Supervisor:
         clock: Clock,
         data_dir: Path | str,
         sender: Sender,
-        handles: Optional[dict[str, Any]] = None,
         uplink: Optional[OtaUplink] = None,
     ) -> None:
         self.protocol = protocol
@@ -355,16 +362,12 @@ class Supervisor:
         self._variant_logs: dict[str, Any] = {}
         # frame_id -> ground truth of the last GROUND_TRUTH_WINDOW frames, oldest first
         self._ground_truth: OrderedDict[int, int] = OrderedDict()
-        handles = handles or {}
         # the resource window: the trailing samples a verdict looks at
         self._window_samples = protocol.sustain_samples + protocol.degrade_grace_samples
+        self._liveness_us = LIVENESS_MISSED_SAMPLES * protocol.sample_period_ms * 1000
         self.variants: dict[str, VariantRunState] = {}
         for spec in protocol.variants:
-            self.variants[spec.variant_id] = VariantRunState(
-                variant_id=spec.variant_id,
-                role=spec.role,
-                handle=handles.get(spec.variant_id),
-            )
+            self.variants[spec.variant_id] = VariantRunState(variant_id=spec.variant_id, role=spec.role)
             self._variant_logs[spec.variant_id] = open(
                 self.log_dir / f"{spec.variant_id}.jsonl", "w", encoding="utf-8"
             )
@@ -374,6 +377,8 @@ class Supervisor:
 
     def begin(self) -> None:
         self.started_at_us = self.clock.now_us()
+        for state in self.variants.values():
+            state.last_report_us = self.started_at_us
         self._transition(ExperimentEvent.DEPLOY_OK)
         self._transition(ExperimentEvent.START)
         self._last_upload_us = self.started_at_us
@@ -458,6 +463,7 @@ class Supervisor:
         state = self.variants.get(msg.variant_id)
         if state is None or not state.running:
             return
+        state.last_report_us = self.clock.now_us()
         if state.samples_since_command is not None:
             state.samples_since_command += 1
         state.cpu_sum += msg.cpu_pct
@@ -517,9 +523,10 @@ class Supervisor:
             self._maybe_abort()
 
     def _maybe_abort(self) -> None:
-        """The experiment aborts when enforcement has stopped the last
-        running experimental variant. Collection continues to the end of
-        the duration budget so production statistics stay comparable."""
+        """The experiment aborts once no experimental variant runs and
+        enforcement stopped at least one of them, whether a STOP or a loss
+        ended the last one. Collection continues to the end of the
+        duration budget so production statistics stay comparable."""
         experimental = [v for v in self.variants.values() if v.role is Role.EXPERIMENTAL]
         if not experimental:
             return
@@ -535,11 +542,13 @@ class Supervisor:
     def tick(self) -> None:
         if self.done:
             return
+        now = self.clock.now_us()
         for state in self.variants.values():
-            if state.running and state.handle is not None and not state.handle.is_alive():
+            if state.running and now - state.last_report_us > self._liveness_us:
                 state.running = False
                 state.final_status = STATUS_CRASHED
                 self._log("launch_lost", variant_id=state.variant_id)
+                self._maybe_abort()
         self._maybe_periodic_upload()
 
     def _maybe_periodic_upload(self) -> None:

@@ -45,6 +45,8 @@ def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
         "wirebus.send",
         "resmon.evaluate",
         "supervisor.handle",
+        "supervisor.tick",
+        "supervisor.finish",
         "harness.stub",
     ):
         assert tracer.calls[name] > 0, name

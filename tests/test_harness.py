@@ -263,7 +263,7 @@ def test_stop_command_exits_cleanly():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, stub, outputs, feeder = _stub_world(profile)
     _command(feeder, "expA", CommandKind.STOP)
-    assert not stub.is_alive()
+    assert not stub.running
     _feed_frames(feeder, 0, 10)
     assert outputs == []
 
@@ -272,7 +272,7 @@ def test_commands_for_other_variants_are_ignored():
     profile = H.StubProfile("expA", true_positive_rate=1.0, false_positive_rate_per_frame=0.0, cpu_burn_pct=10, seed=1)
     _, _, _, stub, _, feeder = _stub_world(profile)
     _command(feeder, "expB", CommandKind.STOP)
-    assert stub.is_alive()
+    assert stub.running
 
 
 @pytest.mark.parametrize("kind, level", [(CommandKind.STOP, 0), (CommandKind.DEGRADE, 2)], ids=["stop", "degrade"])
@@ -281,7 +281,7 @@ def test_commands_from_anyone_but_the_supervisor_are_ignored(kind, level):
     _, _, _, stub, outputs, feeder = _stub_world(profile)
     _command(feeder, "prod", kind, level, sender_id=4242)
     _feed_frames(feeder, 0, 4)
-    assert stub.is_alive() and stub.running and stub.degrade_level == 0
+    assert stub.running and stub.degrade_level == 0
     assert len(outputs) == 4
 
 
@@ -585,6 +585,23 @@ def test_crash_scenario_marks_variant_crashed(tmp_path):
     assert outcome.ok, outcome.failures
     assert outcome.report.variant("expA").final_status == "CRASHED"
     assert outcome.report.variant("expA").frames_processed < 50
+
+
+@pytest.mark.parametrize("crash_at_s", [1.0, 20.0], ids=["before-stop", "after-stop"])
+def test_final_state_does_not_depend_on_when_a_crash_is_detected(tmp_path, crash_at_s):
+    # enforcement STOPs expA at 3.5 s; expB crashes before or after that,
+    # and either way no experimental variant is left running
+    scenario = make_hostile_scenario()
+    scenario["protocol"]["variants"] = make_protocol_doc()["variants"]
+    scenario["protocol"]["max_concurrent_experiments"] = 2
+    scenario["stubs"].append(
+        {"variant_id": "expB", "true_positive_rate": 0.68, "cpu_burn_pct": 5, "seed": 13, "crash_at_s": crash_at_s}
+    )
+    outcome = H.run_scenario(H.scenario_from_object(scenario), data_dir=tmp_path)
+    assert outcome.ok, outcome.failures
+    assert [c["t_us"] for c in outcome.report.variant("expA").commands_received][-1] == 3_500_000
+    assert outcome.report.variant("expB").final_status == "CRASHED"
+    assert outcome.report.final_state == "ABORTED"
 
 
 def test_scenario_with_uplink_delivers_report_to_hq(tmp_path):

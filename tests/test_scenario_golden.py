@@ -51,6 +51,17 @@ GOLDEN = {
         "data/exp-hostile/report.json": "97ba8f07490d54ad1140b61928a6eaed7f22e913c607178624e53ff6e9b50310",
         "data/exp-hostile/status.json": "4201eecb9e4dc7f01600391914ec84bbdaa315937c9331a5ac8988ed32095efd",
     },
+    # ab_500 with expA crashing at 5 s: it falls silent, and the supervisor
+    # declares it lost once its last resource report is over 3 periods old
+    "silent_crash": {
+        "data/exp-ab-500/events.jsonl": "f6aa50391fd39e8eb77cc06d046a90f15a634017dba34111d8568f6fd2d7f53d",
+        "data/exp-ab-500/logs/expA.jsonl": "55dfe20cc11975a8aa896d88b0c70f02b2abda84a1bc8195967616fb02db9e97",
+        "data/exp-ab-500/logs/expB.jsonl": "5a6ee185484993760b84ca0ef8aa2a65ea8edacc2fdd5ae2967d4bd14e9c233b",
+        "data/exp-ab-500/logs/prod.jsonl": "7e180f58accbdf181622b981962f3b688d72be8ab78f9cb0efb1fd0415cbe376",
+        "data/exp-ab-500/report.json": "0613d03631beb50350d6d1e95fe8e56b33cacaf3915f415135bc680cd286b9da",
+        "data/exp-ab-500/status.json": "349dce2142ef98ad82e5f62d0b28070378030006cc9327d7098084dee3c6e81e",
+        "hq/exp-ab-500/report.json": "0613d03631beb50350d6d1e95fe8e56b33cacaf3915f415135bc680cd286b9da",
+    },
 }
 
 

@@ -98,17 +98,10 @@ def test_full_ladder_walk():
 # -- scripted deterministic runs ---------------------------------------------------
 
 
-class FakeHandle:
-    def __init__(self):
-        self.alive = True
-
-    def is_alive(self):
-        return self.alive
-
-
 class ScriptedSource:
     """Publishes a scripted per-period resource trace (and optional module
-    outputs) for one variant, standing in for a launched process."""
+    outputs) for one variant, standing in for a launched process. A
+    ``None`` in the trace is a period with no report."""
 
     def __init__(self, bus, clock, variant_id, sender_id, cpu_trace, period_us, mem_mb=100.0):
         self.variant_id = variant_id
@@ -120,10 +113,8 @@ class ScriptedSource:
     def start(self, scheduler):
         t0 = scheduler.clock.now_us()
         for k, cpu in enumerate(self.cpu_trace):
-            scheduler.call_at(
-                t0 + (k + 1) * self.period_us,
-                self._make_report(float(cpu)),
-            )
+            if cpu is not None:
+                scheduler.call_at(t0 + (k + 1) * self.period_us, self._make_report(float(cpu)))
 
     def _make_report(self, cpu):
         def publish():
@@ -138,16 +129,14 @@ def logged_events(sup):
     return [json.loads(line) for line in lines]
 
 
-def drive_run(
-    protocol, traces, tmp_path, handles=None, uplink=None, outputs=None, probes=(), refresh_status=False
-):
+def drive_run(protocol, traces, tmp_path, uplink=None, outputs=None, probes=(), refresh_status=False):
     """Run a scripted supervisor world to completion; returns (report, bus, sup).
     With ``refresh_status`` the idle step refreshes status.json before it
     advances the clock to each event, as a run that waits on wall time does."""
     clock = FakeClock(0)
     bus = RecordingBus()
     sender = Sender(bus, S.SUPERVISOR_SENDER_ID, clock)
-    sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", sender, handles=handles, uplink=uplink)
+    sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", sender, uplink=uplink)
 
     def idle(t_us):
         sup.refresh_status()
@@ -284,24 +273,39 @@ def test_two_identical_runs_yield_byte_identical_reports(tmp_path):
 
 def test_crashed_variant_is_recorded_and_run_continues(tmp_path):
     protocol = two_variant_protocol()
-    handle = FakeHandle()
-
-    def kill():
-        handle.alive = False
-
-    report, _, sup = drive_run(
-        protocol,
-        {"prod": [30] * 19, "expA": [25] * 8},
-        tmp_path,
-        handles={"expA": handle},
-        probes=[(4_100_000, kill)],
-    )
+    # expA's last report is at 4.0 s; ticks come every 500 ms, and 5.5 s
+    # is exactly 3 periods of silence, so 6.0 s is the first stale tick
+    report, _, sup = drive_run(protocol, {"prod": [30] * 19, "expA": [25] * 8}, tmp_path)
     exp = report.variant("expA")
     assert exp.final_status == "CRASHED"
     assert report.variant("prod").final_status == "COMPLETED"
     # a crash is not an enforcement abort: the experiment still completes
     assert report.final_state == "COMPLETED"
-    assert any(e["kind"] == "launch_lost" for e in logged_events(sup))
+    lost = [e for e in logged_events(sup) if e["kind"] == "launch_lost"]
+    assert lost == [{"t_us": 6_000_000, "kind": "launch_lost", "variant_id": "expA"}]
+
+
+@pytest.mark.parametrize("missed, status", [(3, "COMPLETED"), (4, "CRASHED")])
+def test_a_variant_is_lost_after_more_than_three_silent_periods(tmp_path, missed, status):
+    # reports at 0.5..2.0 s, then ``missed`` absent ones. With 3 missed the
+    # tick at 3.5 s sees exactly 3 periods of silence, which is not lost,
+    # and the 4.0 s report lands before that time's tick; with 4 missed
+    # the tick at 4.0 s sees 4 periods
+    protocol = two_variant_protocol()
+    trace = [25] * 4 + [None] * missed + [25] * (15 - missed)
+    report, _, sup = drive_run(protocol, {"prod": [30] * 19, "expA": trace}, tmp_path)
+    assert report.variant("expA").final_status == status
+    lost = [e["t_us"] for e in logged_events(sup) if e["kind"] == "launch_lost"]
+    assert lost == ([4_000_000] if status == "CRASHED" else [])
+
+
+def test_a_variant_that_never_reports_is_lost(tmp_path):
+    # the clock starts at begin: silent from the start reads as lost at
+    # the first tick more than 3 periods in
+    protocol = two_variant_protocol()
+    report, _, sup = drive_run(protocol, {"prod": [30] * 19}, tmp_path)
+    assert report.variant("expA").final_status == "CRASHED"
+    assert [e["t_us"] for e in logged_events(sup) if e["kind"] == "launch_lost"] == [2_000_000]
 
 
 def test_report_roundtrips_through_json(tmp_path):
@@ -798,9 +802,14 @@ def test_cesupd_realtime_over_udp(tmp_path):
     publisher.join()
     exp = report.variant("expA")
     assert exp.mean_cpu_pct == pytest.approx(95.0)
-    commands = [c["command"] for c in exp.commands_received]
-    assert commands[:1] == ["DEGRADE"]
-    assert report.variant("prod").commands_received == ()
+    assert [(c["command"], c["degrade_level"]) for c in exp.commands_received] == [
+        ("DEGRADE", 1), ("DEGRADE", 2), ("STOP", 0),
+    ]
+    assert exp.final_status == "ABORTED"
+    # prod publishes nothing: the daemon reads that silence as a crash
+    prod = report.variant("prod")
+    assert prod.final_status == "CRASHED"
+    assert prod.commands_received == ()
     assert polled in (["DEGRADED"], ["ABORTED"])
 
 
