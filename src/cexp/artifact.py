@@ -485,15 +485,20 @@ def fetch_bundle(
 
     Only layers missing locally are moved (``plan_delta``); completion time
     comes from the bulk ``transfer`` model. A layer that does not hash to
-    its digest raises ``DigestMismatch`` and is not stored; layers stored
-    before it stay.
+    its digest raises ``DigestMismatch`` and is not stored, and a layer
+    ``source`` lacks raises ``ArtifactError`` naming its digest; layers
+    stored before either stay.
     """
     # probe only the manifest's layers: the store may hold many others
     local = {ref.digest for ref in manifest.layers if local_store.has(ref.digest)}
     plan, total = plan_delta(manifest, local)
     completed_t = transfer(total, link, start_t)
     for ref in plan:
-        local_store.put(source.get(ref.digest), expected_digest=ref.digest)
+        try:
+            payload = source.get(ref.digest)
+        except KeyError:
+            raise ArtifactError(f"source store {source.root} lacks layer {ref.digest}") from None
+        local_store.put(payload, expected_digest=ref.digest)
     local_store.put_manifest(manifest)
     return TransferRecord(
         bytes_moved=total,

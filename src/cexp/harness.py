@@ -40,13 +40,7 @@ from typing import Any, Callable, Optional
 from .artifact import LinkProfile, SchemaError, open_outages, record_fields, record_from_object
 from .clock import FakeClock, Scheduler
 from .protocol import ExperimentationProtocol, Role, parse_protocol
-from .supervisor import (
-    ExperimentReport,
-    OtaUplink,
-    Supervisor,
-    SUPERVISOR_SENDER_ID,
-    report_from_json,
-)
+from .supervisor import ExperimentReport, OtaUplink, Supervisor, SUPERVISOR_SENDER_ID
 from .wirebus import (
     Command,
     CommandKind,
@@ -206,8 +200,9 @@ class StubActor:
 
     It runs until it crashes (at its profile's ``crash_at_s``) or exits on
     STOP; then it falls silent, and the supervisor learns of it only from
-    its missing resource reports. It obeys a command only when the
-    supervisor sent it.
+    its missing resource reports. It listens on the bus it is built on and
+    obeys a command only when it carries the supervisor's fixed sender id,
+    ``SUPERVISOR_SENDER_ID``.
     """
 
     def __init__(
@@ -219,7 +214,6 @@ class StubActor:
         self.node = node
         self.degrade_level = 0
         self.running = True
-        self.frames_processed = 0
         self._credit = 0.0
         self._rng = random.Random(profile.seed)
         self._sender = Sender(bus, sender_id, clock)
@@ -232,8 +226,8 @@ class StubActor:
             return 0.0
         return self.profile.cpu_burn_pct * (0.5 ** self.degrade_level)
 
-    def start(self, bus: LoopbackBus, scheduler: Scheduler) -> None:
-        bus.subscribe(types={MsgType.SENSOR_FRAME, MsgType.COMMAND}, callback=self._on_message)
+    def start(self, scheduler: Scheduler) -> None:
+        self._sender.bus.subscribe(types={MsgType.SENSOR_FRAME, MsgType.COMMAND}, callback=self._on_message)
         if self.profile.crash_at_s is not None:
             scheduler.call_at(int(self.profile.crash_at_s * 1_000_000), self.crash)
 
@@ -272,7 +266,6 @@ class StubActor:
         detected = sample_binomial(rng, frame.ground_truth_count, self.profile.true_positive_rate)
         if self._fp_exp_neg_lam is not None:
             detected += sample_poisson(rng, self._fp_exp_neg_lam)
-        self.frames_processed += 1
         # randrange(a, b + 1) draws the stream randint(a, b) does, one call shallower
         latency_us = rng.randrange(15_000, 45_001)
         self._sender.send(ModuleOutput(frame.frame_id, self.variant_id, min(detected, 0xFFFF), latency_us))
@@ -316,7 +309,6 @@ class HeartbeatEmitter:
         silence_s = node.silence_primary_at_s
         self.silence_at_us = None if silence_s is None else int(silence_s * 1_000_000)
         self.silenced = False
-        self.beats_sent = 0
         self._started_us = 0
         self._sender = Sender(bus, PRIMARY_NODE_SENDER_ID, clock)
         self._clock = clock
@@ -332,7 +324,6 @@ class HeartbeatEmitter:
                 self._sender.send(
                     Heartbeat(node_id=PRIMARY_NODE_ID, uptime_s=(now - self._started_us) // 1_000_000)
                 )
-                self.beats_sent += 1
             scheduler.call_after(self.period_us, beat)
 
         beat()  # first beat immediately, then every period
@@ -548,15 +539,14 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     if scenario.uplink is not None:
         uplink = OtaUplink(scenario.uplink.link, seed=scenario.uplink.seed, hq_dir=root / "hq")
 
-    sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
-    sup = Supervisor(protocol, clock, root / "data", sender, uplink=uplink)
+    sup = Supervisor(protocol, clock, root / "data", bus, uplink=uplink)
     scheduler = Scheduler(
         clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock, sup.refresh_status)
     )
 
     # the supervisor subscribes first: on a frame's synchronous fan-out it
     # must record the ground truth before any stub's output comes back in
-    sup.schedule(scheduler, bus)
+    sup.schedule(scheduler)
 
     SensorReplayer(bus, clock, scenario.frames).start(scheduler)
     heartbeat = HeartbeatEmitter(bus, clock, scenario.node)
@@ -565,7 +555,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     monitor.attach(bus, scheduler, on_restart=lambda: heartbeat.restart(scheduler))
 
     for stub in stubs.values():
-        stub.start(bus, scheduler)  # which also schedules the stub's crash
+        stub.start(scheduler)  # which also schedules the stub's crash
 
     # the production-protection audit, counted off the wire as commands go out
     production_id = next(v.variant_id for v in protocol.variants if v.role is Role.PRODUCTION)
@@ -592,11 +582,9 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     # the supervisor finishes at its end_us, one sample period before this horizon
     scheduler.run_until(protocol.max_duration_s * 1_000_000 + period_us)
 
-    report_path = root / "data" / protocol.experiment_id / "report.json"
-    report = report_from_json(report_path.read_text("utf-8"))
-
+    report = sup.report
     if monitor.restart_events:
-        failover_path = root / "data" / protocol.experiment_id / "failover.jsonl"
+        failover_path = sup.run_dir / "failover.jsonl"
         with open(failover_path, "w", encoding="utf-8") as fh:
             for event in monitor.restart_events:
                 fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
@@ -610,7 +598,7 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
     failures = check_expectations(scenario, report, commands_to_production, restart_count, decision)
     return ScenarioOutcome(
         report=report,
-        report_path=report_path,
+        report_path=sup.run_dir / "report.json",
         bus=bus,
         restart_events=monitor.restart_events,
         failures=failures,

@@ -24,6 +24,7 @@ from typing import Any, Optional
 
 from .artifact import (
     BUILD_S,
+    ArtifactError,
     DatagramLink,
     INTEGRATION_S,
     LayerStore,
@@ -217,9 +218,9 @@ def status(
     experiment_id: Optional[str] = None,
     link: LinkProfile = LinkProfile(),
     at_s: float = 0.0,
-    last_n: int = 10,
 ) -> dict:
-    """Read-only view of experiment state plus the last few events."""
+    """Read-only view of experiment state plus the last events, the at
+    most ``STATUS_EVENTS`` that status.json holds."""
     _require_reachable(link, seed=0, at_s=at_s)
     data_dir = Path(vehicle_root) / "data"
     if not data_dir.is_dir():
@@ -238,7 +239,7 @@ def status(
         "experiment_id": obj["experiment_id"],
         "state": obj["state"],
         "t_us": obj["t_us"],
-        "last_events": obj["last_events"][-last_n:],
+        "last_events": obj["last_events"],
     }
 
 
@@ -463,8 +464,9 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             else:
                 _print_decision(decision)
             return 0
-    # ValueError: an input that does not load or a missing option; OSError: a file that cannot be read
-    except (Unreachable, IncompleteReport, ValueError, OSError) as exc:
+    # ValueError: an input that does not load or a missing option; OSError: a file that cannot be read;
+    # ArtifactError: a deploy the link, the source store or the vehicle's store cannot complete
+    except (Unreachable, IncompleteReport, ArtifactError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
     return 1

@@ -192,11 +192,11 @@ def sandbox_line(t_us: int, frame_id: int, detected_count: int, ground_truth_cou
     )
 
 
-def chunk_payloads(data: bytes, chunk_bytes: int = CHUNK_BYTES) -> list[bytes]:
-    """Split into ceil(len/chunk_bytes) chunks; empty data is one empty chunk."""
+def chunk_payloads(data: bytes) -> list[bytes]:
+    """Split into ceil(len/CHUNK_BYTES) chunks; empty data is one empty chunk."""
     if not data:
         return [b""]
-    return [data[i : i + chunk_bytes] for i in range(0, len(data), chunk_bytes)]
+    return [data[i : i + CHUNK_BYTES] for i in range(0, len(data), CHUNK_BYTES)]
 
 
 class ChunkCollector:
@@ -321,11 +321,13 @@ class OtaUplink:
 
 
 class Supervisor:
-    """Drives one experiment run. Transport- and scheduler-agnostic:
-    feed decoded bus traffic to ``handle``, call ``tick`` once per sample
-    period, and ``finish`` at the end of the duration budget.
-    ``Supervisor.schedule`` wires those onto a scheduler and a bus, the
-    same way for the loopback hub and for a UDP endpoint.
+    """Drives one experiment run. It is built on a bus, the loopback hub
+    or a UDP endpoint, and publishes its commands there under the fixed
+    ``SUPERVISOR_SENDER_ID``, the only sender a variant obeys. Feed
+    decoded bus traffic to ``handle``, call ``tick`` once per sample
+    period, and ``finish`` at the end of the duration budget; or let
+    ``schedule`` wire those onto a scheduler and the bus. ``finish``
+    keeps the report it wrote as ``report``, which is None until then.
 
     ``status.json`` is written at ``begin`` and ``finish``. In between,
     an idle step that waits on wall time calls ``refresh_status`` first;
@@ -339,15 +341,15 @@ class Supervisor:
         protocol: ExperimentationProtocol,
         clock: Clock,
         data_dir: Path | str,
-        sender: Sender,
+        bus: LoopbackBus | UdpMulticastBus,
         uplink: Optional[OtaUplink] = None,
     ) -> None:
         self.protocol = protocol
         self.clock = clock
-        self.sender = sender
+        self.sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
         self.uplink = uplink
         self.state = ExperimentState.PENDING
-        self.done = False
+        self.report: Optional[ExperimentReport] = None
         self.started_at_us = 0
         self.ended_at_us = 0
         self.run_dir = Path(data_dir) / protocol.experiment_id
@@ -408,7 +410,7 @@ class Supervisor:
         """Rewrite status.json, unless neither the state nor the event log
         changed since the last write. A no-op once the run is finished: the
         final status is the one ``finish`` wrote."""
-        if self.done or (self.state, self._events_logged) == self._status_written:
+        if self.report is not None or (self.state, self._events_logged) == self._status_written:
             return
         self._write_status()
 
@@ -428,9 +430,9 @@ class Supervisor:
     # -- bus traffic -------------------------------------------------------
 
     def handle(self, received: Received) -> None:
-        if self.done:
+        if self.report is not None:
             return
-        if received.envelope.sender_id == self.sender.sender_id:
+        if received.envelope.sender_id == SUPERVISOR_SENDER_ID:
             return  # own traffic
         msg = received.message
         kind = type(msg)  # module outputs are the bulk of the traffic: tested first
@@ -540,7 +542,7 @@ class Supervisor:
     # -- timer -------------------------------------------------------------
 
     def tick(self) -> None:
-        if self.done:
+        if self.report is not None:
             return
         now = self.clock.now_us()
         for state in self.variants.values():
@@ -569,21 +571,26 @@ class Supervisor:
                 for v in self.variants.values()
             },
         }
-        payload = (json.dumps(snapshot, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        self._uplink("snapshot", (json.dumps(snapshot, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+    def _uplink(self, stage: str, payload: bytes) -> None:
+        """Send ``payload`` to HQ as ``<stage>.json`` and log the outcome. A
+        failed send leaves the local copy in run_dir for a later retry."""
+        t_s = (self.clock.now_us() - self.started_at_us) / 1e6
         try:
-            record = self.uplink.send(
-                self.protocol.experiment_id, payload, t_s=(now - self.started_at_us) / 1e6, label="snapshot"
-            )
-            self._log("uplink_snapshot", **record_fields(record))
+            record = self.uplink.send(self.protocol.experiment_id, payload, t_s=t_s, label=stage)
         except UplinkFailed as exc:
-            self._log("uplink_failed", stage="snapshot", reason=str(exc))
+            self._log("uplink_failed", stage=stage, reason=str(exc))
+            return
+        self._log(f"uplink_{stage}", **record_fields(record))
 
     # -- termination -------------------------------------------------------
 
     def finish(self) -> ExperimentReport:
         """Terminal transition (duration elapsed counts as a normal end),
-        report write, and AT_END uplink. Idempotent via ``done``."""
-        if self.done:
+        report write, and AT_END uplink. The report is kept as ``report``;
+        a second call raises."""
+        if self.report is not None:
             raise RuntimeError("run already finished")
         self.ended_at_us = self.clock.now_us()
         if self.state in (ExperimentState.RUNNING, ExperimentState.DEGRADED):
@@ -597,17 +604,8 @@ class Supervisor:
         _atomic_write(self.run_dir / "report.json", report_bytes)
         self._write_status()
         if self.uplink is not None:
-            try:
-                record = self.uplink.send(
-                    self.protocol.experiment_id,
-                    report_bytes,
-                    t_s=(self.ended_at_us - self.started_at_us) / 1e6,
-                )
-                self._log("uplink_report", **record_fields(record))
-            except UplinkFailed as exc:
-                # report stays in run_dir for a later retry
-                self._log("uplink_failed", stage="report", reason=str(exc))
-        self.done = True
+            self._uplink("report", report_bytes)
+        self.report = report
         self._events_fh.close()
         for fh in self._variant_logs.values():
             fh.close()
@@ -650,21 +648,21 @@ class Supervisor:
 
     # -- wiring ------------------------------------------------------------
 
-    def schedule(self, scheduler: Scheduler, bus: LoopbackBus | UdpMulticastBus) -> None:
-        """Attach to a bus and a scheduler: subscribe the message stream,
-        tick every sample period, finish when the duration budget
-        elapses."""
+    def schedule(self, scheduler: Scheduler) -> None:
+        """Attach to a scheduler: subscribe the message stream on the
+        supervisor's bus, tick every sample period, finish when the
+        duration budget elapses."""
         self.begin()
-        bus.subscribe(
+        self.sender.bus.subscribe(
             types={MsgType.SENSOR_FRAME, MsgType.MODULE_OUTPUT, MsgType.RESOURCE_REPORT},
             callback=self.handle,
         )
         period_us = self.protocol.sample_period_ms * 1000
         end_us = self.started_at_us + self.protocol.max_duration_s * 1_000_000
-        scheduler.call_at(end_us, lambda: None if self.done else self.finish())
+        scheduler.call_at(end_us, lambda: None if self.report is not None else self.finish())
 
         def tick() -> None:
-            if self.done:
+            if self.report is not None:
                 return
             self.tick()
             scheduler.call_after(period_us, tick)
@@ -679,16 +677,16 @@ def run_realtime(
     events the loop refreshes status.json, then waits on the socket and
     delivers what arrives."""
     clock = WallClock()
-    sup = Supervisor(protocol, clock, data_dir, Sender(bus, SUPERVISOR_SENDER_ID, clock))
+    sup = Supervisor(protocol, clock, data_dir, bus)
 
     def idle(t_us: int) -> None:
         sup.refresh_status()
         bus.deliver_until(clock, t_us)
 
     scheduler = Scheduler(clock, idle=idle)
-    sup.schedule(scheduler, bus)
+    sup.schedule(scheduler)
     scheduler.run_until(sup.started_at_us + protocol.max_duration_s * 1_000_000)
-    return report_from_json((sup.run_dir / "report.json").read_text("utf-8"))
+    return sup.report
 
 
 def cli_main(argv: Optional[list[str]] = None) -> int:

@@ -471,7 +471,7 @@ class UdpMulticastBus(_Router):
     reader per endpoint; wider sharing needs external serialization.
     """
 
-    def __init__(self, group: str = DEFAULT_GROUP, port: int = DEFAULT_PORT, *, loop: bool = True) -> None:
+    def __init__(self, group: str = DEFAULT_GROUP, port: int = DEFAULT_PORT) -> None:
         super().__init__()
         self.group = group
         self.port = port
@@ -482,7 +482,8 @@ class UdpMulticastBus(_Router):
                 self._sock.bind(("", port))
                 membership = socket.inet_aton(group) + socket.inet_aton("0.0.0.0")
                 self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, membership)
-                self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1 if loop else 0)
+                # endpoints on one host, as on the desk testbed, hear each other
+                self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
                 self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
             except OSError:
                 self._sock.close()

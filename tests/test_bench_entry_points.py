@@ -11,7 +11,7 @@ from pathlib import Path
 from cexp import hqcli, resmon, supervisor
 from cexp.artifact import LayerStore, LinkProfile, manifest_for_layers
 from cexp.harness import run_scenario, scenario_from_object
-from conftest import make_hostile_scenario, make_protocol_doc
+from conftest import make_ab_scenario, make_hostile_scenario, make_protocol_doc
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -52,6 +52,21 @@ def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["resmon.sustained_verdicts"] > 0
     assert tracer.counts["harness.frames.processed"] > 0
+
+
+def test_a_traced_run_with_a_periodic_uplink_calls_each_uplink_entry_point(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    protocol = make_protocol_doc(experiment_id="exp-periodic", max_duration_s=25, upload_policy={"PERIODIC": 10})
+    scenario = scenario_from_object(make_ab_scenario(protocol=protocol, uplink={"seed": 3}))
+    with spans.instrument(tracer):
+        run_scenario(scenario, data_dir=tmp_path)
+    # snapshots at 10 s and 20 s, then the report
+    assert tracer.calls["supervisor.uplink.send"] == 3
+    assert tracer.calls["supervisor.uplink_report"] == 3
+    assert tracer.counts["supervisor.uplink.chunks"] > 0
+    assert tracer.counts["supervisor.uplink.datagrams"] >= tracer.counts["supervisor.uplink.chunks"]
+    assert sorted(p.name for p in (tmp_path / "hq" / "exp-periodic").iterdir()) == ["report.json", "snapshot.json"]
 
 
 def test_a_traced_pair_of_deploys_calls_each_artifact_entry_point(tmp_path):

@@ -13,12 +13,7 @@ from cexp import artifact as A
 from cexp import hqcli as HQ
 from cexp.clock import FakeClock, Scheduler
 from cexp.protocol import parse_protocol
-from cexp.supervisor import (
-    SUPERVISOR_SENDER_ID,
-    ExperimentReport,
-    Supervisor,
-    VariantResult,
-)
+from cexp.supervisor import ExperimentReport, Supervisor, VariantResult
 from cexp.wirebus import LoopbackBus, ResourceReport, Sender
 from conftest import layer_digests, make_ab_scenario, make_protocol_doc
 
@@ -242,8 +237,8 @@ def _finished_vehicle(tmp_path) -> tuple[Path, str]:
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    sup = Supervisor(protocol, clock, tmp_path / "data", Sender(bus, SUPERVISOR_SENDER_ID, clock))
-    sup.schedule(scheduler, bus)
+    sup = Supervisor(protocol, clock, tmp_path / "data", bus)
+    sup.schedule(scheduler)
     reporter = Sender(bus, 50, clock)
     for k in range(1, 9):
         scheduler.call_at(
@@ -251,8 +246,7 @@ def _finished_vehicle(tmp_path) -> tuple[Path, str]:
             lambda: reporter.send(ResourceReport(variant_id="expA", cpu_pct=25.0, mem_mb=90.0)),
         )
     scheduler.run_until(6_000_000)
-    if not sup.done:
-        sup.finish()
+    assert sup.report is not None
     return tmp_path, protocol.experiment_id
 
 
@@ -278,14 +272,14 @@ def test_status_during_running_experiment(tmp_path):
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    sup = Supervisor(protocol, clock, tmp_path / "data", Sender(bus, SUPERVISOR_SENDER_ID, clock))
-    sup.schedule(scheduler, bus)
+    sup = Supervisor(protocol, clock, tmp_path / "data", bus)
+    sup.schedule(scheduler)
     seen = []
     scheduler.call_at(
         2_600_000, lambda: seen.append(HQ.status(tmp_path, experiment_id=protocol.experiment_id))
     )
     scheduler.run_until(6_000_000)
-    assert sup.done
+    assert sup.report is not None
     assert seen[0]["state"] == "RUNNING"
 
 
@@ -573,6 +567,56 @@ def test_cli_deploy_without_a_source_store_it_can_infer_is_an_error(tmp_path, ca
         f"error: cannot infer the source store for {bundle_path}; pass --source-store\n"
     )
     assert not (tmp_path / "vehicle").exists()
+
+
+def _cli_deploy_fails(tmp_path, capsys, bundle_paths, *extra) -> str:
+    """Run ``cectl deploy`` of ``make_protocol_doc()`` with ``bundle_paths``;
+    assert that it exits 2 without deploying the protocol, and return its
+    error line."""
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
+    bundles = [arg for path in bundle_paths for arg in ("--bundle", str(path))]
+    vehicle = tmp_path / "vehicle"
+    code = HQ.cli_main(["deploy", "--protocol", str(protocol_path), *bundles, "--target", str(vehicle), *extra])
+    assert code == 2
+    assert not (vehicle / "protocols" / "exp-ab.json").exists()
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1, out
+    return out
+
+
+def test_cli_deploy_over_a_link_that_never_comes_back_is_an_error(tmp_path, capsys):
+    source, manifest = _bundle(tmp_path)
+    link_path = tmp_path / "link.json"
+    link_path.write_text(json.dumps({"outage_schedule": [[0.0, None]]}), "utf-8")
+    out = _cli_deploy_fails(
+        tmp_path, capsys, [source.root / "manifests" / f"{manifest.bundle_digest}.json"], "--link", str(link_path)
+    )
+    assert out == "error: infinite outage before transfer completes\n"
+
+
+def test_cli_deploy_of_a_source_layer_that_fails_its_digest_is_an_error(tmp_path, capsys):
+    source, manifest = _bundle(tmp_path)
+    corrupt = manifest.layers[1].digest
+    (source.root / "layers" / corrupt).write_bytes(b"not the layer")
+    out = _cli_deploy_fails(tmp_path, capsys, [source.root / "manifests" / f"{manifest.bundle_digest}.json"])
+    assert out.startswith(f"error: expected {corrupt}, payload hashes to sha256:")
+
+
+def test_cli_deploy_of_bundles_from_two_stores_names_the_missing_layer(tmp_path, capsys):
+    first, first_manifest = _bundle(tmp_path)
+    second = A.LayerStore(tmp_path / "other_store")
+    layer = second.put(b"only in the other store")
+    second_manifest = A.manifest_for_layers("bin/other", [layer])
+    out = _cli_deploy_fails(
+        tmp_path,
+        capsys,
+        [
+            first.root / "manifests" / f"{first_manifest.bundle_digest}.json",
+            second.put_manifest(second_manifest),
+        ],
+    )
+    assert out == f"error: source store {first.root} lacks layer {layer.digest}\n"
 
 
 def test_resolve_target_reads_a_full_scenario_file(tmp_path):

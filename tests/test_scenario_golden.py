@@ -87,6 +87,16 @@ def test_ceharness_run_reproduces_the_pinned_artifacts(name, tmp_path, capsys):
     assert digests(tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_run_returns_the_report_it_wrote(name, tmp_path):
+    """The runner hands back the supervisor's own report, not a re-read of
+    the file: its JSON is the file's bytes, and reads back equal to it."""
+    outcome = H.run_scenario(H.load_scenario(SCENARIOS / f"{name}.json"), data_dir=tmp_path)
+    text = outcome.report_path.read_text("utf-8")
+    assert outcome.report.to_json() == text
+    assert S.report_from_json(text) == outcome.report
+
+
 # Every raw datagram the loopback hub carries during a run, in publish
 # order: (count, sha256 over each datagram prefixed by its u32 length).
 # This pins the codec's bytes and the fan-out order, not only the files.

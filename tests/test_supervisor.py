@@ -135,15 +135,14 @@ def drive_run(protocol, traces, tmp_path, uplink=None, outputs=None, probes=(), 
     advances the clock to each event, as a run that waits on wall time does."""
     clock = FakeClock(0)
     bus = RecordingBus()
-    sender = Sender(bus, S.SUPERVISOR_SENDER_ID, clock)
-    sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", sender, uplink=uplink)
+    sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", bus, uplink=uplink)
 
     def idle(t_us):
         sup.refresh_status()
         clock.advance_to(t_us)
 
     scheduler = Scheduler(clock, idle=idle if refresh_status else None)
-    sup.schedule(scheduler, bus)
+    sup.schedule(scheduler)
     period_us = protocol.sample_period_ms * 1000
     for index, (variant_id, trace) in enumerate(traces.items()):
         ScriptedSource(bus, clock, variant_id, 50 + index, trace, period_us).start(scheduler)
@@ -155,7 +154,7 @@ def drive_run(protocol, traces, tmp_path, uplink=None, outputs=None, probes=(), 
         scheduler.call_at(t_us, fn)
     end_us = protocol.max_duration_s * 1_000_000
     scheduler.run_until(end_us + period_us)
-    assert sup.done
+    assert sup.report is not None
     report = S.report_from_json((sup.run_dir / "report.json").read_text("utf-8"))
     return report, bus, sup
 
@@ -418,7 +417,7 @@ def test_refresh_after_finish_keeps_the_final_status(tmp_path, monkeypatch):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
     uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(LoopbackBus(), S.SUPERVISOR_SENDER_ID, clock), uplink=uplink)
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", LoopbackBus(), uplink=uplink)
     sup.begin()
     clock.advance_to(1_000_000)
     sup.finish()  # logs uplink_report after its final status write
@@ -436,7 +435,7 @@ def test_ground_truth_keeps_a_window_and_evicted_frames_score_zero(tmp_path):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
     bus = LoopbackBus()
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(bus, S.SUPERVISOR_SENDER_ID, clock))
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", bus)
     sup.begin()
     bus.subscribe(callback=sup.handle)
     camera = Sender(bus, 2, clock)
@@ -462,7 +461,7 @@ def test_traffic_under_the_supervisors_own_sender_id_changes_nothing(tmp_path):
     protocol = two_variant_protocol(cpu_threshold_pct=20.0)
     clock = FakeClock(0)
     bus = LoopbackBus()
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(bus, S.SUPERVISOR_SENDER_ID, clock))
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", bus)
     sup.begin()
     bus.subscribe(callback=sup.handle)
     variants_before = copy.deepcopy(sup.variants)
@@ -499,7 +498,7 @@ def test_finish_serialises_the_report_once_for_disk_and_uplink(tmp_path, monkeyp
     protocol = two_variant_protocol()
     uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
     clock = FakeClock(0)
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", Sender(LoopbackBus(), S.SUPERVISOR_SENDER_ID, clock), uplink=uplink)
+    sup = S.Supervisor(protocol, clock, tmp_path / "data", LoopbackBus(), uplink=uplink)
     sup.begin()
     sup.finish()
     assert len(calls) == 1
@@ -539,7 +538,7 @@ def test_clean_run_writes_status_at_begin_and_finish_and_ends_the_same_when_refr
     # an idle step that rewrites the file before every event changes how
     # often it is written, not how it ends
     write_status = S.Supervisor._write_status
-    monkeypatch.setattr(S.Supervisor, "refresh_status", lambda self: None if self.done else write_status(self))
+    monkeypatch.setattr(S.Supervisor, "refresh_status", lambda self: None if self.report is not None else write_status(self))
     monkeypatch.setattr(
         harness,
         "paced_to_wall_time",
