@@ -53,10 +53,6 @@ class DigestMismatch(ArtifactError):
     pass
 
 
-class StorageFull(ArtifactError):
-    pass
-
-
 class NeverCompletes(ArtifactError):
     """The outage schedule blocks all future progress."""
 
@@ -188,9 +184,14 @@ def record_from_object(cls: type, obj: Any, ignore_unknown: bool = False) -> Any
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    """Write ``path`` through a temp-file rename: readers see the old bytes or the new."""
+    """Write ``path`` through a temp-file rename: readers see the old bytes or the new.
+    A missing parent directory is made on the way."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    try:
+        tmp.write_bytes(data)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -403,9 +404,9 @@ class LayerStore:
     """On-disk content-addressed store.
 
     Layout: ``<root>/layers/<digest>`` and
-    ``<root>/manifests/<bundle_digest>.json``. Writes go through a
-    temp-file rename so a layer is either fully present or absent;
-    re-ingesting an existing layer is a no-op.
+    ``<root>/manifests/<bundle_digest>.json``, made at the first write.
+    Writes go through a temp-file rename so a layer is either fully
+    present or absent; re-ingesting an existing layer is a no-op.
 
     Each store object keeps an in-memory index from a layer's content key
     (its size and first and last ``_EDGE_BYTES`` bytes) to the digest of a
@@ -419,11 +420,8 @@ class LayerStore:
     whose files the receiver lacks, so every fetched layer is hashed.
     """
 
-    def __init__(self, root: str | Path, capacity_bytes: Optional[int] = None) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.capacity_bytes = capacity_bytes
-        (self.root / "layers").mkdir(parents=True, exist_ok=True)
-        (self.root / "manifests").mkdir(parents=True, exist_ok=True)
         self._digest_by_key: dict[tuple[int, bytes, bytes], str] = {}
 
     def _layer_path(self, digest: str) -> Path:
@@ -431,9 +429,6 @@ class LayerStore:
 
     def has(self, digest: str) -> bool:
         return self._layer_path(digest).is_file()
-
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in (self.root / "layers").iterdir() if p.is_file())
 
     def get(self, digest: str) -> bytes:
         try:
@@ -443,8 +438,7 @@ class LayerStore:
 
     def put(self, payload: bytes, expected_digest: Optional[str] = None) -> Layer:
         """Verify and store one layer. Raises ``DigestMismatch`` when the
-        payload does not hash to ``expected_digest``, ``StorageFull`` when a
-        capacity cap would be exceeded."""
+        payload does not hash to ``expected_digest``."""
         key = (len(payload), payload[:_EDGE_BYTES], payload[-_EDGE_BYTES:])
         known = self._digest_by_key.get(key)
         if known is not None and expected_digest in (None, known):
@@ -458,10 +452,6 @@ class LayerStore:
             raise DigestMismatch(f"expected {expected_digest}, payload hashes to {layer.digest}")
         path = self._layer_path(layer.digest)
         if not path.is_file():
-            if self.capacity_bytes is not None and self.total_bytes() + layer.size_bytes > self.capacity_bytes:
-                raise StorageFull(
-                    f"storing {layer.size_bytes} bytes would exceed cap of {self.capacity_bytes}"
-                )
             _atomic_write(path, payload)
         self._digest_by_key[key] = layer.digest
         return layer

@@ -516,14 +516,12 @@ class ScenarioOutcome:
 def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> ScenarioOutcome:
     """Run one full experiment cycle and evaluate the scenario expectations.
 
-    The vehicle root ends up holding ``data/<experiment_id>/`` with the
-    report, event log, status snapshot, and per-variant sandbox logs;
-    delivered uplinks land under ``hq/``.
+    ``data_dir``, else the scenario's, is the vehicle root the supervisor
+    and the uplink write under (``supervisor.run_dir``, ``hq_inbox``).
     """
-    root = Path(data_dir) if data_dir is not None else scenario.data_dir
+    root = data_dir if data_dir is not None else scenario.data_dir
     if root is None:
         raise ScenarioError("scenario has no data_dir and none was supplied")
-    root = Path(root)
     protocol = scenario.protocol
 
     clock = FakeClock(0)
@@ -537,9 +535,9 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
 
     uplink = None
     if scenario.uplink is not None:
-        uplink = OtaUplink(scenario.uplink.link, seed=scenario.uplink.seed, hq_dir=root / "hq")
+        uplink = OtaUplink(scenario.uplink.link, root, seed=scenario.uplink.seed)
 
-    sup = Supervisor(protocol, clock, root / "data", bus, uplink=uplink)
+    sup = Supervisor(protocol, clock, root, bus, uplink=uplink)
     scheduler = Scheduler(
         clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock, sup.refresh_status)
     )
@@ -653,11 +651,10 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # a scenario or its protocol that does not load or cannot be read
         print(f"error: {exc}")
         return 2
-    data_dir = args.data_dir or scenario.data_dir
-    if data_dir is None:
+    if args.data_dir is None and scenario.data_dir is None:
         print("error: scenario has no data_dir and --data-dir was not given")
         return 2
-    outcome = run_scenario(scenario, data_dir=Path(data_dir))
+    outcome = run_scenario(scenario, data_dir=args.data_dir)
     report = outcome.report
     print(f"scenario {scenario.name}: final_state={report.final_state}")
     for variant in report.variants:

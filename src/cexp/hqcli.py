@@ -8,10 +8,9 @@ already holds) and fetch reassembles NACK-retransmitted result chunks.
 accuracy ranking, CPU tie-break - and always prints the rules it
 applied so a human can overrule it.
 
-Vehicle root layout (the simulated OTA target):
-    <root>/store/...          content-addressed layer store
-    <root>/protocols/<id>.json deployed experimentation protocols
-    <root>/data/<id>/...      run data written by the supervisor
+Every command takes the vehicle root (the simulated OTA target) and finds
+its paths through ``supervisor``'s layout functions, as the writers there,
+``Supervisor(protocol, clock, root, bus)`` and ``OtaUplink(profile, root)``, do.
 """
 
 from __future__ import annotations
@@ -44,8 +43,13 @@ from .supervisor import (
     ChunkCollector,
     ExperimentReport,
     UplinkFailed,
+    protocol_path,
     report_from_json,
+    run_dir,
+    runs_dir,
+    store_dir,
     uplink_report,
+    write_delivered,
 )
 from .wirebus import MsgType, Received, UdpMulticastBus
 
@@ -162,7 +166,6 @@ def deploy(
     vehicle_root: Path,
     link: LinkProfile,
     source: Optional[LayerStore],
-    start_t: float = 0.0,
 ) -> DeployRecord:
     """Push a protocol and its bundles to the vehicle over the OTA link.
 
@@ -173,10 +176,9 @@ def deploy(
     layers; a deploy without bundles needs none.
     """
     protocol = parse_protocol(protocol_text)
-    vehicle_root = Path(vehicle_root)
-    store = LayerStore(vehicle_root / "store")
+    store = LayerStore(store_dir(vehicle_root))
 
-    t = start_t
+    t = 0.0
     payload_bytes = 0
     manifest_bytes = 0
     records = []
@@ -189,16 +191,14 @@ def deploy(
 
     protocol_raw = protocol_text.encode("utf-8")
     t = transfer(manifest_bytes + len(protocol_raw), link, t)
-    proto_dir = vehicle_root / "protocols"
-    proto_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(proto_dir / f"{protocol.experiment_id}.json", protocol_raw)
+    _atomic_write(protocol_path(vehicle_root, protocol.experiment_id), protocol_raw)
 
     return DeployRecord(
         experiment_id=protocol.experiment_id,
         payload_bytes=payload_bytes,
         manifest_bytes=manifest_bytes,
         protocol_bytes=len(protocol_raw),
-        started_t=start_t,
+        started_t=0.0,
         completed_t=t,
         bundles=tuple(records),
     )
@@ -219,28 +219,22 @@ def status(
     link: LinkProfile = LinkProfile(),
     at_s: float = 0.0,
 ) -> dict:
-    """Read-only view of experiment state plus the last events, the at
-    most ``STATUS_EVENTS`` that status.json holds."""
+    """Read-only view of one run's status.json (experiment state, ``t_us``
+    and the at most ``STATUS_EVENTS`` last events), or of every run's state."""
     _require_reachable(link, seed=0, at_s=at_s)
-    data_dir = Path(vehicle_root) / "data"
-    if not data_dir.is_dir():
+    runs = runs_dir(vehicle_root)
+    if not runs.is_dir():
         raise Unreachable(f"no experiment data under {vehicle_root}")
     if experiment_id is None:
         experiments = []
-        for status_path in sorted(data_dir.glob("*/status.json")):
+        for status_path in sorted(runs.glob("*/status.json")):
             obj = json.loads(status_path.read_text("utf-8"))
             experiments.append({"experiment_id": obj["experiment_id"], "state": obj["state"]})
         return {"experiments": experiments}
-    status_path = data_dir / experiment_id / "status.json"
+    status_path = run_dir(vehicle_root, experiment_id) / "status.json"
     if not status_path.is_file():
         raise Unreachable(f"no experiment {experiment_id!r} under {vehicle_root}")
-    obj = json.loads(status_path.read_text("utf-8"))
-    return {
-        "experiment_id": obj["experiment_id"],
-        "state": obj["state"],
-        "t_us": obj["t_us"],
-        "last_events": obj["last_events"],
-    }
+    return json.loads(status_path.read_text("utf-8"))
 
 
 def fetch(
@@ -259,7 +253,7 @@ def fetch(
     missing after the retry budget.
     """
     _require_reachable(link, seed=seed, at_s=at_s)
-    report_path = Path(vehicle_root) / "data" / experiment_id / "report.json"
+    report_path = run_dir(vehicle_root, experiment_id) / "report.json"
     if not report_path.is_file():
         raise Unreachable(f"vehicle has no report for experiment {experiment_id!r}")
     payload = report_path.read_bytes()
@@ -268,11 +262,7 @@ def fetch(
         _record, assembled = uplink_report(payload, experiment_id, dlink, t_s=at_s)
     except UplinkFailed as exc:
         raise IncompleteReport(str(exc)) from exc
-    dest = Path(out_dir) / experiment_id
-    dest.mkdir(parents=True, exist_ok=True)
-    out_path = dest / "report.json"
-    _atomic_write(out_path, assembled)
-    return out_path
+    return write_delivered(out_dir, experiment_id, "report", assembled)
 
 
 def fetch_udp(
@@ -302,11 +292,7 @@ def fetch_udp(
         bus.close()
     if not collector.complete():
         raise IncompleteReport(f"missing chunks after {timeout_s}s: {collector.missing()}")
-    dest = Path(out_dir) / experiment_id
-    dest.mkdir(parents=True, exist_ok=True)
-    out_path = dest / "report.json"
-    _atomic_write(out_path, collector.assemble())
-    return out_path
+    return write_delivered(out_dir, experiment_id, "report", collector.assemble())
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,38 @@ STATUS_ABORTED = "ABORTED"
 STATUS_CRASHED = "CRASHED"
 
 
+# The vehicle root layout: store/ (a LayerStore), protocols/<id>.json, data/<id>/
+# (a run) and hq/<id>/<name>.json (the uplink's deliveries). Every component
+# is given the root and finds its paths here.
+
+
+def store_dir(root: Path | str) -> Path:
+    return Path(root) / "store"
+
+
+def protocol_path(root: Path | str, experiment_id: str) -> Path:
+    return Path(root) / "protocols" / f"{experiment_id}.json"
+
+
+def runs_dir(root: Path | str) -> Path:
+    return Path(root) / "data"
+
+
+def run_dir(root: Path | str, experiment_id: str) -> Path:
+    return runs_dir(root) / experiment_id
+
+
+def hq_inbox(root: Path | str) -> Path:
+    return Path(root) / "hq"
+
+
+def write_delivered(inbox: Path | str, experiment_id: str, name: str, data: bytes) -> Path:
+    """Write a payload that reached HQ as ``<inbox>/<id>/<name>.json``, atomically."""
+    path = Path(inbox) / experiment_id / f"{name}.json"
+    _atomic_write(path, data)
+    return path
+
+
 class UplinkFailed(Exception):
     """Chunk retry budget exhausted; the report stays on local storage."""
 
@@ -304,30 +336,27 @@ def uplink_report(
 class OtaUplink:
     """Vehicle-to-HQ result channel over a simulated link profile.
 
-    Delivered payloads are written under ``hq_dir`` the way the HQ inbox
-    would receive them.
+    Delivered payloads land in the vehicle root's ``hq_inbox``.
     """
 
-    def __init__(self, profile: LinkProfile, hq_dir: Path, seed: int = 0) -> None:
+    def __init__(self, profile: LinkProfile, root: Path | str, seed: int = 0) -> None:
         self.link = DatagramLink(profile, seed=seed)
-        self.hq_dir = Path(hq_dir)
+        self.inbox = hq_inbox(root)
 
     def send(self, experiment_id: str, payload: bytes, t_s: float, label: str = "report") -> UplinkRecord:
         record, assembled = uplink_report(payload, experiment_id, self.link, t_s=t_s)
-        dest = self.hq_dir / experiment_id
-        dest.mkdir(parents=True, exist_ok=True)
-        _atomic_write(dest / f"{label}.json", assembled)
+        write_delivered(self.inbox, experiment_id, label, assembled)
         return record
 
 
 class Supervisor:
-    """Drives one experiment run. It is built on a bus, the loopback hub
-    or a UDP endpoint, and publishes its commands there under the fixed
-    ``SUPERVISOR_SENDER_ID``, the only sender a variant obeys. Feed
-    decoded bus traffic to ``handle``, call ``tick`` once per sample
-    period, and ``finish`` at the end of the duration budget; or let
-    ``schedule`` wire those onto a scheduler and the bus. ``finish``
-    keeps the report it wrote as ``report``, which is None until then.
+    """Drives one experiment run in ``run_dir(root, id)``. It is built on
+    a bus, the loopback hub or a UDP endpoint, and publishes its commands
+    there under the fixed ``SUPERVISOR_SENDER_ID``, the only sender a
+    variant obeys. Feed decoded bus traffic to ``handle``, call ``tick``
+    once per sample period, and ``finish`` at the end of the duration
+    budget; or let ``schedule`` wire those onto a scheduler and the bus.
+    ``finish`` keeps the report it wrote as ``report``, None until then.
 
     ``status.json`` is written at ``begin`` and ``finish``. In between,
     an idle step that waits on wall time calls ``refresh_status`` first;
@@ -340,7 +369,7 @@ class Supervisor:
         self,
         protocol: ExperimentationProtocol,
         clock: Clock,
-        data_dir: Path | str,
+        root: Path | str,
         bus: LoopbackBus | UdpMulticastBus,
         uplink: Optional[OtaUplink] = None,
     ) -> None:
@@ -352,9 +381,8 @@ class Supervisor:
         self.report: Optional[ExperimentReport] = None
         self.started_at_us = 0
         self.ended_at_us = 0
-        self.run_dir = Path(data_dir) / protocol.experiment_id
-        self.log_dir = self.run_dir / "logs"
-        self.log_dir.mkdir(parents=True, exist_ok=True)
+        self.run_dir = run_dir(root, protocol.experiment_id)
+        (self.run_dir / "logs").mkdir(parents=True, exist_ok=True)
         self.timeline: list[dict] = []
         # the last STATUS_EVENTS events; events.jsonl holds all of them
         self.events: deque[dict] = deque(maxlen=STATUS_EVENTS)
@@ -371,7 +399,7 @@ class Supervisor:
         for spec in protocol.variants:
             self.variants[spec.variant_id] = VariantRunState(variant_id=spec.variant_id, role=spec.role)
             self._variant_logs[spec.variant_id] = open(
-                self.log_dir / f"{spec.variant_id}.jsonl", "w", encoding="utf-8"
+                self.run_dir / "logs" / f"{spec.variant_id}.jsonl", "w", encoding="utf-8"
             )
         self._last_upload_us: Optional[int] = None
 
@@ -671,13 +699,13 @@ class Supervisor:
 
 
 def run_realtime(
-    protocol: ExperimentationProtocol, bus: UdpMulticastBus, data_dir: Path | str
+    protocol: ExperimentationProtocol, bus: UdpMulticastBus, root: Path | str
 ) -> ExperimentReport:
-    """Daemon run against wall time and a real UDP bus endpoint: between
-    events the loop refreshes status.json, then waits on the socket and
-    delivers what arrives."""
+    """Daemon run under the vehicle root ``root``, against wall time and a
+    real UDP bus endpoint: between events the loop refreshes status.json,
+    then waits on the socket and delivers what arrives."""
     clock = WallClock()
-    sup = Supervisor(protocol, clock, data_dir, bus)
+    sup = Supervisor(protocol, clock, root, bus)
 
     def idle(t_us: int) -> None:
         sup.refresh_status()
@@ -696,7 +724,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         description="Experiment supervisor daemon: enforce a deployed protocol and report results",
     )
     parser.add_argument("--protocol", required=True, help="protocol JSON file")
-    parser.add_argument("--data-dir", required=True, help="where run data and reports are written")
+    parser.add_argument("--data-dir", required=True, help="vehicle root: the run lands in its data/<experiment_id>/")
     parser.add_argument(
         "--bus", default=None, help=f"UDP multicast group:port (default {DEFAULT_GROUP}:{DEFAULT_PORT})"
     )
@@ -719,15 +747,14 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         return 2
 
     if args.fake_clock is not None:
-        outcome = harness.run_scenario(scenario, data_dir=Path(args.data_dir))
-        print(f"run complete: state={outcome.report.final_state} report={outcome.report_path}")
-        return 0
-
-    group, port = args.bus.rsplit(":", 1) if args.bus else (DEFAULT_GROUP, DEFAULT_PORT)
-    bus = UdpMulticastBus(group=group, port=int(port))
-    try:
-        report = run_realtime(protocol, bus, Path(args.data_dir))
-    finally:
-        bus.close()
-    print(f"run complete: state={report.final_state}")
+        report = harness.run_scenario(scenario, data_dir=args.data_dir).report
+    else:
+        group, port = args.bus.rsplit(":", 1) if args.bus else (DEFAULT_GROUP, DEFAULT_PORT)
+        bus = UdpMulticastBus(group=group, port=int(port))
+        try:
+            report = run_realtime(protocol, bus, args.data_dir)
+        finally:
+            bus.close()
+    report_path = run_dir(args.data_dir, report.experiment_id) / "report.json"
+    print(f"run complete: state={report.final_state} report={report_path}")
     return 0

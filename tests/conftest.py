@@ -57,8 +57,10 @@ def wire_hashing_bus(monkeypatch):
 
 
 def layer_digests(store: LayerStore) -> set[str]:
-    """The digests of the layers ``store`` holds, read off its directory."""
-    return {p.name for p in (store.root / "layers").iterdir() if p.is_file()}
+    """The digests of the layers ``store`` holds, read off its directory
+    (absent until the store's first write)."""
+    layers = store.root / "layers"
+    return {p.name for p in layers.iterdir() if p.is_file()} if layers.is_dir() else set()
 
 
 def stored_manifest(store: LayerStore, bundle_digest: str) -> BundleManifest:

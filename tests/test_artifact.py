@@ -47,10 +47,8 @@ def test_ingest_computes_sha256_digest():
 def test_store_reingest_is_idempotent(tmp_path):
     store = A.LayerStore(tmp_path / "store")
     store.put(b"abc")
-    first = store.total_bytes()
     store.put(b"abc")
-    assert store.total_bytes() == first
-    assert len(layer_digests(store)) == 1
+    assert len(list((tmp_path / "store" / "layers").iterdir())) == 1
 
 
 def test_digest_mismatch_leaves_store_unchanged(tmp_path):
@@ -62,12 +60,14 @@ def test_digest_mismatch_leaves_store_unchanged(tmp_path):
     assert layer_digests(store) == set()
 
 
-def test_storage_full(tmp_path):
-    store = A.LayerStore(tmp_path / "store", capacity_bytes=10)
-    store.put(b"12345678")
-    with pytest.raises(A.StorageFull):
-        store.put(b"overflowing")
-    store.put(b"ab")  # still fits
+def test_opening_a_store_creates_nothing_until_its_first_write(tmp_path):
+    store = A.LayerStore(tmp_path / "store")
+    assert not store.has(_layer(b"x").digest)
+    assert not (tmp_path / "store").exists()
+    layer = store.put(b"x")
+    assert (tmp_path / "store" / "layers" / layer.digest).read_bytes() == b"x"
+    store.put_manifest(A.manifest_for_layers("bin/run", [layer]))
+    assert len(list((tmp_path / "store" / "manifests").iterdir())) == 1
 
 
 def test_store_roundtrips_payload(tmp_path):

@@ -82,3 +82,17 @@ def test_a_traced_pair_of_deploys_calls_each_artifact_entry_point(tmp_path):
     for name in ("artifact.put", "artifact.put_manifest", "artifact.plan_delta", "artifact.fetch_bundle"):
         assert tracer.calls[name] > 0, name
     assert tracer.calls["artifact.fetch_bundle"] == 2
+
+
+def test_a_traced_status_and_fetch_of_a_finished_run_calls_each_hq_entry_point(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    scenario = scenario_from_object(make_ab_scenario())
+    run_scenario(scenario, data_dir=tmp_path / "vehicle")
+    experiment_id = scenario.protocol.experiment_id
+    with spans.instrument(tracer):
+        assert hqcli.status(tmp_path / "vehicle", experiment_id)["state"] == "COMPLETED"
+        fetched = hqcli.fetch(tmp_path / "vehicle", experiment_id, tmp_path / "inbox")
+    assert fetched == tmp_path / "inbox" / experiment_id / "report.json"
+    for name in ("hqcli.status", "hqcli.fetch", "hqcli.uplink_report", "artifact.link.deliver"):
+        assert tracer.calls[name] > 0, name

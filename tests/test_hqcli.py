@@ -10,12 +10,14 @@ from pathlib import Path
 import pytest
 
 from cexp import artifact as A
+from cexp import harness as H
 from cexp import hqcli as HQ
+from cexp import supervisor as S
 from cexp.clock import FakeClock, Scheduler
 from cexp.protocol import parse_protocol
 from cexp.supervisor import ExperimentReport, Supervisor, VariantResult
 from cexp.wirebus import LoopbackBus, ResourceReport, Sender
-from conftest import layer_digests, make_ab_scenario, make_protocol_doc
+from conftest import layer_digests, make_ab_scenario, make_protocol_doc, multicast_loopback_available
 
 
 def make_result(variant_id, role, accuracy, mean_cpu=20.0, violations=0, status="COMPLETED"):
@@ -237,7 +239,7 @@ def _finished_vehicle(tmp_path) -> tuple[Path, str]:
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    sup = Supervisor(protocol, clock, tmp_path / "data", bus)
+    sup = Supervisor(protocol, clock, tmp_path, bus)
     sup.schedule(scheduler)
     reporter = Sender(bus, 50, clock)
     for k in range(1, 9):
@@ -272,7 +274,7 @@ def test_status_during_running_experiment(tmp_path):
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    sup = Supervisor(protocol, clock, tmp_path / "data", bus)
+    sup = Supervisor(protocol, clock, tmp_path, bus)
     sup.schedule(scheduler)
     seen = []
     scheduler.call_at(
@@ -619,6 +621,17 @@ def test_cli_deploy_of_bundles_from_two_stores_names_the_missing_layer(tmp_path,
     assert out == f"error: source store {first.root} lacks layer {layer.digest}\n"
 
 
+def test_cli_deploy_from_a_mistyped_source_store_leaves_nothing_there(tmp_path, capsys):
+    source, manifest = _bundle(tmp_path)
+    typo = tmp_path / "hq_stor"
+    out = _cli_deploy_fails(
+        tmp_path, capsys, [source.root / "manifests" / f"{manifest.bundle_digest}.json"], "--source-store", str(typo)
+    )
+    assert out.startswith(f"error: source store {typo} lacks layer ")
+    assert not typo.exists()  # a source store is only read
+    assert not (tmp_path / "vehicle").exists()
+
+
 def test_resolve_target_reads_a_full_scenario_file(tmp_path):
     """A scenario's other sections are not the target's business: only
     data_dir is read."""
@@ -627,3 +640,49 @@ def test_resolve_target_reads_a_full_scenario_file(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario), "utf-8")
     assert HQ.resolve_target(str(scenario_path)) == tmp_path / "runs"
+
+
+# -- one vehicle root, whoever ran the experiment ------------------------------------------
+
+
+def _run_ceharness(protocol_path, scenario_path, root):
+    return H.cli_main(["run", "--scenario", str(scenario_path), "--data-dir", str(root)])
+
+
+def _run_cesupd_fake_clock(protocol_path, scenario_path, root):
+    return S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(root), "--fake-clock", str(scenario_path)])
+
+
+def _run_cesupd_live(protocol_path, scenario_path, root):
+    if not multicast_loopback_available(port=7761):
+        pytest.skip("no multicast-capable loopback interface")
+    # nothing else is on the bus: the 1 s run ends before silence reads as a crash
+    return S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(root), "--bus", "239.255.77.1:7760"])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _run_ceharness,
+        _run_cesupd_fake_clock,
+        pytest.param(_run_cesupd_live, marks=[pytest.mark.udp, pytest.mark.slow]),
+    ],
+    ids=["ceharness", "cesupd-fake-clock", "cesupd-live"],
+)
+def test_cectl_finds_a_run_under_the_vehicle_root_it_was_given(tmp_path, capsys, run):
+    protocol = make_protocol_doc(experiment_id="exp-live", max_duration_s=1, sustain_samples=1)
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(protocol), "utf-8")
+    scenario = make_ab_scenario(protocol=protocol, frames={"count": 10, "rate_hz": 10, "seed": 7}, expect={})
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario), "utf-8")
+    root = tmp_path / "vehicle"
+
+    assert run(protocol_path, scenario_path, root) == 0
+    capsys.readouterr()
+    assert HQ.cli_main(["status", "--target", str(root), "--experiment", "exp-live"]) == 0
+    assert capsys.readouterr().out.startswith("exp-live: COMPLETED\n")
+    assert HQ.cli_main(["fetch", "--target", str(root), "--experiment", "exp-live", "--out", str(tmp_path / "hq")]) == 0
+    fetched = tmp_path / "hq" / "exp-live" / "report.json"
+    assert capsys.readouterr().out == f"fetched {fetched}\n"
+    assert fetched.read_bytes() == (root / "data" / "exp-live" / "report.json").read_bytes()

@@ -135,7 +135,7 @@ def drive_run(protocol, traces, tmp_path, uplink=None, outputs=None, probes=(), 
     advances the clock to each event, as a run that waits on wall time does."""
     clock = FakeClock(0)
     bus = RecordingBus()
-    sup = S.Supervisor(protocol, clock, Path(tmp_path) / "data", bus, uplink=uplink)
+    sup = S.Supervisor(protocol, clock, tmp_path, bus, uplink=uplink)
 
     def idle(t_us):
         sup.refresh_status()
@@ -416,8 +416,8 @@ def test_a_refreshing_idle_step_keeps_status_current_mid_run(tmp_path):
 def test_refresh_after_finish_keeps_the_final_status(tmp_path, monkeypatch):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
-    uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", LoopbackBus(), uplink=uplink)
+    uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
+    sup = S.Supervisor(protocol, clock, tmp_path, LoopbackBus(), uplink=uplink)
     sup.begin()
     clock.advance_to(1_000_000)
     sup.finish()  # logs uplink_report after its final status write
@@ -435,7 +435,7 @@ def test_ground_truth_keeps_a_window_and_evicted_frames_score_zero(tmp_path):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
     bus = LoopbackBus()
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", bus)
+    sup = S.Supervisor(protocol, clock, tmp_path, bus)
     sup.begin()
     bus.subscribe(callback=sup.handle)
     camera = Sender(bus, 2, clock)
@@ -461,7 +461,7 @@ def test_traffic_under_the_supervisors_own_sender_id_changes_nothing(tmp_path):
     protocol = two_variant_protocol(cpu_threshold_pct=20.0)
     clock = FakeClock(0)
     bus = LoopbackBus()
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", bus)
+    sup = S.Supervisor(protocol, clock, tmp_path, bus)
     sup.begin()
     bus.subscribe(callback=sup.handle)
     variants_before = copy.deepcopy(sup.variants)
@@ -496,9 +496,9 @@ def test_finish_serialises_the_report_once_for_disk_and_uplink(tmp_path, monkeyp
 
     monkeypatch.setattr(S.ExperimentReport, "to_json", counting_to_json)
     protocol = two_variant_protocol()
-    uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
+    uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
     clock = FakeClock(0)
-    sup = S.Supervisor(protocol, clock, tmp_path / "data", LoopbackBus(), uplink=uplink)
+    sup = S.Supervisor(protocol, clock, tmp_path, LoopbackBus(), uplink=uplink)
     sup.begin()
     sup.finish()
     assert len(calls) == 1
@@ -638,7 +638,7 @@ def test_uplink_over_lossy_link_retransmits_until_delivered():
 def test_uplink_with_link_down_raises_and_report_is_retained(tmp_path):
     protocol = two_variant_protocol()
     down = LinkProfile(outage_schedule=((0.0, math.inf),))
-    uplink = S.OtaUplink(down, seed=0, hq_dir=tmp_path / "hq")
+    uplink = S.OtaUplink(down, tmp_path, seed=0)
     report, _, sup = drive_run(
         protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path, uplink=uplink
     )
@@ -649,7 +649,7 @@ def test_uplink_with_link_down_raises_and_report_is_retained(tmp_path):
 
 def test_uplink_delivers_report_to_hq_dir(tmp_path):
     protocol = two_variant_protocol()
-    uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
+    uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
     report, _, sup = drive_run(
         protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path, uplink=uplink
     )
@@ -660,7 +660,7 @@ def test_uplink_delivers_report_to_hq_dir(tmp_path):
 
 def test_periodic_upload_policy_sends_snapshots(tmp_path):
     protocol = two_variant_protocol(upload_policy={"PERIODIC": 2})
-    uplink = S.OtaUplink(LinkProfile(), seed=0, hq_dir=tmp_path / "hq")
+    uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
     report, _, sup = drive_run(
         protocol, {"prod": [30] * 19, "expA": [25] * 19}, tmp_path, uplink=uplink
     )
@@ -795,7 +795,7 @@ def test_cesupd_realtime_over_udp(tmp_path):
     publisher.start()
     bus = UdpMulticastBus(port=7725)
     try:
-        report = S.run_realtime(protocol, bus, tmp_path / "data")
+        report = S.run_realtime(protocol, bus, tmp_path)
     finally:
         bus.close()
     publisher.join()
