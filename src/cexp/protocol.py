@@ -15,6 +15,7 @@ byte-stable and diffable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -25,6 +26,9 @@ MAX_EXPERIMENT_ID_LEN = 64
 MIN_SAMPLE_PERIOD_MS = 50
 MAX_SAMPLE_PERIOD_MS = 10_000
 MAX_CONCURRENT_BOUND = 2  # the testbed never runs more than two experiments at once
+# an experiment or variant id names a file or directory in the vehicle root,
+# so it is one path component: no separator, and never "." or ".."
+_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class ProtocolSyntaxError(ValueError):
@@ -37,6 +41,14 @@ class ConstraintError(ValueError):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def check_id(field: str, value: str) -> str:
+    """``value`` when it is a path-safe id (``_ID_RE``), else a
+    ``ConstraintError`` naming ``field``."""
+    if type(value) is not str or not _ID_RE.fullmatch(value):
+        raise ConstraintError(field, f"must be one path component matching {_ID_RE.pattern}, got {value!r}")
+    return value
 
 
 class IllegalTransition(ValueError):
@@ -121,8 +133,7 @@ class ExperimentationProtocol:
     upload_policy: UploadPolicy
 
     def __post_init__(self) -> None:
-        if not self.experiment_id:
-            raise ConstraintError("experiment_id", "must be nonempty")
+        check_id("experiment_id", self.experiment_id)
         if len(self.experiment_id) > MAX_EXPERIMENT_ID_LEN:
             raise ConstraintError(
                 "experiment_id", f"length {len(self.experiment_id)} exceeds {MAX_EXPERIMENT_ID_LEN}"
@@ -131,8 +142,7 @@ class ExperimentationProtocol:
             raise ConstraintError("variants", "at least one variant is required")
         seen: set[str] = set()
         for i, v in enumerate(self.variants):
-            if not v.variant_id:
-                raise ConstraintError(f"variants[{i}].variant_id", "must be nonempty")
+            check_id(f"variants[{i}].variant_id", v.variant_id)
             if v.variant_id in seen:
                 raise ConstraintError(f"variants[{i}].variant_id", f"duplicate variant_id {v.variant_id!r}")
             seen.add(v.variant_id)

@@ -41,6 +41,7 @@ from .protocol import (
     ExperimentEvent,
     ExperimentState,
     Role,
+    check_id,
     parse_protocol,
     protocol_to_object,
     transition,
@@ -86,7 +87,8 @@ STATUS_CRASHED = "CRASHED"
 
 # The vehicle root layout: store/ (a LayerStore), protocols/<id>.json, data/<id>/
 # (a run) and hq/<id>/<name>.json (the uplink's deliveries). Every component
-# is given the root and finds its paths here.
+# is given the root and finds its paths here. An experiment id that is not one
+# path-safe component (``check_id``) is refused, so no path leaves its root.
 
 
 def store_dir(root: Path | str) -> Path:
@@ -94,7 +96,7 @@ def store_dir(root: Path | str) -> Path:
 
 
 def protocol_path(root: Path | str, experiment_id: str) -> Path:
-    return Path(root) / "protocols" / f"{experiment_id}.json"
+    return Path(root) / "protocols" / f"{check_id('experiment_id', experiment_id)}.json"
 
 
 def runs_dir(root: Path | str) -> Path:
@@ -102,7 +104,7 @@ def runs_dir(root: Path | str) -> Path:
 
 
 def run_dir(root: Path | str, experiment_id: str) -> Path:
-    return runs_dir(root) / experiment_id
+    return runs_dir(root) / check_id("experiment_id", experiment_id)
 
 
 def hq_inbox(root: Path | str) -> Path:
@@ -111,7 +113,7 @@ def hq_inbox(root: Path | str) -> Path:
 
 def write_delivered(inbox: Path | str, experiment_id: str, name: str, data: bytes) -> Path:
     """Write a payload that reached HQ as ``<inbox>/<id>/<name>.json``, atomically."""
-    path = Path(inbox) / experiment_id / f"{name}.json"
+    path = Path(inbox) / check_id("experiment_id", experiment_id) / f"{name}.json"
     _atomic_write(path, data)
     return path
 

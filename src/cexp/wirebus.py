@@ -23,14 +23,26 @@ decoders build them with ``tuple.__new__`` from the unpacked fields,
 skipping the constructor's argument binding: each struct layout fixes
 its record's arity.
 
+A record's every field must be of exactly its declared type: ``int``,
+``float``, ``str``, ``bytes``, or ``CommandKind`` for ``Command.command``.
+``encode`` refuses anything else with ``TypeError``, even a value it
+could pack: a ``bool`` or another ``int`` subclass where an ``int``
+belongs, an ``int`` where a ``float`` belongs, a plain ``int`` for the
+command, a ``bytearray`` for bytes. So every record that encodes is one
+the decoder would build back, equal and with the same type in every
+field.
+
 Two transports are provided: an in-memory loopback hub (exactly-once,
 publish-order delivery; the deterministic test substrate) and a real
-UDP-multicast endpoint (best-effort, for multi-node desks). Both
-receive through one dispatch step, which drops undecodable datagrams.
-A subscriber's callback gets a ``Received`` holding the decoded
-``envelope`` and ``message``: one object per datagram, handed to every
-subscriber of its msg_type in turn and kept by the bus no longer than
-that fan-out.
+UDP-multicast endpoint (best-effort, for multi-node desks). Raw
+datagrams are decoded, and undecodable ones dropped; a sender's record
+is handed over. ``Sender.send`` encodes its message once and passes the
+loopback hub the ``Received`` it already holds, so traffic that stays
+in the process is never decoded; foreign bytes published on the hub
+and everything the UDP endpoint receives go through ``decode``. A
+subscriber's callback gets a ``Received`` holding the ``envelope`` and
+``message``: one object per datagram, handed to every subscriber of its
+msg_type in turn and kept by the bus no longer than that fan-out.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from __future__ import annotations
 import socket
 import struct
 from enum import IntEnum
-from typing import Callable, Iterable, NamedTuple, NoReturn, Union
+from typing import Callable, Iterable, NamedTuple, NoReturn, Union, get_type_hints
 
 from .clock import Clock
 
@@ -250,15 +262,28 @@ def _pack_str(s: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-# One encoder and one decoder per message type. A fixed-layout record packs
-# its fields in order. A decoder reads the payload that fills
-# ``buf[start:end]`` and checks its every size, string and enum.
+def _wrong_type(msg: Message) -> NoReturn:
+    """Raise ``TypeError`` for the first field of ``msg`` that is not of
+    exactly its declared type. Encoders test the types inline and call
+    this only to raise."""
+    hints = get_type_hints(type(msg))
+    name, value = next((n, v) for n, v in zip(msg._fields, msg) if type(v) is not hints[n])
+    raise TypeError(f"{type(msg).__name__}.{name} must be {hints[name].__name__}, got {type(value).__name__}")
+
+
+# One encoder and one decoder per message type. An encoder checks that each
+# field has its exact type (see the module docstring), then packs the fields
+# in order. A decoder reads the payload that fills ``buf[start:end]`` and
+# checks its every size, string and enum.
 
 
 def _encode_sensor_frame(msg: SensorFrame) -> bytes:
-    if len(msg.pixels_digest) != 32:
+    frame_id, ground_truth_count, pixels_digest = msg
+    if type(frame_id) is not int or type(ground_truth_count) is not int or type(pixels_digest) is not bytes:
+        _wrong_type(msg)
+    if len(pixels_digest) != 32:
         raise MalformedPayload("pixels_digest must be exactly 32 bytes")
-    return _SENSOR_FRAME.pack(*msg)
+    return _SENSOR_FRAME.pack(frame_id, ground_truth_count, pixels_digest)
 
 
 def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
@@ -268,12 +293,16 @@ def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
 
 
 def _encode_module_output(msg: ModuleOutput) -> bytes:
-    raw = _utf8_field(msg.variant_id)
-    return (
-        _MODULE_OUTPUT_HEAD.pack(msg.frame_id, len(raw))
-        + raw
-        + _MODULE_OUTPUT_TAIL.pack(msg.detected_count, msg.latency_us)
-    )
+    frame_id, variant_id, detected_count, latency_us = msg
+    if (
+        type(frame_id) is not int
+        or type(variant_id) is not str
+        or type(detected_count) is not int
+        or type(latency_us) is not int
+    ):
+        _wrong_type(msg)
+    raw = _utf8_field(variant_id)
+    return _MODULE_OUTPUT_HEAD.pack(frame_id, len(raw)) + raw + _MODULE_OUTPUT_TAIL.pack(detected_count, latency_us)
 
 
 def _decode_module_output(buf: bytes, start: int, end: int) -> ModuleOutput:
@@ -289,7 +318,10 @@ def _decode_module_output(buf: bytes, start: int, end: int) -> ModuleOutput:
 
 
 def _encode_resource_report(msg: ResourceReport) -> bytes:
-    return _pack_str(msg.variant_id) + _RESOURCE_REPORT_TAIL.pack(msg.cpu_pct, msg.mem_mb)
+    variant_id, cpu_pct, mem_mb = msg
+    if type(variant_id) is not str or type(cpu_pct) is not float or type(mem_mb) is not float:
+        _wrong_type(msg)
+    return _pack_str(variant_id) + _RESOURCE_REPORT_TAIL.pack(cpu_pct, mem_mb)
 
 
 def _decode_resource_report(buf: bytes, start: int, end: int) -> ResourceReport:
@@ -301,7 +333,10 @@ def _decode_resource_report(buf: bytes, start: int, end: int) -> ResourceReport:
 
 
 def _encode_command(msg: Command) -> bytes:
-    return _pack_str(msg.target_variant_id) + _COMMAND_TAIL.pack(int(msg.command), msg.degrade_level)
+    target_variant_id, command, degrade_level = msg
+    if type(target_variant_id) is not str or type(command) is not CommandKind or type(degrade_level) is not int:
+        _wrong_type(msg)
+    return _pack_str(target_variant_id) + _COMMAND_TAIL.pack(command, degrade_level)
 
 
 def _decode_command(buf: bytes, start: int, end: int) -> Command:
@@ -317,7 +352,10 @@ def _decode_command(buf: bytes, start: int, end: int) -> Command:
 
 
 def _encode_heartbeat(msg: Heartbeat) -> bytes:
-    return _HEARTBEAT.pack(*msg)
+    node_id, uptime_s = msg
+    if type(node_id) is not int or type(uptime_s) is not int:
+        _wrong_type(msg)
+    return _HEARTBEAT.pack(node_id, uptime_s)
 
 
 def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
@@ -327,11 +365,15 @@ def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
 
 
 def _encode_result_chunk(msg: ResultChunk) -> bytes:
-    return (
-        _pack_str(msg.experiment_id)
-        + _RESULT_CHUNK_TAIL.pack(msg.chunk_index, msg.total_chunks)
-        + msg.data
-    )
+    experiment_id, chunk_index, total_chunks, data = msg
+    if (
+        type(experiment_id) is not str
+        or type(chunk_index) is not int
+        or type(total_chunks) is not int
+        or type(data) is not bytes
+    ):
+        _wrong_type(msg)
+    return _pack_str(experiment_id) + _RESULT_CHUNK_TAIL.pack(chunk_index, total_chunks) + data
 
 
 def _decode_result_chunk(buf: bytes, start: int, end: int) -> ResultChunk:
@@ -358,7 +400,8 @@ _DECODERS = {int(record.MSG_TYPE): (record.MSG_TYPE, dec) for record, _enc, dec 
 
 def encode(msg: Message, sender_id: int, seq: int, timestamp_us: int) -> bytes:
     """Serialize a message into one datagram. Raises ``PayloadTooLarge``,
-    and ``TypeError`` for anything but a message record."""
+    and ``TypeError`` for anything but a message record whose every field
+    has its exact type."""
     codec = _ENCODERS.get(type(msg))
     if codec is None:
         raise TypeError(f"not a bus message: {type(msg).__name__}")
@@ -403,8 +446,9 @@ def decode(datagram: bytes) -> tuple[Envelope, Message]:
 
 
 class Received:
-    """One delivered datagram, decoded: its ``envelope`` (header metadata)
-    and its ``message`` record. Fan-out hands the same object to every
+    """One delivered datagram: its ``envelope`` (header metadata) and its
+    ``message`` record, decoded from raw bytes or handed over by the
+    ``Sender`` that encoded them. Fan-out hands the same object to every
     subscriber of the msg_type in turn; treat it as read-only."""
 
     __slots__ = ("envelope", "message", "__weakref__")
@@ -418,10 +462,11 @@ class Received:
 
 
 class _Router:
-    """The receive path both transports share. ``_dispatch`` decodes a raw
-    datagram once and hands it to every callback subscribed to its
-    msg_type, in the order they subscribed. An undecodable datagram
-    (foreign or malformed traffic) is dropped, on either transport."""
+    """The receive path both transports share. ``_fan_out`` hands a
+    ``Received`` to every callback subscribed to its msg_type, in the order
+    they subscribed. ``_dispatch`` decodes a raw datagram once and fans it
+    out; an undecodable datagram (foreign or malformed traffic) is
+    dropped, on either transport."""
 
     def __init__(self) -> None:
         self._routes: dict[MsgType, list[Callable[[Received], None]]] = {t: [] for t in MsgType}
@@ -441,21 +486,29 @@ class _Router:
             envelope, message = decode(raw)
         except DecodeError:
             return
-        item = Received(envelope, message)
-        for deliver in self._routes[envelope.msg_type]:
+        self._fan_out(Received(envelope, message))
+
+    def _fan_out(self, item: Received) -> None:
+        for deliver in self._routes[item.envelope.msg_type]:
             deliver(item)
 
 
 class LoopbackBus(_Router):
-    """In-memory hub: each published datagram is dispatched synchronously,
+    """In-memory hub: each published datagram is fanned out synchronously,
     so it reaches every callback for its msg_type exactly once, in publish
     order. Nothing is retained once fan-out returns; whoever wants to
     audit the traffic subscribes for it."""
 
-    def publish(self, datagram: bytes) -> None:
+    def publish(self, datagram: bytes, received: Received | None = None) -> None:
+        """Deliver ``datagram``. A sender that holds the datagram's record
+        passes it as ``received``, which is fanned out as it is; without
+        it the bytes are decoded, and dropped if they do not decode."""
         if self._closed:
             raise TransportClosed("bus is closed")
-        self._dispatch(datagram)
+        if received is None:
+            self._dispatch(datagram)
+        else:
+            self._fan_out(received)
 
     def close(self) -> None:
         self._closed = True
@@ -491,7 +544,9 @@ class UdpMulticastBus(_Router):
         except OSError as exc:
             raise SocketError(f"cannot open multicast endpoint {group}:{port}: {exc}") from exc
 
-    def publish(self, datagram: bytes) -> None:
+    def publish(self, datagram: bytes, received: Received | None = None) -> None:
+        """Send ``datagram`` to the group; ``received`` is ignored, since
+        every endpoint, this one included, decodes what it receives."""
         if self._closed:
             raise TransportClosed("endpoint is closed")
         try:
@@ -523,14 +578,21 @@ class Sender:
     """Per-sender envelope writer: stamps monotonically increasing seq."""
 
     def __init__(self, bus, sender_id: int, clock) -> None:
+        if type(sender_id) is not int:
+            raise TypeError(f"sender_id must be int, got {type(sender_id).__name__}")
         self.bus = bus
         self.sender_id = sender_id
         self.clock = clock
         self._seq = 0
 
     def send(self, msg: Message) -> int:
-        """Encode and publish; returns the seq used."""
+        """Encode and publish; returns the seq used. The bus also gets the
+        ``Received`` a decoder would build from the datagram, made from the
+        values just packed, so the loopback hub need not decode it."""
         seq = self._seq
-        self.bus.publish(encode(msg, self.sender_id, seq, self.clock.now_us()))
+        now = self.clock.now_us()
+        datagram = encode(msg, self.sender_id, seq, now)
+        envelope = _new(Envelope, (msg.MSG_TYPE, self.sender_id, seq, now, len(datagram) - HEADER_LEN))
+        self.bus.publish(datagram, Received(envelope, msg))
         self._seq += 1
         return seq

@@ -11,7 +11,7 @@ import pytest
 
 from cexp import harness
 from cexp.artifact import BundleManifest, LayerStore, parse_manifest
-from cexp.wirebus import LoopbackBus, Received, SocketError, UdpMulticastBus
+from cexp.wirebus import LoopbackBus, Received, SocketError, UdpMulticastBus, decode
 
 
 class RecordingBus(LoopbackBus):
@@ -36,17 +36,18 @@ def recording_bus(monkeypatch):
 class WireHashingBus(LoopbackBus):
     """Loopback bus that hashes every raw datagram published on it, each
     prefixed by its length, in publish order (a datagram published while
-    another fans out comes after that one), then dispatches it as usual."""
+    another fans out comes after that one), then delivers it as usual,
+    passing on the sender's record."""
 
     def __init__(self) -> None:
         super().__init__()
         self.wire = hashlib.sha256()
         self.datagrams = 0
 
-    def publish(self, datagram: bytes) -> None:
+    def publish(self, datagram: bytes, received: Received | None = None) -> None:
         self.wire.update(len(datagram).to_bytes(4, "little") + datagram)
         self.datagrams += 1
-        super().publish(datagram)
+        super().publish(datagram, received)
 
 
 @pytest.fixture
@@ -54,6 +55,39 @@ def wire_hashing_bus(monkeypatch):
     """``run_scenario`` builds a ``WireHashingBus``; read it as ``outcome.bus``."""
     monkeypatch.setattr(harness, "LoopbackBus", WireHashingBus)
     return WireHashingBus
+
+
+def field_types(record: tuple) -> tuple[type, ...]:
+    return (type(record), *map(type, record))
+
+
+class RecordCheckingBus(LoopbackBus):
+    """Loopback bus that checks each record a sender hands over against
+    ``decode`` of its datagram: the same envelope and message, equal and
+    with the same type in every field. ``handed_over`` counts the checked
+    records and ``raw`` the datagrams published without one."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.handed_over = 0
+        self.raw = 0
+
+    def publish(self, datagram: bytes, received: Received | None = None) -> None:
+        if received is None:
+            self.raw += 1
+        else:
+            for given, decoded in zip((received.envelope, received.message), decode(datagram)):
+                assert given == decoded, (given, decoded)
+                assert field_types(given) == field_types(decoded), (given, decoded)
+            self.handed_over += 1
+        super().publish(datagram, received)
+
+
+@pytest.fixture
+def record_checking_bus(monkeypatch):
+    """``run_scenario`` builds a ``RecordCheckingBus``; read it as ``outcome.bus``."""
+    monkeypatch.setattr(harness, "LoopbackBus", RecordCheckingBus)
+    return RecordCheckingBus
 
 
 def layer_digests(store: LayerStore) -> set[str]:

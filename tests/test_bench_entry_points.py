@@ -8,7 +8,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from cexp import hqcli, resmon, supervisor
+from cexp import hqcli, resmon, supervisor, wirebus
 from cexp.artifact import LayerStore, LinkProfile, manifest_for_layers
 from cexp.harness import run_scenario, scenario_from_object
 from conftest import make_ab_scenario, make_hostile_scenario, make_protocol_doc
@@ -38,9 +38,10 @@ def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
     scenario = scenario_from_object(make_hostile_scenario())
     with spans.instrument(tracer):
         run_scenario(scenario, data_dir=tmp_path)
+    # every sender hands the loopback hub its record, so nothing is decoded
+    assert tracer.calls["wirebus.decode"] == 0
     for name in (
         "wirebus.encode",
-        "wirebus.decode",
         "wirebus.publish",
         "wirebus.send",
         "resmon.evaluate",
@@ -52,6 +53,19 @@ def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
         assert tracer.calls[name] > 0, name
     assert tracer.counts["resmon.sustained_verdicts"] > 0
     assert tracer.counts["harness.frames.processed"] > 0
+
+
+def test_a_traced_publish_of_raw_bytes_decodes_them_once():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    received = []
+    with spans.instrument(tracer):
+        bus = wirebus.LoopbackBus()
+        bus.subscribe(received.append)
+        bus.publish(wirebus.encode(wirebus.Heartbeat(node_id=1, uptime_s=2), 7, 0, 0))
+    assert tracer.calls["wirebus.decode"] == 1
+    assert tracer.calls["wirebus.publish"] == 1
+    assert [item.message for item in received] == [wirebus.Heartbeat(node_id=1, uptime_s=2)]
 
 
 def test_a_traced_run_with_a_periodic_uplink_calls_each_uplink_entry_point(tmp_path):

@@ -686,3 +686,32 @@ def test_cectl_finds_a_run_under_the_vehicle_root_it_was_given(tmp_path, capsys,
     fetched = tmp_path / "hq" / "exp-live" / "report.json"
     assert capsys.readouterr().out == f"fetched {fetched}\n"
     assert fetched.read_bytes() == (root / "data" / "exp-live" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["status", "fetch"])
+def test_cli_refuses_an_experiment_id_that_leaves_the_vehicle_root(tmp_path, capsys, command):
+    vehicle = tmp_path / "vehicle"
+    (vehicle / "data").mkdir(parents=True)
+    # a run directory beside data/, where data/../x would lead
+    beside = vehicle / "x"
+    beside.mkdir()
+    (beside / "status.json").write_text(json.dumps({"experiment_id": "x", "state": "COMPLETED"}), "utf-8")
+    (beside / "report.json").write_text("{}", "utf-8")
+    argv = [command, "--target", str(vehicle), "--experiment", "../x"]
+    if command == "fetch":
+        argv += ["--out", str(tmp_path / "inbox")]
+    code = HQ.cli_main(argv)
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "error: experiment_id: must be one path component matching [A-Za-z0-9][A-Za-z0-9._-]*, got '../x'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vehicle"]
+
+
+def test_cli_deploy_refuses_a_protocol_whose_id_leaves_the_vehicle_root(tmp_path, capsys):
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc(experiment_id="../../escaped")), "utf-8")
+    code = HQ.cli_main(["deploy", "--protocol", str(protocol_path), "--target", str(tmp_path / "vehicle" / "a")])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("error: experiment_id: must be one path component")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["protocol.json"]

@@ -35,6 +35,16 @@ AB_500 = {
 
 GOLDEN = {
     "ab_500": AB_500,
+    # ab_500 stretched to an hour: 36k frames at 10 Hz, max_duration_s 3700
+    "ab_hour": {
+        "data/exp-ab-hour/events.jsonl": "2a008859c0a75cc3f33ea4a5969a740764bf28728d2371cc31e176c123d2f5fc",
+        "data/exp-ab-hour/logs/expA.jsonl": "a078defd54b147da303a43870a9017b3c88c7fb04073a149f07bec8555650678",
+        "data/exp-ab-hour/logs/expB.jsonl": "1241a4f5689cef21912c08e2b56c0f5e0987b9bc108e94b6453889faf5e290cb",
+        "data/exp-ab-hour/logs/prod.jsonl": "37962dfc128beda94ef99e954a844fca13afe63c9d663a1b7c4ed78d2ecd1e1a",
+        "data/exp-ab-hour/report.json": "b7a8967ca3c80f14d131df85732ae7d0cb4efe4472bc75ab8c532dee943bb2c3",
+        "data/exp-ab-hour/status.json": "0426738c0f45289eb95e641524866d98f12ec93f256a39be20dcd224ae2b0b3e",
+        "hq/exp-ab-hour/report.json": "b7a8967ca3c80f14d131df85732ae7d0cb4efe4472bc75ab8c532dee943bb2c3",
+    },
     "failover": {
         "data/exp-failover/events.jsonl": "606a5797338a88e46c1fbd6ed710c18e244e36b278a88769523b62555367aea4",
         "data/exp-failover/failover.jsonl": "829015c523efa16bd817b5784d234b8d5e116d5af0e9373d3c3d4923ec250af6",
@@ -111,6 +121,14 @@ def test_a_scenario_publishes_the_pinned_datagrams(name, tmp_path, wire_hashing_
     outcome = H.run_scenario(H.load_scenario(SCENARIOS / f"{name}.json"), data_dir=tmp_path)
     assert outcome.ok, outcome.failures
     assert (outcome.bus.datagrams, outcome.bus.wire.hexdigest()) == WIRE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_record_a_sender_hands_over_is_what_its_datagram_decodes_to(name, tmp_path, record_checking_bus):
+    outcome = H.run_scenario(H.load_scenario(SCENARIOS / f"{name}.json"), data_dir=tmp_path)
+    assert outcome.ok, outcome.failures
+    assert outcome.bus.handed_over > 0
+    assert outcome.bus.raw == 0
 
 
 def test_cesupd_fake_clock_reproduces_the_ab_500_artifacts(tmp_path, capsys):

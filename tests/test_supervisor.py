@@ -13,7 +13,7 @@ import pytest
 from cexp import harness
 from cexp.artifact import DatagramLink, LinkProfile, SchemaError
 from cexp.clock import FakeClock, Scheduler
-from cexp.protocol import ExperimentState, parse_protocol
+from cexp.protocol import ConstraintError, ExperimentState, parse_protocol
 from cexp.resmon import Axis, Verdict, ViolationVerdict
 from cexp import supervisor as S
 from cexp.wirebus import (
@@ -44,6 +44,18 @@ def two_variant_protocol(**overrides):
 
 
 # -- pure escalation policy ------------------------------------------------------
+
+
+@pytest.mark.parametrize("experiment_id", ["../x", "a/b", ".", "..", "", "-x", "x\n"])
+def test_the_layout_refuses_an_experiment_id_that_is_not_one_path_component(tmp_path, experiment_id):
+    for place in (
+        lambda: S.protocol_path(tmp_path, experiment_id),
+        lambda: S.run_dir(tmp_path, experiment_id),
+        lambda: S.write_delivered(tmp_path, experiment_id, "report", b"{}"),
+    ):
+        with pytest.raises(ConstraintError):
+            place()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ok_verdict_never_commands():

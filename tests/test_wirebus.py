@@ -12,7 +12,7 @@ import pytest
 
 from cexp.clock import FakeClock, WallClock
 from cexp import wirebus as W
-from conftest import multicast_loopback_available
+from conftest import RecordCheckingBus, field_types, multicast_loopback_available
 
 
 def _random_text(rng: random.Random, max_len: int = 40) -> str:
@@ -260,6 +260,51 @@ def test_payload_too_large_on_encode():
 def test_encoding_anything_but_a_message_raises_type_error(value):
     with pytest.raises(TypeError):
         W.encode(value, 1, 0, 0)
+
+
+# Records whose every field packs, but not all as its declared type: the
+# decoder would hand back a float, a CommandKind or bytes.
+MISTYPED_RECORDS = {
+    "int_floats": W.ResourceReport("v", 50, 100),
+    "int_command": W.Command("v", 2, 1),
+    "bytearray_digest": W.SensorFrame(1, 2, bytearray(32)),
+    "bool_count": W.ModuleOutput(1, "v", True, 5),
+}
+
+
+@pytest.mark.parametrize("msg", list(MISTYPED_RECORDS.values()), ids=list(MISTYPED_RECORDS))
+def test_a_record_with_a_field_not_of_its_declared_type_is_refused(msg):
+    with pytest.raises(TypeError):
+        W.encode(msg, 1, 0, 0)
+    bus = W.LoopbackBus()
+    received = []
+    bus.subscribe(callback=received.append)
+    sender = W.Sender(bus, 1, FakeClock(0))
+    with pytest.raises(TypeError):
+        sender.send(msg)
+    assert received == []
+    assert sender.send(W.Heartbeat(node_id=1, uptime_s=0)) == 0  # the refused record took no seq
+
+
+def test_a_sender_hands_over_exactly_what_its_datagram_decodes_to():
+    rng = random.Random(0x5EED)
+    bus = RecordCheckingBus()
+    received = []
+    bus.subscribe(callback=received.append)
+    clock = FakeClock(0)
+    sender = W.Sender(bus, 9, clock)
+    messages = [random_message(rng) for _ in range(2_000)]
+    for i, msg in enumerate(messages):
+        clock.advance_to(i * 17)
+        assert sender.send(msg) == i
+    assert bus.handed_over == 2_000
+    assert [item.message for item in received] == messages
+    assert all(field_types(item.message) == field_types(msg) for item, msg in zip(received, messages))
+
+
+def test_a_sender_id_that_is_not_an_int_is_refused():
+    with pytest.raises(TypeError):
+        W.Sender(W.LoopbackBus(), True, FakeClock(0))
 
 
 def test_fuzz_10000_random_blobs_never_crash_decoder():
