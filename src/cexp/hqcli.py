@@ -3,7 +3,9 @@ reports, and select the winning variant.
 
 The vehicle is reachable only over the constrained OTA link, so deploy
 moves bundles via delta fetch (never re-sending layers the vehicle
-already holds) and fetch reassembles NACK-retransmitted result chunks.
+already holds) and fetch pulls a report as NACK-retransmitted result
+chunks, writing it only once every chunk has got through. Reports reach
+HQ this way alone: nothing listens for result chunks on the bus.
 ``compare`` encodes the minimal defensible selection rule - eligibility,
 accuracy ranking, CPU tie-break - and always prints the rules it
 applied so a human can overrule it.
@@ -37,10 +39,8 @@ from .artifact import (
     record_from_object,
     transfer,
 )
-from .clock import WallClock
 from .protocol import parse_protocol
 from .supervisor import (
-    ChunkCollector,
     ExperimentReport,
     UplinkFailed,
     protocol_path,
@@ -51,7 +51,6 @@ from .supervisor import (
     uplink_report,
     write_delivered,
 )
-from .wirebus import MsgType, Received, UdpMulticastBus
 
 REQUEST_RETRY_BUDGET = 5  # attempts to raise the vehicle before giving up
 
@@ -259,40 +258,10 @@ def fetch(
     payload = report_path.read_bytes()
     dlink = DatagramLink(link, seed=seed + 1)
     try:
-        _record, assembled = uplink_report(payload, experiment_id, dlink, t_s=at_s)
+        uplink_report(payload, experiment_id, dlink, t_s=at_s)
     except UplinkFailed as exc:
         raise IncompleteReport(str(exc)) from exc
-    return write_delivered(out_dir, experiment_id, "report", assembled)
-
-
-def fetch_udp(
-    group: str,
-    port: int,
-    experiment_id: str,
-    out_dir: Path,
-    timeout_s: float = 10.0,
-) -> Path:
-    """Collect a RESULT_CHUNK stream off the live UDP bus instead of the
-    simulated link (the real-target path; everything else is identical)."""
-    bus = UdpMulticastBus(group=group, port=port)
-    collector = ChunkCollector()
-
-    def on_chunk(item: Received) -> None:
-        if item.message.experiment_id == experiment_id:
-            collector.offer(item.message)
-
-    clock = WallClock()
-    deadline_us = clock.now_us() + int(timeout_s * 1_000_000)
-    try:
-        bus.subscribe(on_chunk, types={MsgType.RESULT_CHUNK})
-        while not collector.complete() and (now_us := clock.now_us()) < deadline_us:
-            # slices of at most 0.2 s, so a complete stream ends the wait soon
-            bus.deliver_until(clock, min(now_us + 200_000, deadline_us))
-    finally:
-        bus.close()
-    if not collector.complete():
-        raise IncompleteReport(f"missing chunks after {timeout_s}s: {collector.missing()}")
-    return write_delivered(out_dir, experiment_id, "report", collector.assemble())
+    return write_delivered(out_dir, experiment_id, "report", payload)
 
 
 @dataclass(frozen=True)
@@ -373,11 +342,9 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
 
     fetch_p = sub.add_parser("fetch", help="fetch a finished experiment report")
     fetch_p.add_argument("--experiment", required=True)
-    fetch_p.add_argument("--target", default=None, help="vehicle root dir or scenario file")
-    fetch_p.add_argument("--udp", default=None, metavar="GROUP:PORT", help="listen on the live bus instead")
+    fetch_p.add_argument("--target", required=True, help="vehicle root dir or scenario file")
     fetch_p.add_argument("--out", required=True)
     fetch_p.add_argument("--link", default=None)
-    fetch_p.add_argument("--timeout", type=float, default=10.0)
 
     compare_p = sub.add_parser("compare", help="select the winning variant from a report")
     compare_p.add_argument("--report", required=True)
@@ -427,18 +394,12 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             return 0
 
         if args.command == "fetch":
-            if args.udp is not None:
-                group, port = args.udp.rsplit(":", 1)
-                out_path = fetch_udp(group, int(port), args.experiment, Path(args.out), args.timeout)
-            else:
-                if args.target is None:
-                    raise ValueError("fetch needs --target or --udp")
-                out_path = fetch(
-                    resolve_target(args.target),
-                    args.experiment,
-                    Path(args.out),
-                    link=_load_link(args.link),
-                )
+            out_path = fetch(
+                resolve_target(args.target),
+                args.experiment,
+                Path(args.out),
+                link=_load_link(args.link),
+            )
             print(f"fetched {out_path}")
             return 0
 

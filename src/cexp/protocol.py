@@ -22,12 +22,13 @@ from typing import Any
 
 from .artifact import _DIGEST_RE, SchemaError, record_fields, record_from_object
 
-MAX_EXPERIMENT_ID_LEN = 64
+MAX_ID_LEN = 64
 MIN_SAMPLE_PERIOD_MS = 50
 MAX_SAMPLE_PERIOD_MS = 10_000
 MAX_CONCURRENT_BOUND = 2  # the testbed never runs more than two experiments at once
 # an experiment or variant id names a file or directory in the vehicle root,
-# so it is one path component: no separator, and never "." or ".."
+# so it is one path component: no separator, never "." or "..", and at most
+# MAX_ID_LEN characters, well inside any file system's name limit
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
@@ -44,10 +45,12 @@ class ConstraintError(ValueError):
 
 
 def check_id(field: str, value: str) -> str:
-    """``value`` when it is a path-safe id (``_ID_RE``), else a
-    ``ConstraintError`` naming ``field``."""
+    """``value`` when it is a path-safe id (``_ID_RE``, at most
+    ``MAX_ID_LEN`` characters), else a ``ConstraintError`` naming ``field``."""
     if type(value) is not str or not _ID_RE.fullmatch(value):
         raise ConstraintError(field, f"must be one path component matching {_ID_RE.pattern}, got {value!r}")
+    if len(value) > MAX_ID_LEN:
+        raise ConstraintError(field, f"length {len(value)} exceeds {MAX_ID_LEN}")
     return value
 
 
@@ -134,10 +137,6 @@ class ExperimentationProtocol:
 
     def __post_init__(self) -> None:
         check_id("experiment_id", self.experiment_id)
-        if len(self.experiment_id) > MAX_EXPERIMENT_ID_LEN:
-            raise ConstraintError(
-                "experiment_id", f"length {len(self.experiment_id)} exceeds {MAX_EXPERIMENT_ID_LEN}"
-            )
         if not self.variants:
             raise ConstraintError("variants", "at least one variant is required")
         seen: set[str] = set()

@@ -7,11 +7,11 @@ watches resource reports against the deployed protocol thresholds by
 folding ``resmon.evaluate_window`` over each variant's reports, which
 keeps one counter per variant (the trailing violating run, capped at
 ``sustain_samples + degrade_grace_samples``). It escalates enforcement
-DEGRADE(1) -> DEGRADE(2) -> STOP per variant, logs every experimental
-module output to a sandbox log (write-only: experimental outputs are
-never republished or actuated), and at the end of the run writes an
-experiment report and uplinks it to HQ over the constrained link as
-NACK-retransmitted result chunks.
+DEGRADE(1) -> DEGRADE(2) -> STOP per variant, scores and logs each
+running variant's module outputs to its sandbox log (write-only:
+experimental outputs are never republished or actuated), and at the end
+of the run writes an experiment report and uplinks it to HQ over the
+constrained link as NACK-retransmitted result chunks.
 
 Enforcement policy: the first sustained violation earns DEGRADE level 1;
 each further escalation requires the violation to persist through
@@ -152,7 +152,6 @@ class VariantRunState:
     variant_id: str
     role: Role
     degrade_level: int = 0
-    running: bool = True
     final_status: str = STATUS_RUNNING
     violating_span: int = 0  # the last verdict's, capped at the window length
     samples_since_command: Optional[int] = None
@@ -233,45 +232,6 @@ def chunk_payloads(data: bytes) -> list[bytes]:
     return [data[i : i + CHUNK_BYTES] for i in range(0, len(data), CHUNK_BYTES)]
 
 
-class ChunkCollector:
-    """HQ-side reassembly of a RESULT_CHUNK stream."""
-
-    def __init__(self) -> None:
-        self.experiment_id: Optional[str] = None
-        self.total_chunks: Optional[int] = None
-        self._chunks: dict[int, bytes] = {}
-
-    def offer(self, msg: ResultChunk) -> None:
-        """Keep one chunk. The first accepted chunk fixes the stream; chunks of
-        another stream, and chunks ``chunk_payloads`` never emits (no chunks
-        at all, an index past the end), are ignored."""
-        if not 0 <= msg.chunk_index < msg.total_chunks:
-            return
-        if self.experiment_id is None:
-            self.experiment_id = msg.experiment_id
-            self.total_chunks = msg.total_chunks
-        elif (msg.experiment_id, msg.total_chunks) != (self.experiment_id, self.total_chunks):
-            return
-        self._chunks[msg.chunk_index] = msg.data
-
-    def has_chunk(self, index: int) -> bool:
-        return index in self._chunks
-
-    def missing(self) -> list[int]:
-        if self.total_chunks is None:
-            return []
-        return [i for i in range(self.total_chunks) if i not in self._chunks]
-
-    def complete(self) -> bool:
-        return self.total_chunks is not None and not self.missing()
-
-    def assemble(self) -> bytes:
-        if not self.complete():
-            raise ValueError(f"missing chunks: {self.missing()}")
-        assert self.total_chunks is not None
-        return b"".join(self._chunks[i] for i in range(self.total_chunks))
-
-
 @dataclass(frozen=True)
 class UplinkRecord:
     delivered: bool
@@ -286,53 +246,41 @@ def uplink_report(
     experiment_id: str,
     link: DatagramLink,
     t_s: float = 0.0,
-) -> tuple[UplinkRecord, bytes]:
-    """Push ``payload`` to HQ as RESULT_CHUNK datagrams over the OTA link.
+) -> UplinkRecord:
+    """Send ``payload`` as RESULT_CHUNK datagrams over the simulated OTA
+    link until every chunk has got through. Each chunk is encoded only to
+    size its datagram; the caller holds the payload and writes it once this
+    returns.
 
-    Round-based NACK retransmission: after each round the receiver's
-    missing-chunk list drives the next send. Raises ``UplinkFailed`` once
-    any chunk has used up its retry budget without getting through; the
+    Round-based NACK retransmission: each round resends, in index order,
+    the chunks the previous round did not deliver. Raises ``UplinkFailed``
+    once a chunk has used up its retry budget without getting through; the
     caller keeps the local copy for a later retry.
     """
     chunks = chunk_payloads(payload)
     total = len(chunks)
-    collector = ChunkCollector()
-    attempts = [0] * total
+    t_us = int(t_s * 1_000_000)
+    pending = list(range(total))
     sent = 0
     bytes_sent = 0
-    seq = 0
-    while True:
-        # the receiver's NACK: everything it has not acknowledged yet
-        pending = [i for i in range(total) if not collector.has_chunk(i)]
-        if not pending:
-            break
+    for _round in range(1 + CHUNK_RETRY_BUDGET):
+        undelivered = []
         for index in pending:
-            if attempts[index] > CHUNK_RETRY_BUDGET:
-                raise UplinkFailed(
-                    f"chunk {index}/{total} undelivered after "
-                    f"{CHUNK_RETRY_BUDGET} retransmissions"
-                )
-            attempts[index] += 1
-            msg = ResultChunk(
-                experiment_id=experiment_id,
-                chunk_index=index,
-                total_chunks=total,
-                data=chunks[index],
-            )
-            datagram = encode(msg, SUPERVISOR_SENDER_ID, seq, int(t_s * 1_000_000))
-            seq += 1
+            msg = ResultChunk(experiment_id=experiment_id, chunk_index=index, total_chunks=total, data=chunks[index])
+            bytes_sent += len(encode(msg, SUPERVISOR_SENDER_ID, sent, t_us))
             sent += 1
-            bytes_sent += len(datagram)
-            if link.deliver(t_s):
-                collector.offer(msg)
-    record = UplinkRecord(
-        delivered=True,
-        chunks_total=total,
-        datagrams_sent=sent,
-        retransmissions=sent - total,
-        bytes_sent=bytes_sent,
-    )
-    return record, collector.assemble()
+            if not link.deliver(t_s):
+                undelivered.append(index)
+        pending = undelivered
+        if not pending:
+            return UplinkRecord(
+                delivered=True,
+                chunks_total=total,
+                datagrams_sent=sent,
+                retransmissions=sent - total,
+                bytes_sent=bytes_sent,
+            )
+    raise UplinkFailed(f"chunk {pending[0]}/{total} undelivered after {CHUNK_RETRY_BUDGET} retransmissions")
 
 
 class OtaUplink:
@@ -346,8 +294,8 @@ class OtaUplink:
         self.inbox = hq_inbox(root)
 
     def send(self, experiment_id: str, payload: bytes, t_s: float, label: str = "report") -> UplinkRecord:
-        record, assembled = uplink_report(payload, experiment_id, self.link, t_s=t_s)
-        write_delivered(self.inbox, experiment_id, label, assembled)
+        record = uplink_report(payload, experiment_id, self.link, t_s=t_s)
+        write_delivered(self.inbox, experiment_id, label, payload)
         return record
 
 
@@ -475,13 +423,13 @@ class Supervisor:
                 ground_truth.popitem(last=False)
         elif kind is ResourceReport:
             self._on_resource_report(msg)
-        # heartbeats and result chunks are other actors' business
+        # heartbeats are other actors' business
 
     def _on_module_output(self, msg: ModuleOutput) -> None:
         frame_id, variant_id, detected, latency_us = msg
         state = self.variants.get(variant_id)
-        if state is None:
-            return
+        if state is None or state.final_status != STATUS_RUNNING:
+            return  # not ours, or from a variant already lost or stopped
         gt = self._ground_truth.get(frame_id, 0)
         state.frames_processed += 1
         state.detections_total += detected
@@ -493,7 +441,7 @@ class Supervisor:
 
     def _on_resource_report(self, msg: ResourceReport) -> None:
         state = self.variants.get(msg.variant_id)
-        if state is None or not state.running:
+        if state is None or state.final_status != STATUS_RUNNING:
             return
         state.last_report_us = self.clock.now_us()
         if state.samples_since_command is not None:
@@ -550,7 +498,6 @@ class Supervisor:
             if self.state is ExperimentState.RUNNING:
                 self._transition(ExperimentEvent.DEGRADE)
         else:  # STOP
-            state.running = False
             state.final_status = STATUS_ABORTED
             self._maybe_abort()
 
@@ -562,7 +509,7 @@ class Supervisor:
         experimental = [v for v in self.variants.values() if v.role is Role.EXPERIMENTAL]
         if not experimental:
             return
-        if any(v.running for v in experimental):
+        if any(v.final_status == STATUS_RUNNING for v in experimental):
             return
         if not any(v.final_status == STATUS_ABORTED for v in experimental):
             return  # all gone, but by crashes: not an enforcement abort
@@ -576,8 +523,7 @@ class Supervisor:
             return
         now = self.clock.now_us()
         for state in self.variants.values():
-            if state.running and now - state.last_report_us > self._liveness_us:
-                state.running = False
+            if state.final_status == STATUS_RUNNING and now - state.last_report_us > self._liveness_us:
                 state.final_status = STATUS_CRASHED
                 self._log("launch_lost", variant_id=state.variant_id)
                 self._maybe_abort()
@@ -626,8 +572,7 @@ class Supervisor:
         if self.state in (ExperimentState.RUNNING, ExperimentState.DEGRADED):
             self._transition(ExperimentEvent.COMPLETE)
         for state in self.variants.values():
-            if state.running:
-                state.running = False
+            if state.final_status == STATUS_RUNNING:
                 state.final_status = STATUS_COMPLETED
         report = self._build_report()
         report_bytes = report.to_json().encode("utf-8")

@@ -665,6 +665,21 @@ def test_cli_run_refuses_a_scenario_that_does_not_load(tmp_path, capsys, damage,
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_refuses_a_variant_id_too_long_to_name_its_log(tmp_path, capsys):
+    # 300 characters: past the 255 a file name may have, where the variant's
+    # sandbox log would fail to open mid-set-up
+    long_id = "e" * 300
+    scenario = make_ab_scenario()
+    scenario["protocol"]["variants"][1]["variant_id"] = long_id
+    scenario["stubs"][1]["variant_id"] = long_id
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), "utf-8")
+    code = H.cli_main(["run", "--scenario", str(path), "--data-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().out == "error: variants[1].variant_id: length 300 exceeds 64\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_refuses_a_bare_nan_literal(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(make_ab_scenario(data_dir="run")).replace('"cpu_burn_pct": 25', '"cpu_burn_pct": NaN', 1), "utf-8")

@@ -419,56 +419,6 @@ def test_cli_refuses_a_link_file_with_an_unknown_key(tmp_path, capsys):
     assert capsys.readouterr().out == "error: unknown key 'datagram_loss'\n"
 
 
-@pytest.mark.udp
-def test_fetch_udp_collects_chunk_stream(tmp_path):
-    import threading
-    import time as _time
-
-    from cexp.clock import WallClock
-    from cexp.supervisor import chunk_payloads
-    from cexp.wirebus import ResultChunk, SocketError, UdpMulticastBus
-    from conftest import multicast_loopback_available
-
-    if not multicast_loopback_available(port=7741):
-        pytest.skip("no multicast-capable loopback interface")
-
-    payload = b"report-bytes " * 700  # > 2 chunks
-    chunks = chunk_payloads(payload)
-    done = threading.Event()
-    results = {}
-
-    def listen():
-        try:
-            results["path"] = HQ.fetch_udp("239.255.77.1", 7740, "exp-udp", tmp_path / "out", timeout_s=8.0)
-        except Exception as exc:  # surfaced by the main thread's assert
-            results["error"] = exc
-        finally:
-            done.set()
-
-    listener = threading.Thread(target=listen, daemon=True)
-    listener.start()
-    _time.sleep(0.3)  # let the listener join the group
-    out = UdpMulticastBus(port=7740)
-    writer = Sender(out, 61, WallClock())
-    try:
-        while not done.is_set():
-            for index, data in enumerate(chunks):
-                writer.send(
-                    ResultChunk(
-                        experiment_id="exp-udp",
-                        chunk_index=index,
-                        total_chunks=len(chunks),
-                        data=data,
-                    )
-                )
-            done.wait(timeout=0.2)
-    finally:
-        out.close()
-    listener.join(timeout=10)
-    assert "error" not in results, results.get("error")
-    assert results["path"].read_bytes() == payload
-
-
 def test_cli_refuses_a_link_file_with_a_float_bandwidth(tmp_path, capsys):
     link_path = tmp_path / "link.json"
     link_path.write_text(json.dumps({"bandwidth_bytes_per_s": 1e3}), "utf-8")
@@ -548,10 +498,11 @@ def test_cli_deploy_refuses_a_link_file_it_cannot_read(tmp_path, capsys):
     assert not (tmp_path / "vehicle").exists()
 
 
-def test_cli_fetch_without_a_target_or_udp_is_an_error(tmp_path, capsys):
-    code = HQ.cli_main(["fetch", "--experiment", "exp-x", "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert capsys.readouterr().out == "error: fetch needs --target or --udp\n"
+def test_cli_fetch_without_a_target_exits_2_and_writes_nothing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        HQ.cli_main(["fetch", "--experiment", "exp-x", "--out", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    assert "the following arguments are required: --target" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

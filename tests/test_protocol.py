@@ -58,6 +58,19 @@ def test_zero_variants_rejected():
     assert excinfo.value.field == "variants"
 
 
+@pytest.mark.parametrize("length, refused", [(64, False), (65, True)])
+def test_a_variant_id_is_capped_like_an_experiment_id(length, refused):
+    doc = make_protocol_doc()
+    doc["variants"][1]["variant_id"] = "e" * length
+    if not refused:
+        assert P.parse_protocol(json.dumps(doc)).variants[1].variant_id == "e" * length
+        return
+    with pytest.raises(P.ConstraintError) as excinfo:
+        P.parse_protocol(json.dumps(doc))
+    assert excinfo.value.field == "variants[1].variant_id"
+    assert str(excinfo.value) == "variants[1].variant_id: length 65 exceeds 64"
+
+
 @pytest.mark.parametrize("filename", sorted(_INVALID_CASES))
 def test_invalid_fixture_rejected_naming_field(filename):
     error_name, field_fragment = _INVALID_CASES[filename]

@@ -25,7 +25,6 @@ from cexp.wirebus import (
     ModuleOutput,
     MsgType,
     ResourceReport,
-    ResultChunk,
     Sender,
     SensorFrame,
     SocketError,
@@ -270,6 +269,30 @@ def test_sandbox_outputs_logged_never_republished(tmp_path):
         and item.envelope.sender_id == S.SUPERVISOR_SENDER_ID
     ]
     assert republished == []
+
+
+@pytest.mark.parametrize(
+    "cpu_threshold_pct, expa_trace, status, ended_us",
+    [(80.0, [], "CRASHED", 2_000_000), (20.0, [95] * 19, "ABORTED", 3_500_000)],
+    ids=["lost", "stopped"],
+)
+def test_outputs_after_a_variant_ended_are_not_scored(tmp_path, cpu_threshold_pct, expa_trace, status, ended_us):
+    protocol = two_variant_protocol(cpu_threshold_pct=cpu_threshold_pct)
+    # one output every 500 ms at a quarter period past the tick, to 9.75 s
+    times = [250_000 + 500_000 * k for k in range(20)]
+    outputs = [(t, SensorFrame(frame_id=i, ground_truth_count=2, pixels_digest=bytes(32))) for i, t in enumerate(times)]
+    outputs += [
+        (t + 1, ModuleOutput(frame_id=i, variant_id="expA", detected_count=1, latency_us=1_000))
+        for i, t in enumerate(times)
+    ]
+    report, _, sup = drive_run(
+        protocol, {"prod": [10] * 19, "expA": expa_trace}, tmp_path, outputs=outputs
+    )
+    exp = report.variant("expA")
+    scored = sum(1 for t in times if t < ended_us)
+    assert exp.final_status == status
+    assert (exp.frames_processed, exp.detections_total, exp.ground_truth_total) == (scored, scored, 2 * scored)
+    assert len((sup.run_dir / "logs" / "expA.jsonl").read_text("utf-8").splitlines()) == scored
 
 
 def test_two_identical_runs_yield_byte_identical_reports(tmp_path):
@@ -601,39 +624,12 @@ def test_chunk_payloads_empty_input_is_one_chunk():
     assert S.chunk_payloads(b"") == [b""]
 
 
-def _collect(*chunks):
-    collector = S.ChunkCollector()
-    for chunk in chunks:
-        collector.offer(chunk)
-    return collector
-
-
-def test_collector_ignores_chunks_no_split_emits():
-    # a chunk claiming a stream of no chunks does not complete an empty report
-    assert not _collect(ResultChunk("exp-1", 7, 0, b"junk")).complete()
-    assert not _collect(ResultChunk("exp-1", 0, 0, b"junk")).complete()
-    # an index past the end is not part of the stream
-    past_the_end = _collect(ResultChunk("exp-1", 2, 2, b"junk"), ResultChunk("exp-1", 0, 2, b"a"))
-    assert past_the_end.missing() == [1]
-
-
-def test_collector_keeps_the_chunk_count_of_the_first_chunk():
-    collector = _collect(
-        ResultChunk("exp-1", 0, 2, b"a"),
-        ResultChunk("exp-1", 2, 3, b"junk"),  # a different split of the stream
-        ResultChunk("exp-1", 1, 3, b"junk"),
-    )
-    assert collector.missing() == [1]
-    collector.offer(ResultChunk("exp-1", 1, 2, b"b"))
-    assert collector.assemble() == b"ab"
-
-
 def test_uplink_over_lossless_link():
     payload = b"r" * 10_240
     link = DatagramLink(LinkProfile(), seed=0)
-    record, assembled = S.uplink_report(payload, "exp-1", link)
-    assert assembled == payload
+    record = S.uplink_report(payload, "exp-1", link)
     assert record.chunks_total == 3
+    assert record.datagrams_sent == 3
     assert record.retransmissions == 0
     assert record.delivered
 
@@ -641,10 +637,33 @@ def test_uplink_over_lossless_link():
 def test_uplink_over_lossy_link_retransmits_until_delivered():
     payload = b"r" * 64_000  # 16 chunks
     link = DatagramLink(LinkProfile(datagram_loss_pct=20.0), seed=11)
-    record, assembled = S.uplink_report(payload, "exp-1", link)
-    assert assembled == payload
+    record = S.uplink_report(payload, "exp-1", link)
+    assert record.chunks_total == 16
     assert record.retransmissions > 0
     assert record.delivered
+
+
+_FIVE_CHUNKS = bytes(range(256)) * 70  # 17 920 B: four full chunks and a short one
+
+
+def test_uplink_nack_rounds_are_pinned_to_the_link_draws(tmp_path):
+    # one link's draws serve a run's snapshots and its report, so the order of
+    # deliver calls fixes the uplink counters logged in events.jsonl
+    uplink = S.OtaUplink(LinkProfile(datagram_loss_pct=30.0), tmp_path, seed=4)
+    record = uplink.send("exp-1", _FIVE_CHUNKS, t_s=0.0)
+    assert record == S.UplinkRecord(
+        delivered=True, chunks_total=5, datagrams_sent=9, retransmissions=4, bytes_sent=32_131
+    )
+    assert uplink.link._rng.random() == 0.22192817569031764
+    assert (tmp_path / "hq" / "exp-1" / "report.json").read_bytes() == _FIVE_CHUNKS
+
+
+def test_uplink_failure_names_the_first_chunk_out_of_retries_and_writes_nothing(tmp_path):
+    uplink = S.OtaUplink(LinkProfile(datagram_loss_pct=80.0), tmp_path, seed=2)
+    with pytest.raises(S.UplinkFailed, match=r"^chunk 2/5 undelivered after 5 retransmissions$"):
+        uplink.send("exp-1", _FIVE_CHUNKS, t_s=0.0)
+    assert uplink.link._rng.random() == 0.9948195629497427  # no draw for the chunk that ran out
+    assert not (tmp_path / "hq").exists()
 
 
 def test_uplink_with_link_down_raises_and_report_is_retained(tmp_path):
