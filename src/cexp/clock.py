@@ -4,12 +4,12 @@ All timing logic in this package goes through a ``Clock`` so that an
 entire experiment cycle can run deterministically under ``FakeClock``.
 ``Scheduler.run_until`` is the only event loop: callbacks fire in
 timestamp order, and before each one an idle step brings the world to
-its time. The idle step is the one thing that differs between runs: a
-fake-clock run jumps the clock (no wall time passes at all), a paced
-run sleeps to keep up with wall time, and the live daemon waits on its
-UDP socket and delivers what arrives. The steps that wait on wall time
-are also where a run refreshes its ``status.json``: a fake-clock run never
-waits, so nothing can read the file mid-run and it is not rewritten there.
+its time. The idle step is the one thing that differs between the two
+kinds of run: a fake-clock run (``harness.run_scenario``) jumps the clock,
+so no wall time passes at all, and the live daemon (``cesupd``) waits on
+its UDP socket and delivers what arrives. The live step is also where a
+run refreshes its ``status.json``: a fake-clock run never waits, so
+nothing can read the file mid-run and it is not rewritten there.
 Events at equal timestamps run in rank order: ``call_at`` gives each
 event the next rank, and every occurrence of a ``call_every`` callback
 keeps the one rank taken when it was registered, so occurrences tie as

@@ -32,10 +32,9 @@ import hashlib
 import json
 import math
 import random
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .artifact import LinkProfile, SchemaError, open_outages, record_fields, record_from_object
 from .clock import FakeClock, Scheduler
@@ -419,7 +418,8 @@ class Expectations:
 @dataclass(frozen=True)
 class Scenario:
     """A scenario file's sections, and the protocol it holds inline
-    (``protocol``) or names by path (``protocol_file``)."""
+    (``protocol``) or names by path (``protocol_file``). A scenario runs
+    under the fake clock only: ``fake_clock`` must be true."""
 
     name: str = "scenario"
     frames: FrameConfig = FrameConfig()
@@ -432,6 +432,9 @@ class Scenario:
     protocol_file: Optional[str] = None
     # read by parse_protocol on its own, so its errors name the protocol's fields
     protocol: Optional[ExperimentationProtocol] = None
+
+    def __post_init__(self) -> None:
+        _require(self.fake_clock, "fake_clock", "true (a live run goes through cesupd)", self.fake_clock)
 
     def stub_for(self, variant_id: str) -> StubProfile:
         for stub in self.stubs:
@@ -482,23 +485,6 @@ def scenario_from_object(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
     return scenario
 
 
-def paced_to_wall_time(clock: FakeClock, before_wait: Callable[[], None]) -> Callable[[int], None]:
-    """Idle step that sleeps until as much wall time has passed as
-    simulated time will have, counted from this call, then jumps ``clock``.
-    ``before_wait`` runs just before each sleep, and only then."""
-    wall_start = time.monotonic()
-    sim_start = clock.now_us()
-
-    def idle(t_us: int) -> None:
-        lag = (t_us - sim_start) / 1e6 - (time.monotonic() - wall_start)
-        if lag > 0:
-            before_wait()
-            time.sleep(lag)
-        clock.advance_to(t_us)
-
-    return idle
-
-
 @dataclass
 class ScenarioOutcome:
     report: ExperimentReport
@@ -513,15 +499,13 @@ class ScenarioOutcome:
         return not self.failures
 
 
-def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> ScenarioOutcome:
-    """Run one full experiment cycle and evaluate the scenario expectations.
+def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
+    """Run one full experiment cycle under the fake clock and evaluate the
+    scenario expectations.
 
-    ``data_dir``, else the scenario's, is the vehicle root the supervisor
-    and the uplink write under (``supervisor.run_dir``, ``hq_inbox``).
+    ``data_dir`` is the vehicle root the supervisor and the uplink write
+    under (``supervisor.run_dir``, ``hq_inbox``).
     """
-    root = data_dir if data_dir is not None else scenario.data_dir
-    if root is None:
-        raise ScenarioError("scenario has no data_dir and none was supplied")
     protocol = scenario.protocol
 
     clock = FakeClock(0)
@@ -535,12 +519,10 @@ def run_scenario(scenario: Scenario, data_dir: Optional[Path] = None) -> Scenari
 
     uplink = None
     if scenario.uplink is not None:
-        uplink = OtaUplink(scenario.uplink.link, root, seed=scenario.uplink.seed)
+        uplink = OtaUplink(scenario.uplink.link, data_dir, seed=scenario.uplink.seed)
 
-    sup = Supervisor(protocol, clock, root, bus, uplink=uplink)
-    scheduler = Scheduler(
-        clock, idle=None if scenario.fake_clock else paced_to_wall_time(clock, sup.refresh_status)
-    )
+    sup = Supervisor(protocol, clock, data_dir, bus, uplink=uplink)
+    scheduler = Scheduler(clock)
 
     # the supervisor subscribes first: on a frame's synchronous fan-out it
     # must record the ground truth before any stub's output comes back in
@@ -651,10 +633,11 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # a scenario or its protocol that does not load or cannot be read
         print(f"error: {exc}")
         return 2
-    if args.data_dir is None and scenario.data_dir is None:
+    data_dir = args.data_dir if args.data_dir is not None else scenario.data_dir
+    if data_dir is None:
         print("error: scenario has no data_dir and --data-dir was not given")
         return 2
-    outcome = run_scenario(scenario, data_dir=args.data_dir)
+    outcome = run_scenario(scenario, data_dir=data_dir)
     report = outcome.report
     print(f"scenario {scenario.name}: final_state={report.final_state}")
     for variant in report.variants:

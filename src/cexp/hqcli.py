@@ -75,7 +75,7 @@ class DecisionReport:
         return json.dumps(self, default=record_fields, sort_keys=True, indent=2) + "\n"
 
 
-def compare(report: ExperimentReport, transfer_record: Optional[TransferRecord] = None) -> DecisionReport:
+def compare(report: ExperimentReport) -> DecisionReport:
     """Select the winning variant from a finished experiment report.
 
     Eligibility requires final_status COMPLETED and a defined accuracy
@@ -126,7 +126,7 @@ def compare(report: ExperimentReport, transfer_record: Optional[TransferRecord] 
         provenance={
             "integration_s": INTEGRATION_S,
             "build_s": BUILD_S,
-            "transfer": transfer_record.to_object() if transfer_record is not None else None,
+            "transfer": None,
         },
     )
 

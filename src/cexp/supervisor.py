@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -309,10 +309,10 @@ class Supervisor:
     ``finish`` keeps the report it wrote as ``report``, None until then.
 
     ``status.json`` is written at ``begin`` and ``finish``. In between,
-    an idle step that waits on wall time calls ``refresh_status`` first;
-    no wait outlasts a tick, so a poll sees the file at most one sample
-    period stale. A fake-clock run never waits and writes the two
-    snapshots only.
+    the live daemon's idle step (``run_realtime``) calls ``refresh_status``
+    before it waits on the bus; no wait outlasts a tick, so a poll sees
+    the file at most one sample period stale. A fake-clock run never
+    waits and writes the two snapshots only.
     """
 
     def __init__(
@@ -675,33 +675,20 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--bus", default=None, help=f"UDP multicast group:port (default {DEFAULT_GROUP}:{DEFAULT_PORT})"
     )
-    parser.add_argument(
-        "--fake-clock",
-        metavar="SCENARIO",
-        default=None,
-        help="run deterministically against a scenario file instead of a live bus",
-    )
     args = parser.parse_args(argv)
 
     try:
         protocol = parse_protocol(Path(args.protocol).read_text("utf-8"))
-        if args.fake_clock is not None:
-            from . import harness  # scenario machinery lives with the testbed
-
-            scenario = replace(harness.load_scenario(Path(args.fake_clock)), protocol=protocol)
-    except (ValueError, OSError) as exc:  # a protocol or scenario that does not load or cannot be read
+    except (ValueError, OSError) as exc:  # a protocol that does not load or cannot be read
         print(f"error: {exc}")
         return 2
 
-    if args.fake_clock is not None:
-        report = harness.run_scenario(scenario, data_dir=args.data_dir).report
-    else:
-        group, port = args.bus.rsplit(":", 1) if args.bus else (DEFAULT_GROUP, DEFAULT_PORT)
-        bus = UdpMulticastBus(group=group, port=int(port))
-        try:
-            report = run_realtime(protocol, bus, args.data_dir)
-        finally:
-            bus.close()
+    group, port = args.bus.rsplit(":", 1) if args.bus else (DEFAULT_GROUP, DEFAULT_PORT)
+    bus = UdpMulticastBus(group=group, port=int(port))
+    try:
+        report = run_realtime(protocol, bus, args.data_dir)
+    finally:
+        bus.close()
     report_path = run_dir(args.data_dir, report.experiment_id) / "report.json"
     print(f"run complete: state={report.final_state} report={report_path}")
     return 0

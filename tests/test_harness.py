@@ -544,6 +544,9 @@ def _out_of_range(where, key, value, message):
         _out_of_range(
             "stubs[1]", "crash_at_s", -1, "stubs['expA'].crash_at_s: must be null or finite and >= 0, got -1.0"
         ),
+        _out_of_range(
+            "scenario", "fake_clock", False, "fake_clock: must be true (a live run goes through cesupd), got False"
+        ),
     ],
 )
 def test_scenario_refuses_a_value_out_of_range_at_load(where, key, value, message):
@@ -651,8 +654,9 @@ def test_cli_run_fails_on_broken_expectation(tmp_path, capsys):
     [
         (lambda s: s["node"].update(heartbeat_period=500), "node: unknown key 'heartbeat_period'"),
         (lambda s: s["protocol"].pop("max_duration_s"), "max_duration_s: missing key"),
+        (lambda s: s.update(fake_clock=False), "fake_clock: must be true (a live run goes through cesupd), got False"),
     ],
-    ids=["unknown-scenario-key", "protocol-missing-key"],
+    ids=["unknown-scenario-key", "protocol-missing-key", "not-fake-clock"],
 )
 def test_cli_run_refuses_a_scenario_that_does_not_load(tmp_path, capsys, damage, message):
     scenario = make_ab_scenario()
@@ -714,40 +718,3 @@ def test_cli_run_without_a_data_dir_is_an_error(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert capsys.readouterr().out == "error: scenario has no data_dir and --data-dir was not given\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
-
-
-def test_paced_idle_step_calls_before_wait_only_when_it_is_about_to_sleep(monkeypatch):
-    wall = [100.0]
-    log = []
-
-    def sleep(seconds):
-        log.append(("sleep", seconds))
-        wall[0] += seconds
-
-    monkeypatch.setattr(H.time, "monotonic", lambda: wall[0])
-    monkeypatch.setattr(H.time, "sleep", sleep)
-    clock = FakeClock(0)
-    idle = H.paced_to_wall_time(clock, lambda: log.append("before_wait"))
-    idle(1_000_000)  # 1 s ahead of wall time
-    wall[0] += 5.0  # the host falls 4 s behind
-    idle(2_000_000)
-    idle(6_000_000)  # level with wall time: nothing to wait for
-    idle(8_000_000)
-    assert log == ["before_wait", ("sleep", 1.0), "before_wait", ("sleep", 2.0)]
-    assert clock.now_us() == 8_000_000
-
-
-@pytest.mark.slow
-def test_realtime_scenario_paces_to_wall_clock(tmp_path):
-    import time
-
-    scenario = make_ab_scenario(fake_clock=False)
-    scenario["protocol"]["max_duration_s"] = 2
-    scenario["frames"] = {"count": 20, "rate_hz": 10, "seed": 7}
-    scenario["expect"] = {"final_state": "COMPLETED"}
-    started = time.monotonic()
-    outcome = H.run_scenario(H.scenario_from_object(scenario), data_dir=tmp_path)
-    elapsed = time.monotonic() - started
-    assert outcome.ok, outcome.failures
-    assert 1.8 <= elapsed <= 10.0  # paced, not instant; generous upper bound for CI
-    assert outcome.report.final_state == "COMPLETED"

@@ -158,9 +158,6 @@ def test_compare_carries_pipeline_provenance():
     assert decision.provenance["integration_s"] == 240
     assert decision.provenance["build_s"] == 420
     assert decision.provenance["transfer"] is None
-    record = A.TransferRecord(bytes_moved=10, started_t=0.0, completed_t=1.0, layers_fetched=("sha256:" + "0" * 64,))
-    with_transfer = HQ.compare(make_report([make_result("prod", "PRODUCTION", 0.6)]), transfer_record=record)
-    assert with_transfer.provenance["transfer"]["bytes_moved"] == 10
 
 
 def test_compare_rationale_flags_the_stand_in_metric():
@@ -600,10 +597,6 @@ def _run_ceharness(protocol_path, scenario_path, root):
     return H.cli_main(["run", "--scenario", str(scenario_path), "--data-dir", str(root)])
 
 
-def _run_cesupd_fake_clock(protocol_path, scenario_path, root):
-    return S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(root), "--fake-clock", str(scenario_path)])
-
-
 def _run_cesupd_live(protocol_path, scenario_path, root):
     if not multicast_loopback_available(port=7761):
         pytest.skip("no multicast-capable loopback interface")
@@ -615,10 +608,9 @@ def _run_cesupd_live(protocol_path, scenario_path, root):
     "run",
     [
         _run_ceharness,
-        _run_cesupd_fake_clock,
         pytest.param(_run_cesupd_live, marks=[pytest.mark.udp, pytest.mark.slow]),
     ],
-    ids=["ceharness", "cesupd-fake-clock", "cesupd-live"],
+    ids=["ceharness", "cesupd-live"],
 )
 def test_cectl_finds_a_run_under_the_vehicle_root_it_was_given(tmp_path, capsys, run):
     protocol = make_protocol_doc(experiment_id="exp-live", max_duration_s=1, sustain_samples=1)

@@ -1,11 +1,12 @@
 """Byte-level pins on the demo scenarios' artifacts and on HQ's outputs.
 
-Each ``scenarios/*.json`` file runs through ``ceharness run`` (and
-``ab_500`` also through ``cesupd --fake-clock``) into a fresh directory;
-every file the run leaves must hash to the digest recorded here. A change
-to the run loop, the event order or any writer that moves one byte of a
-fake-clock run fails this test. A whole ``cectl`` cycle over a lossy link
-with an outage pins the bytes HQ prints and stores the same way.
+Each ``scenarios/*.json`` file runs through ``ceharness run`` into a
+fresh directory; every file the run leaves must hash to the digest
+recorded here. A change to the run loop, the event order or any writer
+that moves one byte of a fake-clock run fails this test. A whole
+``cectl`` cycle over a lossy link with an outage, whose vehicle step
+runs the deployed protocol through ``ceharness run``, pins the bytes HQ
+prints and stores the same way.
 """
 
 from __future__ import annotations
@@ -131,18 +132,6 @@ def test_every_record_a_sender_hands_over_is_what_its_datagram_decodes_to(name, 
     assert outcome.bus.raw == 0
 
 
-def test_cesupd_fake_clock_reproduces_the_ab_500_artifacts(tmp_path, capsys):
-    code = S.cli_main(
-        [
-            "--protocol", str(SCENARIOS / "protocols" / "ab.json"),
-            "--data-dir", str(tmp_path),
-            "--fake-clock", str(SCENARIOS / "ab_500.json"),
-        ]
-    )
-    assert code == 0, capsys.readouterr().out
-    assert digests(tmp_path) == AB_500
-
-
 # One outage that a deploy crosses and the PERIODIC snapshot at t = 20 s
 # falls in, and a 5% datagram loss that status, fetch and the uplink draw on.
 HQ_LINK = {"bandwidth_bytes_per_s": 1000, "outage_schedule": [[18.5, 20.5]], "datagram_loss_pct": 5.0}
@@ -170,12 +159,13 @@ def test_cectl_reproduces_the_pinned_hq_side_of_a_periodic_ab_500_cycle(tmp_path
     protocol["upload_policy"] = {"PERIODIC": 10}
     protocol_path = tmp_path / "protocol.json"
     protocol_path.write_text(json.dumps(protocol), "utf-8")
+    vehicle = tmp_path / "vehicle"
+    # the vehicle runs the copy HQ deployed, not the file HQ deployed it from
     scenario = json.loads((SCENARIOS / "ab_500.json").read_text("utf-8"))
-    scenario["protocol_file"] = str(SCENARIOS / "protocols" / "ab.json")
+    scenario["protocol_file"] = str(vehicle / "protocols" / "exp-ab-500.json")
     scenario["uplink"]["link"] = HQ_LINK
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(scenario), "utf-8")
-    vehicle = tmp_path / "vehicle"
     inbox = tmp_path / "inbox"
 
     def cectl(*argv) -> bytes:
@@ -189,10 +179,7 @@ def test_cectl_reproduces_the_pinned_hq_side_of_a_periodic_ab_500_cycle(tmp_path
         "deploy", "--protocol", protocol_path, "--bundle", bundles[0], "--bundle", bundles[1],
         "--target", vehicle, "--link", link_path, "--json",
     )
-    deployed = vehicle / "protocols" / "exp-ab-500.json"
-    code = S.cli_main(
-        ["--protocol", str(deployed), "--data-dir", str(vehicle), "--fake-clock", str(scenario_path)]
-    )
+    code = H.cli_main(["run", "--scenario", str(scenario_path), "--data-dir", str(vehicle)])
     out = capsys.readouterr().out
     assert code == 0, out
     outputs["status --json"] = cectl(

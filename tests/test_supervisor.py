@@ -572,16 +572,24 @@ def test_clean_run_writes_status_at_begin_and_finish_and_ends_the_same_when_refr
 
     # an idle step that rewrites the file before every event changes how
     # often it is written, not how it ends
-    write_status = S.Supervisor._write_status
-    monkeypatch.setattr(S.Supervisor, "refresh_status", lambda self: None if self.report is not None else write_status(self))
-    monkeypatch.setattr(
-        harness,
-        "paced_to_wall_time",
-        lambda clock, before_wait: lambda t_us: (before_wait(), clock.advance_to(t_us)),
-    )
+    built = []
+
+    def recorded_supervisor(*args, **kwargs):
+        built.append(S.Supervisor(*args, **kwargs))
+        return built[-1]
+
+    def rewriting_scheduler(clock):
+        def idle(t_us):
+            if built[-1].report is None:
+                built[-1]._write_status()
+            clock.advance_to(t_us)
+
+        return Scheduler(clock, idle=idle)
+
+    monkeypatch.setattr(harness, "Supervisor", recorded_supervisor)
+    monkeypatch.setattr(harness, "Scheduler", rewriting_scheduler)
     written.clear()
-    scenario = harness.scenario_from_object(make_ab_scenario(fake_clock=False))
-    harness.run_scenario(scenario, data_dir=tmp_path / "every_event")
+    harness.run_scenario(harness.scenario_from_object(make_ab_scenario()), data_dir=tmp_path / "every_event")
     assert len(written) > 100
     assert (tmp_path / "every_event" / "data" / "exp-ab-500" / "status.json").read_bytes() == final
 
@@ -723,53 +731,32 @@ def test_cesupd_live_bus_address(tmp_path, monkeypatch, bus_arg, address):
     assert opened == [address]
 
 
-def test_cesupd_fake_clock_scenario_run(tmp_path, capsys):
-    from conftest import make_ab_scenario
-
-    scenario = make_ab_scenario()
-    protocol_path = tmp_path / "protocol.json"
-    protocol_path.write_text(json.dumps(scenario["protocol"]), "utf-8")
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(scenario), "utf-8")
-
-    code = S.cli_main(
-        [
-            "--protocol", str(protocol_path),
-            "--data-dir", str(tmp_path / "vehicle"),
-            "--fake-clock", str(scenario_path),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "state=COMPLETED" in out
-    report_path = tmp_path / "vehicle" / "data" / "exp-ab-500" / "report.json"
-    assert report_path.is_file()
-
-
 @pytest.mark.parametrize(
-    "broken, message",
+    "missing, extra_args, printed",
     [
-        ("scenario", "stubs[1]: unknown key 'true_postive_rate'"),
-        ("protocol", "sample_period_ms: missing key"),
+        (["sample_period_ms"], [], "error: sample_period_ms: missing key\n"),
+        # a fake-clock run goes through ``ceharness run``; cesupd is live only
+        ([], ["--fake-clock", "x"], "cesupd: error: unrecognized arguments: --fake-clock x\n"),
     ],
+    ids=["protocol-missing-key", "no-fake-clock-option"],
 )
-def test_cesupd_fake_clock_refuses_inputs_that_do_not_load(tmp_path, capsys, broken, message):
-    scenario = make_ab_scenario()
-    protocol = dict(scenario["protocol"])
-    if broken == "scenario":
-        scenario["stubs"][1]["true_postive_rate"] = 0.1
-    else:
-        del protocol["sample_period_ms"]
+def test_cesupd_refuses_inputs_before_it_opens_the_bus(tmp_path, capsys, monkeypatch, missing, extra_args, printed):
+    opened = []
+    monkeypatch.setattr(S, "UdpMulticastBus", lambda group, port: opened.append((group, port)))
+    protocol = make_protocol_doc()
+    for key in missing:
+        del protocol[key]
     protocol_path = tmp_path / "protocol.json"
     protocol_path.write_text(json.dumps(protocol), "utf-8")
-    scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(json.dumps(scenario), "utf-8")
-    code = S.cli_main(
-        ["--protocol", str(protocol_path), "--data-dir", str(tmp_path / "vehicle"), "--fake-clock", str(scenario_path)]
-    )
+    try:
+        code = S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(tmp_path / "vehicle"), *extra_args])
+    except SystemExit as exited:  # argparse's usage error
+        code = exited.code
     assert code == 2
-    assert capsys.readouterr().out == f"error: {message}\n"
-    assert not (tmp_path / "vehicle").exists()
+    out, err = capsys.readouterr()
+    assert (out + err).endswith(printed)
+    assert opened == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["protocol.json"]
 
 
 def test_cesupd_refuses_a_protocol_file_it_cannot_read(tmp_path, capsys):
