@@ -39,12 +39,6 @@ _DIGEST_RE = re.compile(r"^sha256:[0-9a-f]{64}$")
 # should reproduce.
 DEFAULT_BANDWIDTH_BYTES_PER_S = 5_952_380
 
-# CI-pipeline durations surfaced as display-only provenance in decision
-# reports: typical integrate and image-build stage lengths in seconds.
-INTEGRATION_S = 240
-BUILD_S = 420
-
-
 class ArtifactError(Exception):
     pass
 

@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .artifact import LinkProfile, SchemaError, open_outages, record_fields, record_from_object
 from .clock import FakeClock, Scheduler
@@ -338,14 +338,14 @@ class HeartbeatEmitter:
 class FailoverMonitor:
     """Secondary-node failure detector over primary heartbeats.
 
-    Declares the primary down after ``node.miss_threshold`` consecutive
-    missed beats (staleness > threshold x period at a period-aligned
-    check) and issues one simulated restart. Isolated losses shorter
-    than the threshold never trigger.
+    Two states. ``UP`` holds while beats arrive. After
+    ``node.miss_threshold`` consecutive missed beats (staleness >
+    threshold x period at a period-aligned check) the monitor issues one
+    simulated restart and is ``RESTARTING`` until the next beat. Isolated
+    losses shorter than the threshold never trigger.
     """
 
     UP = "UP"
-    SUSPECT = "SUSPECT"
     RESTARTING = "RESTARTING"
 
     def __init__(self, clock: FakeClock, node: NodeConfig) -> None:
@@ -357,7 +357,7 @@ class FailoverMonitor:
         self.restart_events: list[dict] = []
         self._on_restart = None
 
-    def attach(self, bus: LoopbackBus, scheduler: Scheduler, on_restart=None) -> None:
+    def attach(self, bus: LoopbackBus, scheduler: Scheduler, on_restart: Callable[[], None]) -> None:
         self._on_restart = on_restart
         self.last_beat_us = scheduler.clock.now_us()
         bus.subscribe(types={MsgType.HEARTBEAT}, callback=self._on_heartbeat)
@@ -375,8 +375,7 @@ class FailoverMonitor:
 
     def observe_beat(self, t_us: int) -> None:
         self.last_beat_us = t_us
-        if self.state in (self.SUSPECT, self.RESTARTING):
-            self.state = self.UP
+        self.state = self.UP
 
     def check_now(self) -> None:
         now = self.clock.now_us()
@@ -392,10 +391,7 @@ class FailoverMonitor:
                 "staleness_us": staleness_us,
             }
             self.restart_events.append(event)
-            if self._on_restart is not None:
-                self._on_restart()
-        elif staleness_us > self.period_us:
-            self.state = self.SUSPECT
+            self._on_restart()
 
 
 @dataclass(frozen=True)
@@ -406,13 +402,13 @@ class UplinkConfig:
 
 @dataclass(frozen=True)
 class Expectations:
-    """What a scenario run must show; an absent (null) key is not checked."""
+    """What a scenario run must show; an absent (null) key is not checked.
+    That no command reaches production is not a key: every run must show it."""
 
     final_state: Optional[str] = None
     winner: Optional[str] = None
     aborted_variants: Optional[tuple[str, ...]] = None
     restart_count: Optional[int] = None
-    commands_to_production: int = 0  # at most this many commands may reach production
 
 
 @dataclass(frozen=True)
@@ -490,13 +486,8 @@ class ScenarioOutcome:
     report: ExperimentReport
     report_path: Path
     bus: LoopbackBus
-    restart_events: list[dict]
     failures: list[str]
     decision: Optional[dict] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
@@ -539,12 +530,12 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
 
     # the production-protection audit, counted off the wire as commands go out
     production_id = next(v.variant_id for v in protocol.variants if v.role is Role.PRODUCTION)
-    commands_to_production = 0
+    production_commands = 0
 
     def on_command(received: Received) -> None:
-        nonlocal commands_to_production
+        nonlocal production_commands
         if received.message.target_variant_id == production_id:
-            commands_to_production += 1
+            production_commands += 1
 
     bus.subscribe(types={MsgType.COMMAND}, callback=on_command)
 
@@ -575,12 +566,11 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
 
         decision = record_fields(hqcli.compare(report))
     restart_count = len(monitor.restart_events)
-    failures = check_expectations(scenario, report, commands_to_production, restart_count, decision)
+    failures = check_expectations(scenario, report, production_commands, restart_count, decision)
     return ScenarioOutcome(
         report=report,
         report_path=sup.run_dir / "report.json",
         bus=bus,
-        restart_events=monitor.restart_events,
         failures=failures,
         decision=decision,
     )
@@ -589,14 +579,15 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
 def check_expectations(
     scenario: Scenario,
     report: ExperimentReport,
-    commands_to_production: int,
+    production_commands: int,
     restart_count: int,
     decision: Optional[dict],
 ) -> list[str]:
-    """``commands_to_production`` counts the COMMAND messages published
-    to the production variant during the run, ``restart_count`` the
-    failover monitor's restarts; ``decision`` is HQ's ``compare`` of the
-    report, needed when the scenario expects a winner."""
+    """The run's failures against the scenario's ``expect``, plus the one
+    check every run gets: any COMMAND published to the production variant
+    (``production_commands`` counts them) fails it. ``restart_count`` is
+    the failover monitor's restarts; ``decision`` is HQ's ``compare`` of
+    the report, needed when the scenario expects a winner."""
     expect = scenario.expect
     failures: list[str] = []
     if expect.final_state is not None and report.final_state != expect.final_state:
@@ -609,11 +600,8 @@ def check_expectations(
             failures.append(f"aborted_variants: expected {list(expect.aborted_variants)}, got {aborted}")
     if expect.restart_count is not None and restart_count != expect.restart_count:
         failures.append(f"restart_count: expected {expect.restart_count}, got {restart_count}")
-    if commands_to_production > expect.commands_to_production:
-        failures.append(
-            f"commands_to_production: {commands_to_production} issued, "
-            f"at most {expect.commands_to_production} allowed"
-        )
+    if production_commands:
+        failures.append(f"production: {production_commands} command(s) received, none allowed")
     return failures
 
 

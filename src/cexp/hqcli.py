@@ -24,10 +24,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .artifact import (
-    BUILD_S,
     ArtifactError,
     DatagramLink,
-    INTEGRATION_S,
     LayerStore,
     LinkProfile,
     TransferRecord,
@@ -69,7 +67,6 @@ class DecisionReport:
     ranking: tuple[dict, ...]
     winner: Optional[str]
     rationale: str
-    provenance: dict
 
     def to_json(self) -> str:
         return json.dumps(self, default=record_fields, sort_keys=True, indent=2) + "\n"
@@ -123,11 +120,6 @@ def compare(report: ExperimentReport) -> DecisionReport:
         ranking=tuple(ranking),
         winner=winner,
         rationale="; ".join(rules),
-        provenance={
-            "integration_s": INTEGRATION_S,
-            "build_s": BUILD_S,
-            "transfer": None,
-        },
     )
 
 

@@ -60,6 +60,7 @@ from .wirebus import (
     ResultChunk,
     SensorFrame,
     Sender,
+    SocketError,
     UdpMulticastBus,
     encode,
 )
@@ -673,7 +674,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--protocol", required=True, help="protocol JSON file")
     parser.add_argument("--data-dir", required=True, help="vehicle root: the run lands in its data/<experiment_id>/")
     parser.add_argument(
-        "--bus", default=None, help=f"UDP multicast group:port (default {DEFAULT_GROUP}:{DEFAULT_PORT})"
+        "--bus", default=f"{DEFAULT_GROUP}:{DEFAULT_PORT}", help="UDP multicast GROUP:PORT (default %(default)s)"
     )
     args = parser.parse_args(argv)
 
@@ -683,8 +684,15 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}")
         return 2
 
-    group, port = args.bus.rsplit(":", 1) if args.bus else (DEFAULT_GROUP, DEFAULT_PORT)
-    bus = UdpMulticastBus(group=group, port=int(port))
+    group, _, port = args.bus.rpartition(":")
+    if not (group and port.isdecimal() and 1 <= int(port) <= 65535):
+        print(f"error: --bus: expected GROUP:PORT with a port in 1-65535, got {args.bus!r}")
+        return 2
+    try:
+        bus = UdpMulticastBus(group=group, port=int(port))
+    except SocketError as exc:
+        print(f"error: {exc}")
+        return 2
     try:
         report = run_realtime(protocol, bus, args.data_dir)
     finally:

@@ -538,10 +538,10 @@ class UdpMulticastBus(_Router):
                 # endpoints on one host, as on the desk testbed, hear each other
                 self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
                 self._sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_TTL, 1)
-            except OSError:
+            except Exception:  # OverflowError too, for a port past 65535
                 self._sock.close()
                 raise
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:
             raise SocketError(f"cannot open multicast endpoint {group}:{port}: {exc}") from exc
 
     def publish(self, datagram: bytes, received: Received | None = None) -> None:

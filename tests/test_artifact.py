@@ -431,11 +431,6 @@ def test_fetch_bundle_plans_without_listing_the_store(tmp_path, monkeypatch):
     assert all(local.has(layer.digest) for layer in layers)
 
 
-def test_ci_stage_constants():
-    assert A.INTEGRATION_S == 240
-    assert A.BUILD_S == 420
-
-
 def test_store_layout_on_disk(tmp_path):
     store = A.LayerStore(tmp_path / "store")
     layer = store.put(b"content")

@@ -380,17 +380,19 @@ def test_two_isolated_missed_beats_do_not_restart():
     assert monitor.state == H.FailoverMonitor.UP
 
 
-def test_monitor_marks_suspect_before_restarting():
-    clock = FakeClock(0)
+def test_monitor_restarts_only_once_staleness_passes_the_miss_threshold():
+    clock, scheduler, bus = _frame_world()
     monitor = H.FailoverMonitor(clock, H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3))
-    monitor.last_beat_us = 0
-    clock.advance_to(2_500_000)
+    restarts = []
+    monitor.attach(bus, scheduler, on_restart=lambda: restarts.append(clock.now_us()))
+    clock.advance_to(2_500_000)  # two beats missed: under the threshold
     monitor.check_now()
-    assert monitor.state == H.FailoverMonitor.SUSPECT
+    assert (monitor.state, restarts) == (H.FailoverMonitor.UP, [])
     clock.advance_to(3_100_000)
     monitor.check_now()
     assert monitor.state == H.FailoverMonitor.RESTARTING
-    assert len(monitor.restart_events) == 1
+    assert restarts == [3_100_000]
+    assert [event["t_us"] for event in monitor.restart_events] == [3_100_000]
 
 
 def test_node_config_miss_threshold_floor():
@@ -561,7 +563,7 @@ def test_scenario_refuses_a_value_out_of_range_at_load(where, key, value, messag
 
 def test_ab_scenario_selects_the_better_variant(tmp_path):
     outcome = H.run_scenario(H.scenario_from_object(make_ab_scenario()), data_dir=tmp_path)
-    assert outcome.ok, outcome.failures
+    assert outcome.failures == []
     report = outcome.report
     assert report.final_state == "COMPLETED"
     acc = {v.variant_id: v.accuracy for v in report.variants}
@@ -577,9 +579,19 @@ def test_run_scenario_compares_the_report_once(tmp_path, monkeypatch):
     compare = hqcli.compare
     monkeypatch.setattr(hqcli, "compare", lambda report: compared.append(report) or compare(report))
     outcome = H.run_scenario(H.scenario_from_object(make_ab_scenario()), data_dir=tmp_path)
-    assert outcome.ok, outcome.failures
+    assert outcome.failures == []
     assert outcome.decision["winner"] == "expA"
     assert compared == [outcome.report]
+
+
+def test_a_command_to_production_fails_the_run(tmp_path):
+    scenario = H.scenario_from_object(make_ab_scenario())
+    outcome = H.run_scenario(scenario, data_dir=tmp_path)
+    assert outcome.failures == []
+    assert H.check_expectations(scenario, outcome.report, 0, 0, outcome.decision) == []
+    assert H.check_expectations(scenario, outcome.report, 1, 0, outcome.decision) == [
+        "production: 1 command(s) received, none allowed"
+    ]
 
 
 def test_crash_scenario_marks_variant_crashed(tmp_path):
@@ -587,7 +599,7 @@ def test_crash_scenario_marks_variant_crashed(tmp_path):
     scenario["stubs"][1]["crash_at_s"] = 3.0
     scenario["expect"] = {"final_state": "COMPLETED", "winner": "expB"}
     outcome = H.run_scenario(H.scenario_from_object(scenario), data_dir=tmp_path)
-    assert outcome.ok, outcome.failures
+    assert outcome.failures == []
     assert outcome.report.variant("expA").final_status == "CRASHED"
     assert outcome.report.variant("expA").frames_processed < 50
 
@@ -603,7 +615,7 @@ def test_final_state_does_not_depend_on_when_a_crash_is_detected(tmp_path, crash
         {"variant_id": "expB", "true_positive_rate": 0.68, "cpu_burn_pct": 5, "seed": 13, "crash_at_s": crash_at_s}
     )
     outcome = H.run_scenario(H.scenario_from_object(scenario), data_dir=tmp_path)
-    assert outcome.ok, outcome.failures
+    assert outcome.failures == []
     assert [c["t_us"] for c in outcome.report.variant("expA").commands_received][-1] == 3_500_000
     assert outcome.report.variant("expB").final_status == "CRASHED"
     assert outcome.report.final_state == "ABORTED"
@@ -620,8 +632,8 @@ def test_scenario_with_uplink_delivers_report_to_hq(tmp_path):
 def test_hostile_scenario_protects_production(tmp_path):
     hostile = H.run_scenario(H.scenario_from_object(make_hostile_scenario()), data_dir=tmp_path / "hostile")
     baseline = H.run_scenario(H.scenario_from_object(make_baseline_scenario()), data_dir=tmp_path / "baseline")
-    assert hostile.ok, hostile.failures
-    assert baseline.ok, baseline.failures
+    assert hostile.failures == []
+    assert baseline.failures == []
     prod_hostile = hostile.report.variant("prod").frames_processed
     prod_baseline = baseline.report.variant("prod").frames_processed
     assert prod_baseline == 600
@@ -655,8 +667,10 @@ def test_cli_run_fails_on_broken_expectation(tmp_path, capsys):
         (lambda s: s["node"].update(heartbeat_period=500), "node: unknown key 'heartbeat_period'"),
         (lambda s: s["protocol"].pop("max_duration_s"), "max_duration_s: missing key"),
         (lambda s: s.update(fake_clock=False), "fake_clock: must be true (a live run goes through cesupd), got False"),
+        # no command may reach production, so it is not a key to loosen
+        (lambda s: s.update(expect={"commands_to_production": 1}), "expect: unknown key 'commands_to_production'"),
     ],
-    ids=["unknown-scenario-key", "protocol-missing-key", "not-fake-clock"],
+    ids=["unknown-scenario-key", "protocol-missing-key", "not-fake-clock", "expect-commands-to-production"],
 )
 def test_cli_run_refuses_a_scenario_that_does_not_load(tmp_path, capsys, damage, message):
     scenario = make_ab_scenario()

@@ -153,13 +153,6 @@ def test_compare_winner_invariant_under_accuracy_scaling():
         assert HQ.compare(make_report(scaled)).winner == baseline
 
 
-def test_compare_carries_pipeline_provenance():
-    decision = HQ.compare(make_report([make_result("prod", "PRODUCTION", 0.6)]))
-    assert decision.provenance["integration_s"] == 240
-    assert decision.provenance["build_s"] == 420
-    assert decision.provenance["transfer"] is None
-
-
 def test_compare_rationale_flags_the_stand_in_metric():
     decision = HQ.compare(make_report([make_result("prod", "PRODUCTION", 0.6)]))
     assert "stand-in" in decision.rationale
@@ -352,7 +345,8 @@ def test_cli_compare_table_and_json(tmp_path, capsys):
     assert HQ.cli_main(["compare", "--report", str(report_path), "--json"]) == 0
     decision = json.loads(capsys.readouterr().out)
     assert decision["winner"] == "expA"
-    assert decision["provenance"]["integration_s"] == 240
+    # only what the report measured: no fixed pipeline figures ride along
+    assert sorted(decision) == ["experiment_id", "ranking", "rationale", "winner"]
 
 
 def test_cli_status_and_fetch(tmp_path, capsys):

@@ -716,19 +716,22 @@ def test_periodic_upload_policy_sends_snapshots(tmp_path):
     "bus_arg, address",
     [([], (DEFAULT_GROUP, DEFAULT_PORT)), (["--bus", "239.1.2.3:7801"], ("239.1.2.3", 7801))],
 )
-def test_cesupd_live_bus_address(tmp_path, monkeypatch, bus_arg, address):
+def test_cesupd_live_bus_address(tmp_path, capsys, monkeypatch, bus_arg, address):
     opened = []
 
     def unopenable_bus(group, port):
         opened.append((group, port))
-        raise SocketError("no live bus in this test")
+        raise SocketError(f"cannot open multicast endpoint {group}:{port}: no live bus in this test")
 
     monkeypatch.setattr(S, "UdpMulticastBus", unopenable_bus)
     protocol_path = tmp_path / "protocol.json"
     protocol_path.write_text(json.dumps(make_protocol_doc()), "utf-8")
-    with pytest.raises(SocketError):
-        S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(tmp_path), *bus_arg])
+    code = S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(tmp_path / "vehicle"), *bus_arg])
+    assert code == 2
+    group, port = address
+    assert capsys.readouterr().out == f"error: cannot open multicast endpoint {group}:{port}: no live bus in this test\n"
     assert opened == [address]
+    assert not (tmp_path / "vehicle").exists()
 
 
 @pytest.mark.parametrize(
@@ -737,8 +740,12 @@ def test_cesupd_live_bus_address(tmp_path, monkeypatch, bus_arg, address):
         (["sample_period_ms"], [], "error: sample_period_ms: missing key\n"),
         # a fake-clock run goes through ``ceharness run``; cesupd is live only
         ([], ["--fake-clock", "x"], "cesupd: error: unrecognized arguments: --fake-clock x\n"),
+        *(
+            ([], ["--bus", bus], f"error: --bus: expected GROUP:PORT with a port in 1-65535, got {bus!r}\n")
+            for bus in ("239.255.77.1", "239.255.77.1:notaport", "239.255.77.1:70000")
+        ),
     ],
-    ids=["protocol-missing-key", "no-fake-clock-option"],
+    ids=["protocol-missing-key", "no-fake-clock-option", "bus-without-port", "bus-port-not-a-number", "bus-port-past-65535"],
 )
 def test_cesupd_refuses_inputs_before_it_opens_the_bus(tmp_path, capsys, monkeypatch, missing, extra_args, printed):
     opened = []

@@ -490,7 +490,8 @@ def test_loopback_drops_an_undecodable_datagram_and_keeps_delivering(category):
 # -- UDP transport ------------------------------------------------------------
 
 
-def test_a_udp_endpoint_that_fails_to_open_closes_its_socket(monkeypatch):
+@pytest.fixture
+def created_sockets(monkeypatch):
     created = []
 
     class RecordedSocket(socket.socket):
@@ -499,10 +500,22 @@ def test_a_udp_endpoint_that_fails_to_open_closes_its_socket(monkeypatch):
             created.append(self)
 
     monkeypatch.setattr(W.socket, "socket", RecordedSocket)
+    return created
+
+
+def test_a_udp_endpoint_that_fails_to_open_closes_its_socket(created_sockets):
     with pytest.raises(W.SocketError):
         W.UdpMulticastBus(group="1.2.3.4", port=7797)  # not a multicast group
-    assert len(created) == 1
-    assert created[0].fileno() == -1  # closed
+    assert len(created_sockets) == 1
+    assert created_sockets[0].fileno() == -1  # closed
+
+
+def test_a_udp_endpoint_on_a_port_past_65535_closes_its_socket(created_sockets):
+    # bind raises OverflowError, not OSError, for a port out of range
+    with pytest.raises(W.SocketError, match=r"^cannot open multicast endpoint 239\.255\.77\.1:70000: "):
+        W.UdpMulticastBus(group="239.255.77.1", port=70000)
+    assert len(created_sockets) == 1
+    assert created_sockets[0].fileno() == -1  # closed
 
 _HAVE_MULTICAST = multicast_loopback_available()
 
