@@ -288,16 +288,17 @@ class LinkProfile:
     datagram_loss_pct: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
+        # every test is written so that NaN fails it
+        if not self.bandwidth_bytes_per_s > 0:
             raise ValueError("bandwidth_bytes_per_s must be positive")
         if not (0.0 <= self.datagram_loss_pct < 100.0):
             raise ValueError("datagram_loss_pct must be in [0, 100)")
         prev_end = -math.inf
         for start, end in self.outage_schedule:
-            if start < prev_end:
+            if not start < end:
+                raise ValueError(f"outage interval [{start}, {end}) must have start < end")
+            if not start >= prev_end:
                 raise ValueError("outage intervals must be disjoint and sorted")
-            if end <= start:
-                raise ValueError(f"empty outage interval [{start}, {end})")
             prev_end = end
 
     def in_outage(self, t_s: float) -> bool:

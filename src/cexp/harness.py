@@ -81,6 +81,18 @@ def sample_binomial(rng: random.Random, n: int, p: float) -> int:
     return k
 
 
+def sample_below(rng: random.Random, n: int) -> int:
+    """Uniform on [0, n) for ``n >= 1``, drawn as CPython's ``randrange(n)``
+    draws it: ``n.bit_length()`` random bits at a time until they fall below
+    ``n``. The same stream, without ``randrange``'s argument handling."""
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def sample_poisson(rng: random.Random, exp_neg_lam: float) -> int:
     """Poisson draw of mean ``lam > 0`` by Knuth's product of uniforms,
     given ``exp(-lam)``; it takes one uniform more than the count it returns."""
@@ -134,7 +146,7 @@ class SensorReplayer:
         scheduler.call_every(scheduler.clock.now_us(), self.period_us, self.frames.count, self._emit)
 
     def _emit(self, frame_id: int) -> None:
-        ground_truth_count = self._rng.randint(0, 8)
+        ground_truth_count = sample_below(self._rng, 9)  # the stream randint(0, 8) draws
         self._sender.send(SensorFrame(frame_id, ground_truth_count, synthetic_pixels_digest(self.seed, frame_id)))
 
 
@@ -255,19 +267,23 @@ class StubActor:
     def _on_frame(self, frame: SensorFrame) -> None:
         if not self.running:
             return
-        if frame.frame_id % (1 << self.degrade_level) != 0:
+        frame_id, ground_truth_count, _pixels_digest = frame
+        level = self.degrade_level
+        if level and frame_id % (1 << level):
             return  # degraded: process every 2^level-th frame
-        self._credit += self.node.processing_ratio(self.variant_id)
-        if self._credit < 1.0:
+        credit = self._credit + self.node.processing_ratio(self.variant_id)
+        if credit < 1.0:
+            self._credit = credit
             return  # starved by contention this frame
-        self._credit -= 1.0
+        self._credit = credit - 1.0
         rng = self._rng
-        detected = sample_binomial(rng, frame.ground_truth_count, self.profile.true_positive_rate)
+        detected = sample_binomial(rng, ground_truth_count, self.profile.true_positive_rate)
         if self._fp_exp_neg_lam is not None:
             detected += sample_poisson(rng, self._fp_exp_neg_lam)
-        # randrange(a, b + 1) draws the stream randint(a, b) does, one call shallower
-        latency_us = rng.randrange(15_000, 45_001)
-        self._sender.send(ModuleOutput(frame.frame_id, self.variant_id, min(detected, 0xFFFF), latency_us))
+        latency_us = 15_000 + sample_below(rng, 30_001)  # the stream randint(15_000, 45_000) draws
+        if detected > 0xFFFF:
+            detected = 0xFFFF  # the widest count the wire carries
+        self._sender.send(ModuleOutput(frame_id, self.variant_id, detected, latency_us))
 
     def report_resources(self) -> None:
         if not self.running:

@@ -7,9 +7,9 @@ enforcement escalates, and how long the campaign lasts. Every other
 module consults the parsed value; nothing re-reads the file.
 
 Concrete syntax is a flat UTF-8 JSON object with a closed key set
-(unknown keys are rejected). ``serialize_protocol`` emits a canonical
-form (sorted keys, no insignificant whitespace) so a protocol file is
-byte-stable and diffable.
+(unknown keys are rejected). ``protocol_to_object`` gives a parsed
+protocol back as that object, for the report's protocol echo; a
+deployed protocol file is the text it was deployed with.
 """
 
 from __future__ import annotations
@@ -217,12 +217,3 @@ def protocol_to_object(p: ExperimentationProtocol) -> dict[str, Any]:
     policy: Any = "AT_END" if p.upload_policy.kind == "AT_END" else {"PERIODIC": p.upload_policy.interval_s}
     variants = [{**record_fields(v), "role": v.role.value, "launch_args": list(v.launch_args)} for v in p.variants]
     return {**record_fields(p), "variants": variants, "upload_policy": policy}
-
-
-def serialize_protocol(p: ExperimentationProtocol) -> str:
-    """Canonical document text: sorted keys, compact separators.
-
-    ``parse_protocol(serialize_protocol(p))`` equals ``p`` for any valid
-    protocol, and serializing twice is byte-stable.
-    """
-    return json.dumps(protocol_to_object(p), sort_keys=True, separators=(",", ":"))

@@ -418,8 +418,9 @@ class Supervisor:
         if kind is ModuleOutput:
             self._on_module_output(msg)
         elif kind is SensorFrame:
+            frame_id, ground_truth_count, _pixels_digest = msg
             ground_truth = self._ground_truth
-            ground_truth[msg.frame_id] = msg.ground_truth_count
+            ground_truth[frame_id] = ground_truth_count
             if len(ground_truth) > GROUND_TRUTH_WINDOW:
                 ground_truth.popitem(last=False)
         elif kind is ResourceReport:
@@ -434,7 +435,7 @@ class Supervisor:
         gt = self._ground_truth.get(frame_id, 0)
         state.frames_processed += 1
         state.detections_total += detected
-        state.detections_correct += min(detected, gt)
+        state.detections_correct += detected if detected < gt else gt
         state.ground_truth_total += gt
         # sandbox rule: outputs are appended to the variant log, never
         # republished or forwarded anywhere else

@@ -23,23 +23,31 @@ decoders build them with ``tuple.__new__`` from the unpacked fields,
 skipping the constructor's argument binding: each struct layout fixes
 its record's arity.
 
-A record's every field must be of exactly its declared type: ``int``,
-``float``, ``str``, ``bytes``, or ``CommandKind`` for ``Command.command``.
-``encode`` refuses anything else with ``TypeError``, even a value it
-could pack: a ``bool`` or another ``int`` subclass where an ``int``
-belongs, an ``int`` where a ``float`` belongs, a plain ``int`` for the
-command, a ``bytearray`` for bytes. So every record that encodes is one
-the decoder would build back, equal and with the same type in every
-field.
+Each message type has a check and a packer, and ``encode`` is the check
+followed by the packer. The check refuses a field not of exactly its
+declared type (``int``, ``float``, ``str``, ``bytes``, or
+``CommandKind`` for ``Command.command``) with ``TypeError``, even a
+value that would pack: a ``bool`` or another ``int`` subclass where an
+``int`` belongs, an ``int`` where a ``float`` belongs, a plain ``int``
+for the command, a ``bytearray`` for bytes. So every record that
+encodes is one the decoder would build back, equal and with the same
+type in every field. It refuses an int outside its wire width with
+``struct.error``, as packing would, a string over 65,535 UTF-8 bytes or
+a payload over ``MAX_PAYLOAD`` with ``PayloadTooLarge``, and a string
+UTF-8 cannot encode with the ``UnicodeEncodeError`` encoding raises;
+then it returns the payload size. The packer writes a checked record.
 
 Two transports are provided: an in-memory loopback hub (exactly-once,
 publish-order delivery; the deterministic test substrate) and a real
-UDP-multicast endpoint (best-effort, for multi-node desks). Raw
-datagrams are decoded, and undecodable ones dropped; a sender's record
-is handed over. ``Sender.send`` encodes its message once and passes the
-loopback hub the ``Received`` it already holds, so traffic that stays
-in the process is never decoded; foreign bytes published on the hub
-and everything the UDP endpoint receives go through ``decode``. A
+UDP-multicast endpoint (best-effort, for multi-node desks). ``publish``
+takes one item on both: a ``Received`` or a raw datagram.
+``Sender.send`` only checks its message, and publishes the
+``Received`` a decoder would build from the datagram, with the checked
+size as ``payload_len``. The loopback hub fans a ``Received`` out as it
+is, so traffic that stays in the process is never packed or decoded;
+the UDP endpoint encodes it, and is the one place a published message
+turns into bytes. Raw datagrams, published on the hub or received by the
+UDP endpoint, go through ``decode``, and undecodable ones are dropped. A
 subscriber's callback gets a ``Received`` holding the ``envelope`` and
 ``message``: one object per datagram, handed to every subscriber of its
 msg_type in turn and kept by the bus no longer than that fan-out.
@@ -250,40 +258,74 @@ def _str_at(buf: bytes, start: int, end: int) -> tuple[str, int]:
     return _text(buf, start + _U16.size, stop), stop
 
 
-def _utf8_field(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise PayloadTooLarge(f"string field of {len(raw)} bytes")
-    return raw
+def _utf8_len(s: str) -> int:
+    """The UTF-8 size of a string field; raises what encoding it raises,
+    and ``PayloadTooLarge`` past 65,535 bytes. Checks take ``len(s)``
+    inline for an ASCII string that fits, and call this for the rest."""
+    size = len(s.encode("utf-8"))
+    if size > 0xFFFF:
+        raise PayloadTooLarge(f"string field of {size} bytes")
+    return size
+
+
+def _too_large(size: int) -> NoReturn:
+    raise PayloadTooLarge(f"payload of {size} bytes exceeds {MAX_PAYLOAD}")
 
 
 def _pack_str(s: str) -> bytes:
-    raw = _utf8_field(s)
+    raw = s.encode("utf-8")
     return _U16.pack(len(raw)) + raw
 
 
 def _wrong_type(msg: Message) -> NoReturn:
     """Raise ``TypeError`` for the first field of ``msg`` that is not of
-    exactly its declared type. Encoders test the types inline and call
-    this only to raise."""
+    exactly its declared type. Checks test the types inline and call this
+    only to raise."""
     hints = get_type_hints(type(msg))
     name, value = next((n, v) for n, v in zip(msg._fields, msg) if type(v) is not hints[n])
     raise TypeError(f"{type(msg).__name__}.{name} must be {hints[name].__name__}, got {type(value).__name__}")
 
 
-# One encoder and one decoder per message type. An encoder checks that each
-# field has its exact type (see the module docstring), then packs the fields
-# in order. A decoder reads the payload that fills ``buf[start:end]`` and
-# checks its every size, string and enum.
+# The unsigned wire width, in bits, of each int field. Checks test the
+# widths inline; this table only names the field in the error.
+_INT_BITS = {
+    SensorFrame: {"frame_id": 64, "ground_truth_count": 16},
+    ModuleOutput: {"frame_id": 64, "detected_count": 16, "latency_us": 32},
+    Command: {"degrade_level": 8},
+    Heartbeat: {"node_id": 32, "uptime_s": 64},
+    ResultChunk: {"chunk_index": 32, "total_chunks": 32},
+}
 
 
-def _encode_sensor_frame(msg: SensorFrame) -> bytes:
+def _out_of_range(msg: Message) -> NoReturn:
+    """Raise ``struct.error``, as packing would, for the first int field of
+    ``msg`` outside its wire width."""
+    name, bits = next((n, b) for n, b in _INT_BITS[type(msg)].items() if not 0 <= getattr(msg, n) < 1 << b)
+    raise struct.error(f"{type(msg).__name__}.{name} must be in [0, 2**{bits}), got {getattr(msg, name)}")
+
+
+# One check, one packer and one decoder per message type. A check raises
+# everything packing the record could: a field not of exactly its type
+# (see the module docstring), an int outside its wire width, a string over
+# 65,535 UTF-8 bytes or a payload over MAX_PAYLOAD; then it returns the
+# payload's size. A packer writes the fields of a checked record in order.
+# A decoder reads the payload that fills ``buf[start:end]`` and checks its
+# every size, string and enum.
+
+
+def _check_sensor_frame(msg: SensorFrame) -> int:
     frame_id, ground_truth_count, pixels_digest = msg
     if type(frame_id) is not int or type(ground_truth_count) is not int or type(pixels_digest) is not bytes:
         _wrong_type(msg)
     if len(pixels_digest) != 32:
         raise MalformedPayload("pixels_digest must be exactly 32 bytes")
-    return _SENSOR_FRAME.pack(frame_id, ground_truth_count, pixels_digest)
+    if not (0 <= frame_id < 1 << 64 and 0 <= ground_truth_count < 1 << 16):
+        _out_of_range(msg)
+    return _SENSOR_FRAME.size
+
+
+def _pack_sensor_frame(msg: SensorFrame) -> bytes:
+    return _SENSOR_FRAME.pack(*msg)
 
 
 def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
@@ -292,7 +334,7 @@ def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
     return _new(SensorFrame, _SENSOR_FRAME.unpack_from(buf, start))
 
 
-def _encode_module_output(msg: ModuleOutput) -> bytes:
+def _check_module_output(msg: ModuleOutput) -> int:
     frame_id, variant_id, detected_count, latency_us = msg
     if (
         type(frame_id) is not int
@@ -301,7 +343,20 @@ def _encode_module_output(msg: ModuleOutput) -> bytes:
         or type(latency_us) is not int
     ):
         _wrong_type(msg)
-    raw = _utf8_field(variant_id)
+    size = len(variant_id)
+    if size > 0xFFFF or not variant_id.isascii():
+        size = _utf8_len(variant_id)
+    if not (0 <= frame_id < 1 << 64 and 0 <= detected_count < 1 << 16 and 0 <= latency_us < 1 << 32):
+        _out_of_range(msg)
+    size += _MODULE_OUTPUT_HEAD.size + _MODULE_OUTPUT_TAIL.size
+    if size > MAX_PAYLOAD:
+        _too_large(size)
+    return size
+
+
+def _pack_module_output(msg: ModuleOutput) -> bytes:
+    frame_id, variant_id, detected_count, latency_us = msg
+    raw = variant_id.encode("utf-8")
     return _MODULE_OUTPUT_HEAD.pack(frame_id, len(raw)) + raw + _MODULE_OUTPUT_TAIL.pack(detected_count, latency_us)
 
 
@@ -317,10 +372,21 @@ def _decode_module_output(buf: bytes, start: int, end: int) -> ModuleOutput:
     return _new(ModuleOutput, (frame_id, _text(buf, pos, stop), detected, latency))
 
 
-def _encode_resource_report(msg: ResourceReport) -> bytes:
+def _check_resource_report(msg: ResourceReport) -> int:
     variant_id, cpu_pct, mem_mb = msg
     if type(variant_id) is not str or type(cpu_pct) is not float or type(mem_mb) is not float:
         _wrong_type(msg)
+    size = len(variant_id)
+    if size > 0xFFFF or not variant_id.isascii():
+        size = _utf8_len(variant_id)
+    size += _U16.size + _RESOURCE_REPORT_TAIL.size
+    if size > MAX_PAYLOAD:
+        _too_large(size)
+    return size
+
+
+def _pack_resource_report(msg: ResourceReport) -> bytes:
+    variant_id, cpu_pct, mem_mb = msg
     return _pack_str(variant_id) + _RESOURCE_REPORT_TAIL.pack(cpu_pct, mem_mb)
 
 
@@ -332,10 +398,23 @@ def _decode_resource_report(buf: bytes, start: int, end: int) -> ResourceReport:
     return _new(ResourceReport, (variant_id, cpu, mem))
 
 
-def _encode_command(msg: Command) -> bytes:
+def _check_command(msg: Command) -> int:
     target_variant_id, command, degrade_level = msg
     if type(target_variant_id) is not str or type(command) is not CommandKind or type(degrade_level) is not int:
         _wrong_type(msg)
+    size = len(target_variant_id)
+    if size > 0xFFFF or not target_variant_id.isascii():
+        size = _utf8_len(target_variant_id)
+    if not 0 <= degrade_level < 1 << 8:
+        _out_of_range(msg)
+    size += _U16.size + _COMMAND_TAIL.size
+    if size > MAX_PAYLOAD:
+        _too_large(size)
+    return size
+
+
+def _pack_command(msg: Command) -> bytes:
+    target_variant_id, command, degrade_level = msg
     return _pack_str(target_variant_id) + _COMMAND_TAIL.pack(command, degrade_level)
 
 
@@ -351,11 +430,17 @@ def _decode_command(buf: bytes, start: int, end: int) -> Command:
     return _new(Command, (target, kind, level))
 
 
-def _encode_heartbeat(msg: Heartbeat) -> bytes:
+def _check_heartbeat(msg: Heartbeat) -> int:
     node_id, uptime_s = msg
     if type(node_id) is not int or type(uptime_s) is not int:
         _wrong_type(msg)
-    return _HEARTBEAT.pack(node_id, uptime_s)
+    if not (0 <= node_id < 1 << 32 and 0 <= uptime_s < 1 << 64):
+        _out_of_range(msg)
+    return _HEARTBEAT.size
+
+
+def _pack_heartbeat(msg: Heartbeat) -> bytes:
+    return _HEARTBEAT.pack(*msg)
 
 
 def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
@@ -364,7 +449,7 @@ def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
     return _new(Heartbeat, _HEARTBEAT.unpack_from(buf, start))
 
 
-def _encode_result_chunk(msg: ResultChunk) -> bytes:
+def _check_result_chunk(msg: ResultChunk) -> int:
     experiment_id, chunk_index, total_chunks, data = msg
     if (
         type(experiment_id) is not str
@@ -373,6 +458,19 @@ def _encode_result_chunk(msg: ResultChunk) -> bytes:
         or type(data) is not bytes
     ):
         _wrong_type(msg)
+    size = len(experiment_id)
+    if size > 0xFFFF or not experiment_id.isascii():
+        size = _utf8_len(experiment_id)
+    if not (0 <= chunk_index < 1 << 32 and 0 <= total_chunks < 1 << 32):
+        _out_of_range(msg)
+    size += _U16.size + _RESULT_CHUNK_TAIL.size + len(data)
+    if size > MAX_PAYLOAD:
+        _too_large(size)
+    return size
+
+
+def _pack_result_chunk(msg: ResultChunk) -> bytes:
+    experiment_id, chunk_index, total_chunks, data = msg
     return _pack_str(experiment_id) + _RESULT_CHUNK_TAIL.pack(chunk_index, total_chunks) + data
 
 
@@ -385,31 +483,35 @@ def _decode_result_chunk(buf: bytes, start: int, end: int) -> ResultChunk:
 
 
 _CODECS = (
-    (SensorFrame, _encode_sensor_frame, _decode_sensor_frame),
-    (ModuleOutput, _encode_module_output, _decode_module_output),
-    (ResourceReport, _encode_resource_report, _decode_resource_report),
-    (Command, _encode_command, _decode_command),
-    (Heartbeat, _encode_heartbeat, _decode_heartbeat),
-    (ResultChunk, _encode_result_chunk, _decode_result_chunk),
+    (SensorFrame, _check_sensor_frame, _pack_sensor_frame, _decode_sensor_frame),
+    (ModuleOutput, _check_module_output, _pack_module_output, _decode_module_output),
+    (ResourceReport, _check_resource_report, _pack_resource_report, _decode_resource_report),
+    (Command, _check_command, _pack_command, _decode_command),
+    (Heartbeat, _check_heartbeat, _pack_heartbeat, _decode_heartbeat),
+    (ResultChunk, _check_result_chunk, _pack_result_chunk, _decode_result_chunk),
 )
-# record type -> (header msg_type, payload encoder)
-_ENCODERS = {record: (record.MSG_TYPE, enc) for record, enc, _dec in _CODECS}
+# record type -> (header msg_type, payload check, payload packer)
+_ENCODERS = {record: (record.MSG_TYPE, check, pack) for record, check, pack, _dec in _CODECS}
 # header msg_type byte -> (MsgType, payload decoder)
-_DECODERS = {int(record.MSG_TYPE): (record.MSG_TYPE, dec) for record, _enc, dec in _CODECS}
+_DECODERS = {int(record.MSG_TYPE): (record.MSG_TYPE, dec) for record, _check, _pack, dec in _CODECS}
+
+
+def _not_a_message(value: object) -> NoReturn:
+    raise TypeError(f"not a bus message: {type(value).__name__}") from None
 
 
 def encode(msg: Message, sender_id: int, seq: int, timestamp_us: int) -> bytes:
-    """Serialize a message into one datagram. Raises ``PayloadTooLarge``,
-    and ``TypeError`` for anything but a message record whose every field
-    has its exact type."""
-    codec = _ENCODERS.get(type(msg))
-    if codec is None:
-        raise TypeError(f"not a bus message: {type(msg).__name__}")
-    msg_type, encode_payload = codec
-    payload = encode_payload(msg)
-    if len(payload) > MAX_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    return HEADER.pack(MAGIC, VERSION, msg_type, 0, sender_id, seq, timestamp_us, len(payload)) + payload
+    """Serialize a message into one datagram: the check of its type, then
+    its packer. Raises ``PayloadTooLarge``; ``TypeError`` for anything but
+    a message record whose every field has its exact type; ``struct.error``
+    for an int outside its wire width; and what UTF-8 encoding a string
+    field raises."""
+    try:
+        msg_type, check, pack = _ENCODERS[type(msg)]
+    except KeyError:
+        _not_a_message(msg)
+    size = check(msg)
+    return HEADER.pack(MAGIC, VERSION, msg_type, 0, sender_id, seq, timestamp_us, size) + pack(msg)
 
 
 def decode(datagram: bytes) -> tuple[Envelope, Message]:
@@ -446,10 +548,10 @@ def decode(datagram: bytes) -> tuple[Envelope, Message]:
 
 
 class Received:
-    """One delivered datagram: its ``envelope`` (header metadata) and its
-    ``message`` record, decoded from raw bytes or handed over by the
-    ``Sender`` that encoded them. Fan-out hands the same object to every
-    subscriber of the msg_type in turn; treat it as read-only."""
+    """One datagram: its ``envelope`` (header metadata) and its ``message``
+    record, decoded from raw bytes or built by the ``Sender`` that checked
+    the record. Fan-out hands the same object to every subscriber of the
+    msg_type in turn; treat it as read-only."""
 
     __slots__ = ("envelope", "message", "__weakref__")
 
@@ -499,16 +601,15 @@ class LoopbackBus(_Router):
     order. Nothing is retained once fan-out returns; whoever wants to
     audit the traffic subscribes for it."""
 
-    def publish(self, datagram: bytes, received: Received | None = None) -> None:
-        """Deliver ``datagram``. A sender that holds the datagram's record
-        passes it as ``received``, which is fanned out as it is; without
-        it the bytes are decoded, and dropped if they do not decode."""
+    def publish(self, item: Received | bytes) -> None:
+        """Deliver one datagram. A sender's ``Received`` is fanned out as it
+        is; raw bytes are decoded, and dropped if they do not decode."""
         if self._closed:
             raise TransportClosed("bus is closed")
-        if received is None:
-            self._dispatch(datagram)
+        if type(item) is Received:
+            self._fan_out(item)
         else:
-            self._fan_out(received)
+            self._dispatch(item)
 
     def close(self) -> None:
         self._closed = True
@@ -544,13 +645,17 @@ class UdpMulticastBus(_Router):
         except (OSError, OverflowError) as exc:
             raise SocketError(f"cannot open multicast endpoint {group}:{port}: {exc}") from exc
 
-    def publish(self, datagram: bytes, received: Received | None = None) -> None:
-        """Send ``datagram`` to the group; ``received`` is ignored, since
-        every endpoint, this one included, decodes what it receives."""
+    def publish(self, item: Received | bytes) -> None:
+        """Send one datagram to the group: a sender's ``Received`` is
+        encoded here, raw bytes go as they are. Every endpoint, this one
+        included, decodes what it receives."""
         if self._closed:
             raise TransportClosed("endpoint is closed")
+        if type(item) is Received:
+            envelope = item.envelope
+            item = encode(item.message, envelope.sender_id, envelope.seq, envelope.timestamp_us)
         try:
-            self._sock.sendto(datagram, (self.group, self.port))
+            self._sock.sendto(item, (self.group, self.port))
         except OSError as exc:
             raise SocketError(f"send failed: {exc}") from exc
 
@@ -580,19 +685,25 @@ class Sender:
     def __init__(self, bus, sender_id: int, clock) -> None:
         if type(sender_id) is not int:
             raise TypeError(f"sender_id must be int, got {type(sender_id).__name__}")
+        if not 0 <= sender_id < 1 << 32:
+            raise ValueError(f"sender_id must be in [0, 2**32), got {sender_id}")
         self.bus = bus
         self.sender_id = sender_id
         self.clock = clock
         self._seq = 0
 
     def send(self, msg: Message) -> int:
-        """Encode and publish; returns the seq used. The bus also gets the
-        ``Received`` a decoder would build from the datagram, made from the
-        values just packed, so the loopback hub need not decode it."""
+        """Check ``msg`` as ``encode`` does and publish the ``Received`` a
+        decoder would build from its datagram; returns the seq used. A
+        record ``encode`` refuses raises the same here and takes no seq.
+        Nothing is packed: only a transport that puts the datagram on a
+        wire encodes it."""
+        try:
+            msg_type, check, _pack = _ENCODERS[type(msg)]
+        except KeyError:
+            _not_a_message(msg)
         seq = self._seq
-        now = self.clock.now_us()
-        datagram = encode(msg, self.sender_id, seq, now)
-        envelope = _new(Envelope, (msg.MSG_TYPE, self.sender_id, seq, now, len(datagram) - HEADER_LEN))
-        self.bus.publish(datagram, Received(envelope, msg))
+        envelope = _new(Envelope, (msg_type, self.sender_id, seq, self.clock.now_us(), check(msg)))
+        self.bus.publish(Received(envelope, msg))
         self._seq += 1
         return seq

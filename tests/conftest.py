@@ -11,7 +11,7 @@ import pytest
 
 from cexp import harness
 from cexp.artifact import BundleManifest, LayerStore, parse_manifest
-from cexp.wirebus import LoopbackBus, Received, SocketError, UdpMulticastBus, decode
+from cexp.wirebus import LoopbackBus, Received, SocketError, UdpMulticastBus, decode, encode
 
 
 class RecordingBus(LoopbackBus):
@@ -33,21 +33,31 @@ def recording_bus(monkeypatch):
     return RecordingBus
 
 
+def wire_bytes(item: Received | bytes) -> bytes:
+    """The datagram a UDP endpoint would send for a published item: a
+    sender's ``Received`` encoded, raw bytes as they are."""
+    if type(item) is not Received:
+        return item
+    envelope = item.envelope
+    return encode(item.message, envelope.sender_id, envelope.seq, envelope.timestamp_us)
+
+
 class WireHashingBus(LoopbackBus):
-    """Loopback bus that hashes every raw datagram published on it, each
-    prefixed by its length, in publish order (a datagram published while
-    another fans out comes after that one), then delivers it as usual,
-    passing on the sender's record."""
+    """Loopback bus that hashes the datagram of every item published on it
+    (``wire_bytes``), each prefixed by its length, in publish order (an
+    item published while another fans out comes after that one), then
+    delivers the item as usual."""
 
     def __init__(self) -> None:
         super().__init__()
         self.wire = hashlib.sha256()
         self.datagrams = 0
 
-    def publish(self, datagram: bytes, received: Received | None = None) -> None:
+    def publish(self, item: Received | bytes) -> None:
+        datagram = wire_bytes(item)
         self.wire.update(len(datagram).to_bytes(4, "little") + datagram)
         self.datagrams += 1
-        super().publish(datagram, received)
+        super().publish(item)
 
 
 @pytest.fixture
@@ -62,25 +72,25 @@ def field_types(record: tuple) -> tuple[type, ...]:
 
 
 class RecordCheckingBus(LoopbackBus):
-    """Loopback bus that checks each record a sender hands over against
-    ``decode`` of its datagram: the same envelope and message, equal and
-    with the same type in every field. ``handed_over`` counts the checked
-    records and ``raw`` the datagrams published without one."""
+    """Loopback bus that round-trips each record a sender hands over through
+    ``encode`` and ``decode``: the same envelope and message come back,
+    equal and with the same type in every field. ``handed_over`` counts the
+    checked records and ``raw`` the raw datagrams published."""
 
     def __init__(self) -> None:
         super().__init__()
         self.handed_over = 0
         self.raw = 0
 
-    def publish(self, datagram: bytes, received: Received | None = None) -> None:
-        if received is None:
-            self.raw += 1
-        else:
-            for given, decoded in zip((received.envelope, received.message), decode(datagram)):
+    def publish(self, item: Received | bytes) -> None:
+        if type(item) is Received:
+            for given, decoded in zip((item.envelope, item.message), decode(wire_bytes(item))):
                 assert given == decoded, (given, decoded)
                 assert field_types(given) == field_types(decoded), (given, decoded)
             self.handed_over += 1
-        super().publish(datagram, received)
+        else:
+            self.raw += 1
+        super().publish(item)
 
 
 @pytest.fixture

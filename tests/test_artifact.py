@@ -310,6 +310,18 @@ def test_link_profile_validation():
         A.LinkProfile(outage_schedule=((5.0, 5.0),))  # empty interval
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [[[math.nan, 5.0]], [[1.0, math.nan]], [[1.0, 2.0], [math.nan, 5.0]]],
+    ids=["nan-start", "nan-end", "nan-after-an-outage"],
+)
+def test_link_profile_refuses_a_nan_outage_bound(schedule):
+    # json.loads reads a bare NaN; a NaN bound that passed would let a datagram
+    # through inside its outage, or end a transfer before its bytes could flow
+    with pytest.raises(ValueError, match=r"must have start < end$"):
+        A.link_profile_from_object({"bandwidth_bytes_per_s": 1000, "outage_schedule": schedule})
+
+
 def test_link_profile_object_roundtrip():
     link = A.LinkProfile(
         bandwidth_bytes_per_s=1234,

@@ -38,10 +38,12 @@ def test_a_traced_run_calls_each_per_message_entry_point(tmp_path):
     scenario = scenario_from_object(make_hostile_scenario())
     with spans.instrument(tracer):
         run_scenario(scenario, data_dir=tmp_path)
-    # every sender hands the loopback hub its record, so nothing is decoded
+    # every sender hands the loopback hub its checked record, and the run has
+    # no uplink: nothing is packed into a datagram, and nothing is decoded
+    assert tracer.calls["wirebus.encode"] == 0
+    assert tracer.counts["wirebus.bytes_encoded"] == 0
     assert tracer.calls["wirebus.decode"] == 0
     for name in (
-        "wirebus.encode",
         "wirebus.publish",
         "wirebus.send",
         "resmon.evaluate",

@@ -179,6 +179,14 @@ def test_sample_binomial_draws_the_pinned_stream():
     assert _stream_digest(draws, rng) == "a2825949015e6c5b3ae9b4c94699dc14fdeb1f57cc26c15e6617e9c6dab7fc97"
 
 
+def test_sample_below_draws_what_randint_draws():
+    for seed in range(20):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 9, 16, 17, 30_001, 1 << 40, (1 << 40) + 1):
+            assert [H.sample_below(rng, n) for _ in range(200)] == [reference.randint(0, n - 1) for _ in range(200)]
+        assert rng.getrandbits(64) == reference.getrandbits(64)
+
+
 def test_sample_poisson_draws_the_pinned_stream():
     rng = random.Random(2025)
     draws = [H.sample_poisson(rng, math.exp(-lam)) for lam in (0.1, 1.5, 12.0) for _ in range(1000)]

@@ -539,6 +539,16 @@ def test_cli_deploy_over_a_link_that_never_comes_back_is_an_error(tmp_path, caps
     assert out == "error: infinite outage before transfer completes\n"
 
 
+def test_cli_deploy_refuses_a_link_file_with_a_nan_outage_bound(tmp_path, capsys):
+    source, manifest = _bundle(tmp_path)
+    link_path = tmp_path / "link.json"
+    link_path.write_text('{"bandwidth_bytes_per_s": 1000, "outage_schedule": [[NaN, 5.0]]}', "utf-8")
+    out = _cli_deploy_fails(
+        tmp_path, capsys, [source.root / "manifests" / f"{manifest.bundle_digest}.json"], "--link", str(link_path)
+    )
+    assert out == "error: outage interval [nan, 5.0) must have start < end\n"
+
+
 def test_cli_deploy_of_a_source_layer_that_fails_its_digest_is_an_error(tmp_path, capsys):
     source, manifest = _bundle(tmp_path)
     corrupt = manifest.layers[1].digest

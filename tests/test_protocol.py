@@ -1,4 +1,4 @@
-"""Protocol schema validation, canonical serialization, and the lifecycle table."""
+"""Protocol schema validation, the protocol object round trip, and the lifecycle table."""
 
 from __future__ import annotations
 
@@ -89,23 +89,17 @@ def test_invalid_fixture_suite_is_large_enough():
 def test_valid_fixture_roundtrips(filename):
     text = (FIXTURES / filename).read_text("utf-8")
     p = P.parse_protocol(text)
-    assert P.parse_protocol(P.serialize_protocol(p)) == p
-
-
-def test_fixture_file_is_byte_stable_canonical_form():
-    # canonicalization oracle: an independent sort-then-emit of the raw object
-    text = (FIXTURES / "valid_minimal.json").read_text("utf-8")
-    oracle = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
-    assert P.serialize_protocol(P.parse_protocol(text)) == oracle == text
+    assert P.protocol_to_object(p) == json.loads(text)
+    assert P.parse_protocol(json.dumps(P.protocol_to_object(p))) == p
 
 
 def test_periodic_policy_roundtrip():
     doc = make_protocol_doc(upload_policy={"PERIODIC": 30})
     p = P.parse_protocol(json.dumps(doc))
     assert p.upload_policy == P.UploadPolicy(kind="PERIODIC", interval_s=30)
-    serialized = P.serialize_protocol(p)
-    assert '"PERIODIC":30' in serialized
-    assert P.parse_protocol(serialized) == p
+    obj = P.protocol_to_object(p)
+    assert obj["upload_policy"] == {"PERIODIC": 30}
+    assert P.parse_protocol(json.dumps(obj)) == p
 
 
 def _random_valid_doc(rng: random.Random) -> dict:
@@ -148,10 +142,10 @@ def _random_valid_doc(rng: random.Random) -> dict:
 def test_roundtrip_property_over_random_protocols():
     rng = random.Random(20_240_817)
     for _ in range(50):
-        p = P.parse_protocol(json.dumps(_random_valid_doc(rng)))
-        assert P.parse_protocol(P.serialize_protocol(p)) == p
-        # canonical form is a fixed point
-        assert P.serialize_protocol(P.parse_protocol(P.serialize_protocol(p))) == P.serialize_protocol(p)
+        doc = _random_valid_doc(rng)
+        p = P.parse_protocol(json.dumps(doc))
+        assert P.protocol_to_object(p) == doc
+        assert P.parse_protocol(json.dumps(P.protocol_to_object(p))) == p
 
 
 # -- lifecycle state machine -------------------------------------------------

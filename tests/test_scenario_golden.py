@@ -108,9 +108,11 @@ def test_a_run_returns_the_report_it_wrote(name, tmp_path):
     assert S.report_from_json(text) == outcome.report
 
 
-# Every raw datagram the loopback hub carries during a run, in publish
-# order: (count, sha256 over each datagram prefixed by its u32 length).
-# This pins the codec's bytes and the fan-out order, not only the files.
+# Every datagram the loopback hub carries during a run, as a UDP endpoint
+# would send it (conftest's ``wire_bytes``: a sender's record encoded), in
+# publish order: (count, sha256 over each datagram prefixed by its u32
+# length). This pins the codec's bytes and the fan-out order, not only the
+# files.
 WIRE = {
     "ab_500": (2424, "8ff63292e73738259debcc3821057732c145a3b98be12e3fdb54bf573fd44724"),
     "hostile": (1411, "67fcee10a354226cd6364e7d6a4217ef595429692e9f3237c8a249e095ee2ecc"),

@@ -6,7 +6,10 @@ import hashlib
 import random
 import socket
 import string
+import struct
 import weakref
+from collections import Counter
+from typing import get_type_hints
 
 import pytest
 
@@ -307,6 +310,99 @@ def test_a_sender_id_that_is_not_an_int_is_refused():
         W.Sender(W.LoopbackBus(), True, FakeClock(0))
 
 
+@pytest.mark.parametrize("sender_id", [-1, 1 << 32])
+def test_a_sender_id_outside_the_header_width_is_refused(sender_id):
+    with pytest.raises(ValueError):
+        W.Sender(W.LoopbackBus(), sender_id, FakeClock(0))
+
+
+# The wire width, in bits, of every int field (see the payload layouts).
+INT_BITS = {
+    W.SensorFrame: {"frame_id": 64, "ground_truth_count": 16},
+    W.ModuleOutput: {"frame_id": 64, "detected_count": 16, "latency_us": 32},
+    W.ResourceReport: {},
+    W.Command: {"degrade_level": 8},
+    W.Heartbeat: {"node_id": 32, "uptime_s": 64},
+    W.ResultChunk: {"chunk_index": 32, "total_chunks": 32},
+}
+STR_FIELDS = {"variant_id", "target_variant_id", "experiment_id"}
+WRONG_TYPED_VALUES = [True, 7, 1.5, "s", b"b", bytearray(b"b"), None, W.CommandKind.STOP]
+
+
+def _mutate(rng: random.Random, msg: W.Message) -> tuple[str, W.Message]:
+    """One seeded edit of a valid record, named by its kind; some kinds keep
+    the record valid (a width's top value, non-ASCII text, a payload of
+    exactly MAX_PAYLOAD), the rest make it one ``encode`` refuses."""
+    record = type(msg)
+    ints = list(INT_BITS[record].items())
+    strs = [name for name in msg._fields if name in STR_FIELDS]
+    kinds = ["wrong_type"] + ["negative", "past_width", "at_width"] * bool(ints)
+    kinds += ["non_ascii", "surrogate", "long_ascii", "long_utf8"] * bool(strs)
+    kinds += {W.ResultChunk: ["full_payload", "past_payload"], W.SensorFrame: ["digest_size"]}.get(record, [])
+    kind = rng.choice(kinds)
+    if kind == "wrong_type":
+        name = rng.choice(msg._fields)
+        declared = get_type_hints(record)[name]
+        return kind, msg._replace(**{name: rng.choice([v for v in WRONG_TYPED_VALUES if type(v) is not declared])})
+    if kind in ("negative", "past_width", "at_width"):
+        name, bits = rng.choice(ints)
+        value = {"negative": -1 - rng.getrandbits(70), "past_width": 1 << bits, "at_width": (1 << bits) - 1}[kind]
+        return kind, msg._replace(**{name: value})
+    if kind in ("non_ascii", "surrogate", "long_ascii", "long_utf8"):
+        text = {
+            "non_ascii": "ü-世-\U0001F69A" * rng.randint(1, 3),  # 2-, 3- and 4-byte UTF-8
+            "surrogate": "a\ud800b",  # a lone surrogate: not encodable as UTF-8
+            "long_ascii": "x" * rng.choice([0xFFFF, 0x10000]),
+            "long_utf8": "é" * 0x8000,  # 32,768 characters, 65,536 bytes
+        }[kind]
+        return kind, msg._replace(**{rng.choice(strs): text})
+    if kind == "digest_size":
+        return kind, msg._replace(pixels_digest=bytes(rng.choice([0, 31, 33])))
+    # a ResultChunk whose payload is exactly MAX_PAYLOAD, or one byte more, when
+    # an earlier edit left its experiment_id a valid string
+    experiment_id = msg.experiment_id
+    fixed = 2 + 8 + (len(experiment_id.encode("utf-8", "surrogatepass")) if type(experiment_id) is str else 0)
+    return kind, msg._replace(data=bytes(max(0, W.MAX_PAYLOAD - fixed + (kind == "past_payload"))))
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except Exception as exc:  # the class is the outcome compared
+        return None, type(exc)
+
+
+def test_send_refuses_exactly_what_encode_refuses_and_sizes_what_it_would_pack():
+    rng = random.Random(0xC4EC)
+    bus = W.LoopbackBus()
+    received = []
+    bus.subscribe(callback=received.append)
+    clock = FakeClock(0)
+    sender = W.Sender(bus, 3, clock)
+    accepted = 0
+    refusals = Counter()
+    for i in range(3_000):
+        msg = random_message(rng)
+        for _ in range(rng.choice([0, 1, 1, 2])):  # some records carry two edits
+            _kind, msg = _mutate(rng, msg)
+        clock.advance_to(i * 11)
+        datagram, refused = _outcome(lambda: W.encode(msg, 3, accepted, clock.now_us()))
+        seq, send_refused = _outcome(lambda: sender.send(msg))
+        assert send_refused is refused, (msg, refused, send_refused)
+        if refused is not None:
+            refusals[refused] += 1
+            assert len(received) == accepted  # nothing published
+            continue
+        assert seq == accepted  # a refused record took no seq
+        accepted += 1
+        item = received[-1]
+        assert item.message is msg
+        assert item.envelope.payload_len == len(datagram) - W.HEADER_LEN
+        assert (item.envelope, item.message) == W.decode(datagram)
+    assert accepted > 1_000
+    assert set(refusals) == {TypeError, struct.error, W.PayloadTooLarge, W.MalformedPayload, UnicodeEncodeError}
+
+
 def test_fuzz_10000_random_blobs_never_crash_decoder():
     rng = random.Random(0xFADE)
     outcomes = {"decoded": 0, "rejected": 0}
@@ -536,6 +632,40 @@ def test_udp_self_subscription_delivers_own_datagram():
                 assert own == [W.Heartbeat(node_id=7, uptime_s=1)]
                 return
         pytest.fail("own datagram not delivered")
+    finally:
+        bus.close()
+
+
+@pytest.mark.udp
+@pytest.mark.skipif(not _HAVE_MULTICAST, reason="no multicast-capable loopback interface")
+def test_a_sender_on_a_udp_endpoint_delivers_each_published_type_decoded_equal():
+    records = [
+        W.SensorFrame(frame_id=(1 << 64) - 1, ground_truth_count=8, pixels_digest=bytes(range(32))),
+        W.ModuleOutput(frame_id=41, variant_id="expä-世", detected_count=0xFFFF, latency_us=31_000),
+        W.ResourceReport(variant_id="prod", cpu_pct=42.5, mem_mb=120.25),
+        W.Command(target_variant_id="expA", command=W.CommandKind.DEGRADE, degrade_level=2),
+        W.Heartbeat(node_id=2, uptime_s=3600),
+    ]
+    bus = W.UdpMulticastBus(group="239.255.77.1", port=7756)
+    try:
+        received = []
+        bus.subscribe(received.append)
+        clock = WallClock()
+        sender = W.Sender(bus, sender_id=78, clock=clock)
+        for msg in records:
+            sender.send(msg)
+        own = []
+        for _ in range(20):
+            bus.deliver_until(clock, clock.now_us() + 100_000)
+            own = [item for item in received if item.envelope.sender_id == 78]
+            if len(own) == len(records):
+                break
+        assert [item.message for item in own] == records
+        for item, msg in zip(own, records):
+            assert field_types(item.message) == field_types(msg)
+            assert item.envelope.msg_type is msg.MSG_TYPE
+            assert item.envelope.payload_len == len(W.encode(msg, 78, 0, 0)) - W.HEADER_LEN
+        assert [item.envelope.seq for item in own] == list(range(len(records)))
     finally:
         bus.close()
 
