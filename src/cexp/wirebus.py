@@ -18,24 +18,28 @@ error, never a crash.
 
 Messages and the ``Envelope`` are ``NamedTuple`` records: immutable,
 hashable, and equal only to a record of the same type, never to a bare
-tuple or to a message of another type with the same values. The
-decoders build them with ``tuple.__new__`` from the unpacked fields,
-skipping the constructor's argument binding: each struct layout fixes
-its record's arity.
+tuple or to a message of another type with the same values.
 
-Each message type has a check and a packer, and ``encode`` is the check
-followed by the packer. The check refuses a field not of exactly its
-declared type (``int``, ``float``, ``str``, ``bytes``, or
-``CommandKind`` for ``Command.command``) with ``TypeError``, even a
-value that would pack: a ``bool`` or another ``int`` subclass where an
-``int`` belongs, an ``int`` where a ``float`` belongs, a plain ``int``
-for the command, a ``bytearray`` for bytes. So every record that
-encodes is one the decoder would build back, equal and with the same
-type in every field. It refuses an int outside its wire width with
-``struct.error``, as packing would, a string over 65,535 UTF-8 bytes or
-a payload over ``MAX_PAYLOAD`` with ``PayloadTooLarge``, and a string
-UTF-8 cannot encode with the ``UnicodeEncodeError`` encoding raises;
-then it returns the payload size. The packer writes a checked record.
+Each message record declares its payload once, as its ``LAYOUT``: every
+field, in order, with its wire kind (``U8``, ``U16``, ``U32``, ``U64``,
+``F64``, ``STR``, ``fixed_bytes(n)``, ``TRAILING`` bytes, or an
+``IntEnum`` class, sent as a u8). At import ``_build_codec`` refuses a
+layout that does not name each field once, in order, and generates the
+type's check, packer and decoder as Python source, compiled once.
+``encode`` is the check followed by the packer. The check refuses a
+field not of exactly its kind's type with ``TypeError``, even a value
+that would pack: a ``bool`` where an ``int`` belongs, an ``int`` where a
+``float`` or an enum belongs, a ``bytearray`` for bytes. So every record
+that encodes is one the decoder would build back, equal and with the
+same type in every field. It refuses fixed-size bytes of another size
+with ``MalformedPayload``, a string over 65,535 UTF-8 bytes with
+``PayloadTooLarge`` and one UTF-8 cannot encode with the
+``UnicodeEncodeError`` encoding raises, an int outside its wire width
+with ``struct.error``, as packing would, and a payload over
+``MAX_PAYLOAD`` with ``PayloadTooLarge``; then it returns the payload
+size. The packer writes a checked record. A decoder builds its record
+with ``tuple.__new__`` from the unpacked fields, skipping the
+constructor's argument binding.
 
 Two transports are provided: an in-memory loopback hub (exactly-once,
 publish-order delivery; the deterministic test substrate) and a real
@@ -58,7 +62,7 @@ from __future__ import annotations
 import socket
 import struct
 from enum import IntEnum
-from typing import Callable, Iterable, NamedTuple, NoReturn, Union, get_type_hints
+from typing import Callable, Iterable, NamedTuple, NoReturn, Union, get_args
 
 from .clock import Clock
 
@@ -126,6 +130,27 @@ class CommandKind(IntEnum):
     STOP = 2
 
 
+class _Kind(NamedTuple):
+    """The wire kind of a payload field: a fixed-size struct ``code`` (empty
+    for ``STR`` and ``TRAILING``), the exact Python ``type`` its value
+    must have, and the ``bits`` of an unsigned int."""
+
+    code: str
+    type: type
+    bits: int = 0
+
+
+U8, U16, U32, U64 = (_Kind(code, int, bits) for code, bits in (("B", 8), ("H", 16), ("I", 32), ("Q", 64)))
+F64 = _Kind("d", float)
+STR = _Kind("", str)  # u16 length prefix, then that many UTF-8 bytes
+TRAILING = _Kind("", bytes)  # the rest of the payload; last in a layout
+
+
+def fixed_bytes(size: int) -> _Kind:
+    """The kind of a ``bytes`` field of exactly ``size`` bytes."""
+    return _Kind(f"{size}s", bytes)
+
+
 def _type_strict(record: type) -> type:
     """Make a ``NamedTuple`` record equal only to a record of its own type.
     A bare tuple subclass equals any tuple with the same items, so without
@@ -148,9 +173,10 @@ def _type_strict(record: type) -> type:
 class SensorFrame(NamedTuple):
     frame_id: int
     ground_truth_count: int
-    pixels_digest: bytes  # exactly 32 bytes
+    pixels_digest: bytes
 
     MSG_TYPE = MsgType.SENSOR_FRAME
+    LAYOUT = (("frame_id", U64), ("ground_truth_count", U16), ("pixels_digest", fixed_bytes(32)))
 
 
 @_type_strict
@@ -161,6 +187,7 @@ class ModuleOutput(NamedTuple):
     latency_us: int
 
     MSG_TYPE = MsgType.MODULE_OUTPUT
+    LAYOUT = (("frame_id", U64), ("variant_id", STR), ("detected_count", U16), ("latency_us", U32))
 
 
 @_type_strict
@@ -170,6 +197,7 @@ class ResourceReport(NamedTuple):
     mem_mb: float
 
     MSG_TYPE = MsgType.RESOURCE_REPORT
+    LAYOUT = (("variant_id", STR), ("cpu_pct", F64), ("mem_mb", F64))
 
 
 @_type_strict
@@ -179,6 +207,7 @@ class Command(NamedTuple):
     degrade_level: int
 
     MSG_TYPE = MsgType.COMMAND
+    LAYOUT = (("target_variant_id", STR), ("command", CommandKind), ("degrade_level", U8))
 
 
 @_type_strict
@@ -187,6 +216,7 @@ class Heartbeat(NamedTuple):
     uptime_s: int
 
     MSG_TYPE = MsgType.HEARTBEAT
+    LAYOUT = (("node_id", U32), ("uptime_s", U64))
 
 
 @_type_strict
@@ -197,6 +227,7 @@ class ResultChunk(NamedTuple):
     data: bytes
 
     MSG_TYPE = MsgType.RESULT_CHUNK
+    LAYOUT = (("experiment_id", STR), ("chunk_index", U32), ("total_chunks", U32), ("data", TRAILING))
 
 
 Message = Union[SensorFrame, ModuleOutput, ResourceReport, Command, Heartbeat, ResultChunk]
@@ -213,25 +244,13 @@ class Envelope(NamedTuple):
     payload_len: int
 
 
-# Precompiled layouts of the fixed parts of each payload. A string field
-# is a u16 length prefix followed by that many UTF-8 bytes.
-_U16 = struct.Struct("<H")
-_SENSOR_FRAME = struct.Struct("<QH32s")
-_MODULE_OUTPUT_HEAD = struct.Struct("<QH")  # frame_id, variant_id length
-_MODULE_OUTPUT_TAIL = struct.Struct("<HI")
-_RESOURCE_REPORT_TAIL = struct.Struct("<dd")
-_COMMAND_TAIL = struct.Struct("<BB")
-_HEARTBEAT = struct.Struct("<IQ")
-_RESULT_CHUNK_TAIL = struct.Struct("<II")
-
-
 # builds a decoded record from its fields (see the module docstring)
 _new = tuple.__new__
 
 
 def _wrong_size(size: int, expected: int) -> NoReturn:
     """Raise for a payload part of ``size`` bytes where ``expected`` belong.
-    Callers test the size inline (``!=`` for an exact size, ``<`` for a
+    Decoders test the size inline (``!=`` for an exact size, ``<`` for a
     minimum) and call this only to raise: short or long, it is a
     ``MalformedPayload``."""
     if size < expected:
@@ -239,23 +258,23 @@ def _wrong_size(size: int, expected: int) -> NoReturn:
     raise MalformedPayload(f"{size - expected} trailing payload bytes")
 
 
-def _text(buf: bytes, start: int, stop: int) -> str:
+def _str_at(buf: bytes, start: int, end: int, length: int) -> tuple[str, int]:
+    """The ``length`` bytes at ``start`` as a string field, and the offset
+    just past them; the field must end at or before ``end``."""
+    stop = start + length
+    if stop > end:
+        _wrong_size(end - start, length)
     try:
-        return buf[start:stop].decode("utf-8")
+        return buf[start:stop].decode("utf-8"), stop
     except UnicodeDecodeError as exc:
         raise MalformedPayload(f"invalid UTF-8 in string field: {exc}") from exc
 
 
-def _str_at(buf: bytes, start: int, end: int) -> tuple[str, int]:
-    """The string field at ``start`` and the offset just past it; the
-    field must end at or before ``end``."""
-    if end - start < _U16.size:
-        _wrong_size(end - start, _U16.size)
-    (length,) = _U16.unpack_from(buf, start)
-    stop = start + _U16.size + length
-    if stop > end:
-        _wrong_size(end - start, stop - start)
-    return _text(buf, start + _U16.size, stop), stop
+def _member(kind: type[IntEnum], field: str, value: int) -> IntEnum:
+    try:
+        return kind(value)
+    except ValueError:
+        raise MalformedPayload(f"unknown {field} value {value}") from None
 
 
 def _utf8_len(s: str) -> int:
@@ -268,232 +287,136 @@ def _utf8_len(s: str) -> int:
     return size
 
 
-def _too_large(size: int) -> NoReturn:
-    raise PayloadTooLarge(f"payload of {size} bytes exceeds {MAX_PAYLOAD}")
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return _U16.pack(len(raw)) + raw
-
-
-def _wrong_type(msg: Message) -> NoReturn:
-    """Raise ``TypeError`` for the first field of ``msg`` that is not of
-    exactly its declared type. Checks test the types inline and call this
+def _refuse(msg: Message, kinds: list[_Kind]) -> NoReturn:
+    """Raise ``TypeError`` for the first field of ``msg`` not of exactly
+    its kind's type, or else ``struct.error``, as packing would, for the
+    first int outside its width. Checks test both inline and call this
     only to raise."""
-    hints = get_type_hints(type(msg))
-    name, value = next((n, v) for n, v in zip(msg._fields, msg) if type(v) is not hints[n])
-    raise TypeError(f"{type(msg).__name__}.{name} must be {hints[name].__name__}, got {type(value).__name__}")
+    name = type(msg).__name__
+    for field, value, kind in zip(msg._fields, msg, kinds):
+        if type(value) is not kind.type:
+            raise TypeError(f"{name}.{field} must be {kind.type.__name__}, got {type(value).__name__}")
+    for field, value, kind in zip(msg._fields, msg, kinds):
+        if kind.bits and not 0 <= value < 1 << kind.bits:
+            raise struct.error(f"{name}.{field} must be in [0, 2**{kind.bits}), got {value}")
 
 
-# The unsigned wire width, in bits, of each int field. Checks test the
-# widths inline; this table only names the field in the error.
-_INT_BITS = {
-    SensorFrame: {"frame_id": 64, "ground_truth_count": 16},
-    ModuleOutput: {"frame_id": 64, "detected_count": 16, "latency_us": 32},
-    Command: {"degrade_level": 8},
-    Heartbeat: {"node_id": 32, "uptime_s": 64},
-    ResultChunk: {"chunk_index": 32, "total_chunks": 32},
-}
+def _layout_kinds(record: type) -> list[_Kind]:
+    """The kind of each field of ``record``, in order; refuses a LAYOUT
+    that does not name each field once, in order, or that has a kind
+    anywhere it cannot go."""
+    name = record.__name__
+    names = tuple(field for field, _kind in record.LAYOUT)
+    if names != record._fields:
+        raise TypeError(f"{name}.LAYOUT names {names}, not the fields {record._fields} in order")
+    kinds = []
+    for field, kind in record.LAYOUT:
+        if isinstance(kind, type) and issubclass(kind, IntEnum) and all(0 <= m < 256 for m in kind):
+            kind = _Kind("B", kind)
+        elif not isinstance(kind, _Kind) or (kind is TRAILING and field != names[-1]):
+            raise TypeError(f"{name}.LAYOUT: {field} cannot be of kind {kind!r}")
+        kinds.append(kind)
+    return kinds
 
 
-def _out_of_range(msg: Message) -> NoReturn:
-    """Raise ``struct.error``, as packing would, for the first int field of
-    ``msg`` outside its wire width."""
-    name, bits = next((n, b) for n, b in _INT_BITS[type(msg)].items() if not 0 <= getattr(msg, n) < 1 << b)
-    raise struct.error(f"{type(msg).__name__}.{name} must be in [0, 2**{bits}), got {getattr(msg, name)}")
+def _build_codec(record: type) -> tuple[Callable, Callable, Callable]:
+    """Generate ``record``'s check, packer and decoder from its LAYOUT as
+    Python source, compiled once, so no message pays for reading a layout.
+    The check refuses what the module docstring lists, in that order, and
+    returns the payload size. The packer and the decoder take each run of
+    fixed-size fields, a string's length prefix ending one, as one
+    ``struct.Struct``. The decoder needs at least a run's size before a
+    string or trailing bytes and exactly the last run's size; it checks a
+    string's length on its own, then its UTF-8, and that an enum value
+    names a member. Every name the source uses besides the fields starts
+    with an underscore, which no ``NamedTuple`` field name can."""
+    fields, kinds = record._fields, _layout_kinds(record)
+    namespace = {f"_{kind.type.__name__}": kind.type for kind in kinds}
+    namespace.update(_MalformedPayload=MalformedPayload, _PayloadTooLarge=PayloadTooLarge, _type=type, _len=len)
+    namespace.update(_new=_new, _wrong_size=_wrong_size, _str_at=_str_at, _member=_member, _utf8_len=_utf8_len)
+    namespace.update(_refuse=_refuse, _record=record, _kinds=kinds)
+    types, sizes, widths, variable, encode_strings = [], [], [], [], []
+    pieces, decode, run = [], [], []  # run: (local name, kind) of each fixed-size value not yet packed
+    fixed = 0
+
+    def end_run(last: bool) -> None:
+        """Pack and read the run of fixed-size values before a string,
+        trailing bytes or, if ``last``, the end of the payload."""
+        nonlocal fixed
+        names = ", ".join(local for local, _kind in run)
+        run_struct = struct.Struct("<" + "".join(kind.code for _local, kind in run))
+        fixed += run_struct.size
+        if run or last:
+            decode.append(f"    if _end - _start {'!=' if last else '<'} {run_struct.size}:")
+            decode.append(f"        _wrong_size(_end - _start, {run_struct.size})")
+        if run:
+            struct_name = f"_run{len(pieces)}"
+            namespace[struct_name] = run_struct
+            pieces.append(f"{struct_name}.pack({names})")
+            decode.append(f"    {names}, = {struct_name}.unpack_from(_buf, _start)")
+            if not last:
+                decode.append(f"    _start += {run_struct.size}")
+        for local, kind in run:
+            if issubclass(kind.type, IntEnum):
+                decode.append(f'    {local} = _member(_{kind.type.__name__}, "{local}", {local})')
+        run.clear()
+
+    for field, kind in zip(fields, kinds):
+        types.append(f"_type({field}) is not _{kind.type.__name__}")
+        if kind.bits:
+            widths.append(f"0 <= {field} < {1 << kind.bits}")
+        if kind is STR:
+            sizes.append(f"    _n_{field} = _len({field})")
+            sizes.append(f"    if _n_{field} > 0xFFFF or not {field}.isascii():")
+            sizes.append(f"        _n_{field} = _utf8_len({field})")
+            variable.append(f"_n_{field}")
+            encode_strings.append(f'    {field} = {field}.encode("utf-8")')
+            encode_strings.append(f"    _n_{field} = _len({field})")
+            run.append((f"_n_{field}", U16))
+            end_run(last=False)
+            pieces.append(field)
+            decode.append(f"    {field}, _start = _str_at(_buf, _start, _end, _n_{field})")
+        elif kind is TRAILING:
+            variable.append(f"_len({field})")
+            end_run(last=False)
+            pieces.append(field)
+            decode.append(f"    {field} = _buf[_start:_end]")
+        else:
+            if kind.code.endswith("s"):
+                size = struct.calcsize(kind.code)
+                sizes.append(f"    if _len({field}) != {size}:")
+                sizes.append(f'        raise _MalformedPayload("{field} must be exactly {size} bytes")')
+            run.append((field, kind))
+    if kinds[-1] is not TRAILING:
+        end_run(last=True)
+    if variable:
+        total = [
+            f"    _size = {' + '.join(variable)} + {fixed}",
+            f"    if _size > {MAX_PAYLOAD}:",
+            f'        raise _PayloadTooLarge(f"payload of {{_size}} bytes exceeds {MAX_PAYLOAD}")',
+            "    return _size",
+        ]
+    else:
+        total = [f"    return {fixed}"]
+    unpack = f"    {', '.join(fields)}, = _msg"
+    source = "\n".join(
+        ["def check(_msg):", unpack, f"    if {' or '.join(types)}:", "        _refuse(_msg, _kinds)", *sizes]
+        + [f"    if not ({' and '.join(widths)}):", "        _refuse(_msg, _kinds)"] * bool(widths)
+        + total
+        + ["def pack(_msg):", unpack, *encode_strings, f"    return {' + '.join(pieces)}"]
+        + ["def decode(_buf, _start, _end):", *decode, f"    return _new(_record, ({', '.join(fields)},))"]
+    )
+    exec(compile(source, f"<{record.__name__} codec>", "exec"), namespace)
+    return namespace["check"], namespace["pack"], namespace["decode"]
 
 
-# One check, one packer and one decoder per message type. A check raises
-# everything packing the record could: a field not of exactly its type
-# (see the module docstring), an int outside its wire width, a string over
-# 65,535 UTF-8 bytes or a payload over MAX_PAYLOAD; then it returns the
-# payload's size. A packer writes the fields of a checked record in order.
-# A decoder reads the payload that fills ``buf[start:end]`` and checks its
-# every size, string and enum.
-
-
-def _check_sensor_frame(msg: SensorFrame) -> int:
-    frame_id, ground_truth_count, pixels_digest = msg
-    if type(frame_id) is not int or type(ground_truth_count) is not int or type(pixels_digest) is not bytes:
-        _wrong_type(msg)
-    if len(pixels_digest) != 32:
-        raise MalformedPayload("pixels_digest must be exactly 32 bytes")
-    if not (0 <= frame_id < 1 << 64 and 0 <= ground_truth_count < 1 << 16):
-        _out_of_range(msg)
-    return _SENSOR_FRAME.size
-
-
-def _pack_sensor_frame(msg: SensorFrame) -> bytes:
-    return _SENSOR_FRAME.pack(*msg)
-
-
-def _decode_sensor_frame(buf: bytes, start: int, end: int) -> SensorFrame:
-    if end - start != _SENSOR_FRAME.size:
-        _wrong_size(end - start, _SENSOR_FRAME.size)
-    return _new(SensorFrame, _SENSOR_FRAME.unpack_from(buf, start))
-
-
-def _check_module_output(msg: ModuleOutput) -> int:
-    frame_id, variant_id, detected_count, latency_us = msg
-    if (
-        type(frame_id) is not int
-        or type(variant_id) is not str
-        or type(detected_count) is not int
-        or type(latency_us) is not int
-    ):
-        _wrong_type(msg)
-    size = len(variant_id)
-    if size > 0xFFFF or not variant_id.isascii():
-        size = _utf8_len(variant_id)
-    if not (0 <= frame_id < 1 << 64 and 0 <= detected_count < 1 << 16 and 0 <= latency_us < 1 << 32):
-        _out_of_range(msg)
-    size += _MODULE_OUTPUT_HEAD.size + _MODULE_OUTPUT_TAIL.size
-    if size > MAX_PAYLOAD:
-        _too_large(size)
-    return size
-
-
-def _pack_module_output(msg: ModuleOutput) -> bytes:
-    frame_id, variant_id, detected_count, latency_us = msg
-    raw = variant_id.encode("utf-8")
-    return _MODULE_OUTPUT_HEAD.pack(frame_id, len(raw)) + raw + _MODULE_OUTPUT_TAIL.pack(detected_count, latency_us)
-
-
-def _decode_module_output(buf: bytes, start: int, end: int) -> ModuleOutput:
-    if end - start < _MODULE_OUTPUT_HEAD.size:
-        _wrong_size(end - start, _MODULE_OUTPUT_HEAD.size)
-    frame_id, length = _MODULE_OUTPUT_HEAD.unpack_from(buf, start)
-    pos = start + _MODULE_OUTPUT_HEAD.size
-    stop = pos + length
-    if end - stop != _MODULE_OUTPUT_TAIL.size:
-        _wrong_size(end - pos, length + _MODULE_OUTPUT_TAIL.size)
-    detected, latency = _MODULE_OUTPUT_TAIL.unpack_from(buf, stop)
-    return _new(ModuleOutput, (frame_id, _text(buf, pos, stop), detected, latency))
-
-
-def _check_resource_report(msg: ResourceReport) -> int:
-    variant_id, cpu_pct, mem_mb = msg
-    if type(variant_id) is not str or type(cpu_pct) is not float or type(mem_mb) is not float:
-        _wrong_type(msg)
-    size = len(variant_id)
-    if size > 0xFFFF or not variant_id.isascii():
-        size = _utf8_len(variant_id)
-    size += _U16.size + _RESOURCE_REPORT_TAIL.size
-    if size > MAX_PAYLOAD:
-        _too_large(size)
-    return size
-
-
-def _pack_resource_report(msg: ResourceReport) -> bytes:
-    variant_id, cpu_pct, mem_mb = msg
-    return _pack_str(variant_id) + _RESOURCE_REPORT_TAIL.pack(cpu_pct, mem_mb)
-
-
-def _decode_resource_report(buf: bytes, start: int, end: int) -> ResourceReport:
-    variant_id, pos = _str_at(buf, start, end)
-    if end - pos != _RESOURCE_REPORT_TAIL.size:
-        _wrong_size(end - pos, _RESOURCE_REPORT_TAIL.size)
-    cpu, mem = _RESOURCE_REPORT_TAIL.unpack_from(buf, pos)
-    return _new(ResourceReport, (variant_id, cpu, mem))
-
-
-def _check_command(msg: Command) -> int:
-    target_variant_id, command, degrade_level = msg
-    if type(target_variant_id) is not str or type(command) is not CommandKind or type(degrade_level) is not int:
-        _wrong_type(msg)
-    size = len(target_variant_id)
-    if size > 0xFFFF or not target_variant_id.isascii():
-        size = _utf8_len(target_variant_id)
-    if not 0 <= degrade_level < 1 << 8:
-        _out_of_range(msg)
-    size += _U16.size + _COMMAND_TAIL.size
-    if size > MAX_PAYLOAD:
-        _too_large(size)
-    return size
-
-
-def _pack_command(msg: Command) -> bytes:
-    target_variant_id, command, degrade_level = msg
-    return _pack_str(target_variant_id) + _COMMAND_TAIL.pack(command, degrade_level)
-
-
-def _decode_command(buf: bytes, start: int, end: int) -> Command:
-    target, pos = _str_at(buf, start, end)
-    if end - pos != _COMMAND_TAIL.size:
-        _wrong_size(end - pos, _COMMAND_TAIL.size)
-    kind_raw, level = _COMMAND_TAIL.unpack_from(buf, pos)
-    try:
-        kind = CommandKind(kind_raw)
-    except ValueError:
-        raise MalformedPayload(f"unknown command value {kind_raw}") from None
-    return _new(Command, (target, kind, level))
-
-
-def _check_heartbeat(msg: Heartbeat) -> int:
-    node_id, uptime_s = msg
-    if type(node_id) is not int or type(uptime_s) is not int:
-        _wrong_type(msg)
-    if not (0 <= node_id < 1 << 32 and 0 <= uptime_s < 1 << 64):
-        _out_of_range(msg)
-    return _HEARTBEAT.size
-
-
-def _pack_heartbeat(msg: Heartbeat) -> bytes:
-    return _HEARTBEAT.pack(*msg)
-
-
-def _decode_heartbeat(buf: bytes, start: int, end: int) -> Heartbeat:
-    if end - start != _HEARTBEAT.size:
-        _wrong_size(end - start, _HEARTBEAT.size)
-    return _new(Heartbeat, _HEARTBEAT.unpack_from(buf, start))
-
-
-def _check_result_chunk(msg: ResultChunk) -> int:
-    experiment_id, chunk_index, total_chunks, data = msg
-    if (
-        type(experiment_id) is not str
-        or type(chunk_index) is not int
-        or type(total_chunks) is not int
-        or type(data) is not bytes
-    ):
-        _wrong_type(msg)
-    size = len(experiment_id)
-    if size > 0xFFFF or not experiment_id.isascii():
-        size = _utf8_len(experiment_id)
-    if not (0 <= chunk_index < 1 << 32 and 0 <= total_chunks < 1 << 32):
-        _out_of_range(msg)
-    size += _U16.size + _RESULT_CHUNK_TAIL.size + len(data)
-    if size > MAX_PAYLOAD:
-        _too_large(size)
-    return size
-
-
-def _pack_result_chunk(msg: ResultChunk) -> bytes:
-    experiment_id, chunk_index, total_chunks, data = msg
-    return _pack_str(experiment_id) + _RESULT_CHUNK_TAIL.pack(chunk_index, total_chunks) + data
-
-
-def _decode_result_chunk(buf: bytes, start: int, end: int) -> ResultChunk:
-    experiment_id, pos = _str_at(buf, start, end)
-    if end - pos < _RESULT_CHUNK_TAIL.size:
-        _wrong_size(end - pos, _RESULT_CHUNK_TAIL.size)
-    index, total = _RESULT_CHUNK_TAIL.unpack_from(buf, pos)
-    return _new(ResultChunk, (experiment_id, index, total, buf[pos + _RESULT_CHUNK_TAIL.size : end]))
-
-
-_CODECS = (
-    (SensorFrame, _check_sensor_frame, _pack_sensor_frame, _decode_sensor_frame),
-    (ModuleOutput, _check_module_output, _pack_module_output, _decode_module_output),
-    (ResourceReport, _check_resource_report, _pack_resource_report, _decode_resource_report),
-    (Command, _check_command, _pack_command, _decode_command),
-    (Heartbeat, _check_heartbeat, _pack_heartbeat, _decode_heartbeat),
-    (ResultChunk, _check_result_chunk, _pack_result_chunk, _decode_result_chunk),
-)
-# record type -> (header msg_type, payload check, payload packer)
-_ENCODERS = {record: (record.MSG_TYPE, check, pack) for record, check, pack, _dec in _CODECS}
-# header msg_type byte -> (MsgType, payload decoder)
-_DECODERS = {int(record.MSG_TYPE): (record.MSG_TYPE, dec) for record, _check, _pack, dec in _CODECS}
+_ENCODERS = {}  # record type -> (header msg_type, payload check, payload packer)
+_DECODERS = {}  # header msg_type byte -> (MsgType, payload decoder)
+for _record in get_args(Message):
+    _check, _pack, _decode = _build_codec(_record)
+    _ENCODERS[_record] = (_record.MSG_TYPE, _check, _pack)
+    _DECODERS[int(_record.MSG_TYPE)] = (_record.MSG_TYPE, _decode)
+del _record, _check, _pack, _decode
 
 
 def _not_a_message(value: object) -> NoReturn:

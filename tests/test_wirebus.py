@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import socket
 import string
 import struct
 import weakref
 from collections import Counter
-from typing import get_type_hints
+from enum import IntEnum
+from typing import NamedTuple, get_type_hints
 
 import pytest
 
@@ -289,6 +291,47 @@ def test_a_record_with_a_field_not_of_its_declared_type_is_refused(msg):
     assert sender.send(W.Heartbeat(node_id=1, uptime_s=0)) == 0  # the refused record took no seq
 
 
+# One record per refusal, with the class and text both ``encode`` and
+# ``Sender.send`` raise. The records with two faults pin the order of the
+# checks: field types, then byte and string sizes, then int widths, then
+# the whole payload.
+REFUSALS = [
+    (W.ModuleOutput(1, "v", True, 5), TypeError, "ModuleOutput.detected_count must be int, got bool"),
+    (W.Command("v", 2, 1), TypeError, "Command.command must be CommandKind, got int"),
+    (W.ResourceReport("v", 50, 100.0), TypeError, "ResourceReport.cpu_pct must be float, got int"),
+    (W.SensorFrame(1, 2, bytearray(32)), TypeError, "SensorFrame.pixels_digest must be bytes, got bytearray"),
+    (W.ResultChunk(None, 1 << 32, 1, b""), TypeError, "ResultChunk.experiment_id must be str, got NoneType"),
+    (W.Heartbeat(1 << 32, 0), struct.error, "Heartbeat.node_id must be in [0, 2**32), got 4294967296"),
+    (W.ModuleOutput(1, "v", 2, -1), struct.error, "ModuleOutput.latency_us must be in [0, 2**32), got -1"),
+    (W.Command("v", W.CommandKind.STOP, 256), struct.error, "Command.degrade_level must be in [0, 2**8), got 256"),
+    (W.SensorFrame(-1, 2, bytes(31)), W.MalformedPayload, "pixels_digest must be exactly 32 bytes"),
+    (W.ResourceReport("x" * 0x10000, 1.0, 1.0), W.PayloadTooLarge, "string field of 65536 bytes"),
+    (W.ModuleOutput(1 << 64, "é" * 0x8000, 2, 3), W.PayloadTooLarge, "string field of 65536 bytes"),
+    (
+        W.Command("a\ud800b", W.CommandKind.STOP, 0),
+        UnicodeEncodeError,
+        "'utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed",
+    ),
+    (W.ResultChunk("x", 0, 1, bytes(W.MAX_PAYLOAD - 10)), W.PayloadTooLarge, "payload of 60001 bytes exceeds 60000"),
+    (
+        W.ResultChunk("x", 1 << 32, 1, bytes(W.MAX_PAYLOAD)),
+        struct.error,
+        "ResultChunk.chunk_index must be in [0, 2**32), got 4294967296",
+    ),
+]
+_refusal_ids = [f"{type(msg).__name__}-{error.__name__}" for msg, error, _text in REFUSALS]
+
+
+@pytest.mark.parametrize("msg, error, text", REFUSALS, ids=_refusal_ids)
+def test_each_refusal_keeps_its_class_and_text(msg, error, text):
+    with pytest.raises(error) as refused:
+        W.encode(msg, 1, 0, 0)
+    assert type(refused.value) is error and str(refused.value) == text
+    with pytest.raises(error) as refused:
+        W.Sender(W.LoopbackBus(), 1, FakeClock(0)).send(msg)
+    assert type(refused.value) is error and str(refused.value) == text
+
+
 def test_a_sender_hands_over_exactly_what_its_datagram_decodes_to():
     rng = random.Random(0x5EED)
     bus = RecordCheckingBus()
@@ -316,6 +359,39 @@ def test_a_sender_id_outside_the_header_width_is_refused(sender_id):
         W.Sender(W.LoopbackBus(), sender_id, FakeClock(0))
 
 
+class Light(IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+class EveryKind(NamedTuple):
+    """A record that is not on the bus, with one field of each wire kind.
+    Most fields take a name a generated codec could use for itself."""
+
+    msg: int
+    size: int
+    start: int
+    end: int
+    buf: float
+    variant_id: str
+    pixels_digest: bytes
+    type: Light
+    len: bytes
+
+    MSG_TYPE = 0x7E
+    LAYOUT = (
+        ("msg", W.U8),
+        ("size", W.U16),
+        ("start", W.U32),
+        ("end", W.U64),
+        ("buf", W.F64),
+        ("variant_id", W.STR),
+        ("pixels_digest", W.fixed_bytes(4)),
+        ("type", Light),
+        ("len", W.TRAILING),
+    )
+
+
 # The wire width, in bits, of every int field (see the payload layouts).
 INT_BITS = {
     W.SensorFrame: {"frame_id": 64, "ground_truth_count": 16},
@@ -324,6 +400,7 @@ INT_BITS = {
     W.Command: {"degrade_level": 8},
     W.Heartbeat: {"node_id": 32, "uptime_s": 64},
     W.ResultChunk: {"chunk_index": 32, "total_chunks": 32},
+    EveryKind: {"msg": 8, "size": 16, "start": 32, "end": 64},
 }
 STR_FIELDS = {"variant_id", "target_variant_id", "experiment_id"}
 WRONG_TYPED_VALUES = [True, 7, 1.5, "s", b"b", bytearray(b"b"), None, W.CommandKind.STOP]
@@ -403,6 +480,113 @@ def test_send_refuses_exactly_what_encode_refuses_and_sizes_what_it_would_pack()
     assert set(refusals) == {TypeError, struct.error, W.PayloadTooLarge, W.MalformedPayload, UnicodeEncodeError}
 
 
+def random_every_kind(rng: random.Random) -> EveryKind:
+    return EveryKind(
+        msg=rng.getrandbits(8),
+        size=rng.getrandbits(16),
+        start=rng.getrandbits(32),
+        end=rng.getrandbits(64),
+        buf=rng.uniform(-1e9, 1e9),
+        variant_id=_random_text(rng),
+        pixels_digest=rng.randbytes(4),
+        type=rng.choice(list(Light)),
+        len=rng.randbytes(rng.randint(0, 40)),
+    )
+
+
+@pytest.fixture
+def every_kind_on_the_wire(monkeypatch):
+    """``EveryKind``'s built codec, registered as ``encode`` and ``decode``
+    find a message type's."""
+    check, pack, decode_payload = W._build_codec(EveryKind)
+    monkeypatch.setitem(W._ENCODERS, EveryKind, (EveryKind.MSG_TYPE, check, pack))
+    monkeypatch.setitem(W._DECODERS, EveryKind.MSG_TYPE, (EveryKind.MSG_TYPE, decode_payload))
+
+
+class PublishedItems(list):
+    """A bus that keeps what is published; ``EveryKind`` has no route on a
+    real one."""
+
+    publish = list.append
+
+
+def test_a_layout_of_every_wire_kind_round_trips_and_refuses_what_send_refuses(every_kind_on_the_wire):
+    rng = random.Random(0xA11)
+    published = PublishedItems()
+    sender = W.Sender(published, 4, FakeClock(0))
+    refusals = Counter()
+    for i in range(2_000):
+        msg = random_every_kind(rng)
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            _kind, msg = _mutate(rng, msg)
+        if i % 50 == 0:
+            msg = msg._replace(pixels_digest=bytes(rng.choice([0, 3, 5])))
+        datagram, refused = _outcome(lambda: W.encode(msg, 4, len(published), 0))
+        _seq, send_refused = _outcome(lambda: sender.send(msg))
+        assert send_refused is refused, (msg, refused, send_refused)
+        if refused is not None:
+            refusals[refused] += 1
+            continue
+        item = published[-1]
+        assert item.envelope.payload_len == len(datagram) - W.HEADER_LEN
+        envelope, decoded = W.decode(datagram)
+        assert (envelope, decoded) == (item.envelope, msg)
+        assert field_types(decoded) == field_types(msg)
+    assert len(published) > 500
+    assert set(refusals) == {TypeError, struct.error, W.PayloadTooLarge, W.MalformedPayload, UnicodeEncodeError}
+
+
+def _category(outcome: str) -> str:
+    categories = {
+        "decoded": r"Envelope\(",
+        "short": r"MalformedPayload: payload short by \d+ bytes$",
+        "utf8": r"MalformedPayload: invalid UTF-8 in string field: ",
+        "enum": r"MalformedPayload: unknown type value \d+$",
+    }
+    return next(name for name, pattern in categories.items() if re.match(pattern, outcome))
+
+
+def test_every_decode_category_of_every_wire_kind_is_reachable(every_kind_on_the_wire):
+    """Cuts reach each size check and byte edits the UTF-8 and enum checks;
+    with trailing bytes last, no payload is too long."""
+    rng = random.Random(0xA12)
+    good = W.encode(EveryKind(1, 2, 3, 4, 0.5, "ab", b"wxyz", Light.GREEN, b"tail"), 1, 0, 0)
+    payload = good[W.HEADER_LEN :]
+    variants = [payload[:cut] for cut in range(len(payload) + 1)]
+    for _ in range(300):
+        bad = bytearray(payload)
+        bad[rng.randrange(len(bad))] = rng.getrandbits(8)
+        variants.append(bytes(bad))
+    categories = Counter(_category(_decode_outcome(_with_payload(good, variant))) for variant in variants)
+    assert set(categories) == {"decoded", "short", "utf8", "enum"}
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        EveryKind.LAYOUT[:-1],
+        EveryKind.LAYOUT + (("extra", W.U8),),
+        (EveryKind.LAYOUT[1], EveryKind.LAYOUT[0], *EveryKind.LAYOUT[2:]),
+        (*EveryKind.LAYOUT[:-2], ("type", Light), ("type", Light)),
+        (("msg", W.TRAILING), *EveryKind.LAYOUT[1:]),
+        (("msg", int), *EveryKind.LAYOUT[1:]),
+    ],
+    ids=["short", "long", "out-of-order", "field-twice", "trailing-not-last", "not-a-kind"],
+)
+def test_a_layout_that_does_not_give_each_field_one_kind_in_order_is_refused(layout):
+    record = NamedTuple("Wrong", [(name, hint) for name, hint in get_type_hints(EveryKind).items()])
+    record.LAYOUT = layout
+    with pytest.raises(TypeError, match=r"^Wrong\.LAYOUT"):
+        W._build_codec(record)
+
+
+def test_each_layout_kind_is_its_fields_declared_type():
+    for record in [*W._ENCODERS, EveryKind]:
+        hints = get_type_hints(record)
+        declared = [kind if isinstance(kind, type) else kind.type for _name, kind in record.LAYOUT]
+        assert declared == [hints[name] for name in record._fields], record
+
+
 def test_fuzz_10000_random_blobs_never_crash_decoder():
     rng = random.Random(0xFADE)
     outcomes = {"decoded": 0, "rejected": 0}
@@ -438,28 +622,51 @@ def _decode_outcome(datagram: bytes) -> str:
     return f"{envelope!r} {message!r}"
 
 
-def test_every_rejection_keeps_its_pinned_class_and_message():
-    """Every cut, extension and seeded byte mutation of each message type
-    decodes to the same record or raises the same error class with the same
-    message, pinned as one digest of all outcomes."""
+def _decode_class(datagram: bytes) -> str:
+    try:
+        W.decode(datagram)
+    except W.DecodeError as exc:
+        return type(exc).__name__
+    return "decoded"
+
+
+def _cut_and_mutated_datagrams():
+    """Every cut and extension, then 300 seeded byte mutations, of the
+    payload of one record of each message type."""
     messages = FIXED_LAYOUT_MESSAGES + [
         W.Command(target_variant_id="expA", command=W.CommandKind.DEGRADE, degrade_level=1),
         W.ResultChunk(experiment_id="exp-1", chunk_index=0, total_chunks=3, data=b"abc"),
     ]
     rng = random.Random(0xC0DEC)
-    outcomes = []
     for msg in messages:
         good = W.encode(msg, 1, 0, 0)
         payload = good[W.HEADER_LEN :]
         for cut in range(len(payload) + 4):
-            outcomes.append(_decode_outcome(_with_payload(good, (payload + b"\x00\xff\x01")[:cut])))
+            yield _with_payload(good, (payload + b"\x00\xff\x01")[:cut])
         for _ in range(300):
             bad = bytearray(payload)
             for _ in range(rng.randint(1, 3)):
                 bad[rng.randrange(len(bad))] = rng.getrandbits(8)
-            outcomes.append(_decode_outcome(_with_payload(good, bytes(bad))))
-    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
-    assert digest == "0826c56abd150f2968f10b33ae4f712b08c128fd24605ae0bb0198d45c820efc"
+            yield _with_payload(good, bytes(bad))
+
+
+def _digest(outcomes) -> str:
+    return hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+
+
+def test_every_rejection_keeps_its_pinned_class_and_message():
+    """Every cut, extension and seeded byte mutation of each message type
+    decodes to the same record or raises the same error class with the same
+    message, pinned as one digest of all outcomes."""
+    digest = _digest(map(_decode_outcome, _cut_and_mutated_datagrams()))
+    assert digest == "58e589de9c03d85f3adcaf473bea59c53ea806dfa113d78af5d0b2b9fa0a3357"
+
+
+def test_every_rejection_keeps_its_pinned_class():
+    """The same cuts and mutations, pinned by outcome class only: the
+    ``DecodeError`` subclass raised, or "decoded"."""
+    digest = _digest(map(_decode_class, _cut_and_mutated_datagrams()))
+    assert digest == "7f57d4372e3a88ad6df4fe715b78791468734d8a27ac68e60dd195d89437b85c"
 
 
 # -- loopback transport -------------------------------------------------------
