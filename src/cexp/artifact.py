@@ -280,11 +280,13 @@ class LinkProfile:
     """Constrained OTA link: nominal bandwidth, outage windows, datagram loss.
 
     Outage intervals are [start_s, end_s) pairs, disjoint and sorted;
-    ``end_s = math.inf`` marks a link that never comes back.
+    ``end_s = math.inf`` marks a link that never comes back. An end given
+    as ``None`` (JSON ``null``) is stored as ``math.inf``, so a profile read
+    from a file equals the one built in code.
     """
 
     bandwidth_bytes_per_s: int = DEFAULT_BANDWIDTH_BYTES_PER_S
-    outage_schedule: tuple[tuple[float, float], ...] = ()
+    outage_schedule: tuple[tuple[float, Optional[float]], ...] = ()
     datagram_loss_pct: float = 0.0
 
     def __post_init__(self) -> None:
@@ -293,13 +295,17 @@ class LinkProfile:
             raise ValueError("bandwidth_bytes_per_s must be positive")
         if not (0.0 <= self.datagram_loss_pct < 100.0):
             raise ValueError("datagram_loss_pct must be in [0, 100)")
+        schedule = []
         prev_end = -math.inf
         for start, end in self.outage_schedule:
+            end = math.inf if end is None else end
             if not start < end:
                 raise ValueError(f"outage interval [{start}, {end}) must have start < end")
             if not start >= prev_end:
                 raise ValueError("outage intervals must be disjoint and sorted")
+            schedule.append((start, end))
             prev_end = end
+        object.__setattr__(self, "outage_schedule", tuple(schedule))
 
     def in_outage(self, t_s: float) -> bool:
         return any(start <= t_s < end for start, end in self.outage_schedule)
@@ -307,22 +313,6 @@ class LinkProfile:
     def to_object(self) -> dict[str, Any]:
         schedule = [[start, None if math.isinf(end) else end] for start, end in self.outage_schedule]
         return {**record_fields(self), "outage_schedule": schedule}
-
-
-def open_outages(obj: Any) -> Any:
-    """A link profile object with each outage's ``null`` end read as ``math.inf``."""
-    schedule = obj.get("outage_schedule") if type(obj) is dict else None
-    if type(schedule) is not list:
-        return obj
-    ends = [item[:1] + [math.inf] if type(item) is list and item[1:] == [None] else item for item in schedule]
-    return {**obj, "outage_schedule": ends}
-
-
-def link_profile_from_object(obj: Any) -> LinkProfile:
-    """Read a link profile (a ``cectl --link`` file) through
-    ``record_from_object``: absent keys take the defaults and a wrong key or
-    value raises ``SchemaError``. An outage's ``null`` end is ``math.inf``."""
-    return record_from_object(LinkProfile, open_outages(obj))
 
 
 def transfer(byte_count: int, link: LinkProfile, start_t: float = 0.0) -> float:

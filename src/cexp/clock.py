@@ -51,6 +51,13 @@ class FakeClock:
         self._now_us = t_us
 
 
+def overdue(now_us: int, last_us: int, periods: int, period_us: int) -> bool:
+    """Whether more than ``periods`` periods of ``period_us`` have passed
+    since ``last_us``: exactly ``periods`` is not overdue. The one staleness
+    rule of the supervisor's liveness check and the failover monitor."""
+    return now_us - last_us > periods * period_us
+
+
 class Scheduler:
     """Discrete-event loop over a clock and an idle step.
 

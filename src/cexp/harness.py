@@ -4,9 +4,10 @@ together.
 
 Everything here runs as process-like actors on one deterministic event
 loop: a seeded frame replayer standing in for the camera feed, one stub
-per protocol variant (parametric detector quality + CPU appetite), a
-CPU-contention model that makes a hostile experiment actually hurt
-production throughput, and a heartbeat/failover pair simulating the
+per protocol variant (parametric detector quality + CPU appetite), CPU
+contention (``share_cpu``, once per sample period, sets the share each
+stub holds) that makes a hostile experiment actually hurt production
+throughput, and a heartbeat/failover pair simulating the
 primary/secondary computing nodes. Fixed seeds plus the fake clock give
 byte-identical experiment reports run after run.
 
@@ -36,8 +37,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .artifact import LinkProfile, SchemaError, open_outages, record_fields, record_from_object
-from .clock import FakeClock, Scheduler
+from .artifact import LinkProfile, SchemaError, record_fields, record_from_object
+from .clock import FakeClock, Scheduler, overdue
 from .protocol import ExperimentationProtocol, Role, parse_protocol
 from .supervisor import ExperimentReport, OtaUplink, Supervisor, SUPERVISOR_SENDER_ID
 from .wirebus import (
@@ -174,38 +175,6 @@ class StubProfile:
             _require(0.0 <= crash < math.inf, f"{where}.crash_at_s", "null or finite and >= 0", crash)
 
 
-class NodeCpuModel:
-    """Fluid CPU sharing on the node running the variants.
-
-    When summed demand exceeds capacity every module gets a
-    proportional share; a module starved below its demand processes
-    proportionally fewer frames. This is the coupling that makes
-    enforcement matter: degrading or stopping a hostile experiment is
-    what gives production its throughput back.
-    """
-
-    def __init__(self, capacity_pct: float) -> None:
-        self.capacity_pct = capacity_pct
-        self._shares: dict[str, float] = {}
-        # share / demand, which each stub reads once per frame, computed once
-        # per recompute; a module that demands nothing is never starved
-        self._ratios: dict[str, float] = {}
-
-    def recompute(self, demands: dict[str, float]) -> None:
-        total = sum(demands.values())
-        scale = 1.0 if total <= self.capacity_pct else self.capacity_pct / total
-        self._shares = {vid: demand * scale for vid, demand in demands.items()}
-        self._ratios = {
-            vid: 1.0 if demand <= 0.0 else demand * scale / demand for vid, demand in demands.items()
-        }
-
-    def share_pct(self, variant_id: str) -> float:
-        return self._shares.get(variant_id, 0.0)
-
-    def processing_ratio(self, variant_id: str) -> float:
-        return self._ratios.get(variant_id, 1.0)
-
-
 class StubActor:
     """One software variant under test, as a process-like task on the bus.
 
@@ -213,16 +182,16 @@ class StubActor:
     STOP; then it falls silent, and the supervisor learns of it only from
     its missing resource reports. It listens on the bus it is built on and
     obeys a command only when it carries the supervisor's fixed sender id,
-    ``SUPERVISOR_SENDER_ID``.
+    ``SUPERVISOR_SENDER_ID``. Its CPU share and processing ratio are what
+    ``share_cpu`` last set; a stub it has not reached is never starved.
     """
 
-    def __init__(
-        self, profile: StubProfile, bus: LoopbackBus, clock: FakeClock, sender_id: int, node: NodeCpuModel
-    ) -> None:
+    def __init__(self, profile: StubProfile, bus: LoopbackBus, clock: FakeClock, sender_id: int) -> None:
         self.profile = profile
         self.variant_id = profile.variant_id
         self.clock = clock
-        self.node = node
+        self.cpu_share_pct = 0.0
+        self.processing_ratio = 1.0  # share / demand, read once per frame
         self.degrade_level = 0
         self.running = True
         self._credit = 0.0
@@ -271,7 +240,7 @@ class StubActor:
         level = self.degrade_level
         if level and frame_id % (1 << level):
             return  # degraded: process every 2^level-th frame
-        credit = self._credit + self.node.processing_ratio(self.variant_id)
+        credit = self._credit + self.processing_ratio
         if credit < 1.0:
             self._credit = credit
             return  # starved by contention this frame
@@ -288,8 +257,27 @@ class StubActor:
     def report_resources(self) -> None:
         if not self.running:
             return
-        cpu_pct = self.node.share_pct(self.variant_id)
-        self._sender.send(ResourceReport(self.variant_id, cpu_pct, self.profile.mem_mb))
+        self._sender.send(ResourceReport(self.variant_id, self.cpu_share_pct, self.profile.mem_mb))
+
+
+def share_cpu(stubs: list[StubActor], capacity_pct: float) -> None:
+    """Fluid CPU sharing on the node running the variants: set each stub's
+    ``cpu_share_pct`` and ``processing_ratio`` from the demands of all.
+
+    When summed demand exceeds capacity every module gets a proportional
+    share; a module starved below its demand processes proportionally fewer
+    frames. This is the coupling that makes enforcement matter: degrading or
+    stopping a hostile experiment is what gives production its throughput
+    back. The ratio is ``share / demand`` as written, not the scale: the two
+    differ in the last bit, and the credit accumulator would drop another
+    frame. A module that demands nothing is never starved.
+    """
+    demands = [stub.demand_pct() for stub in stubs]
+    total = sum(demands)
+    scale = 1.0 if total <= capacity_pct else capacity_pct / total
+    for stub, demand in zip(stubs, demands):
+        stub.cpu_share_pct = demand * scale
+        stub.processing_ratio = 1.0 if demand <= 0.0 else demand * scale / demand
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,6 @@ class HeartbeatEmitter:
         self.period_us = node.heartbeat_period_ms * 1000
         silence_s = node.silence_primary_at_s
         self.silence_at_us = None if silence_s is None else int(silence_s * 1_000_000)
-        self.silenced = False
         self._started_us = 0
         self._sender = Sender(bus, PRIMARY_NODE_SENDER_ID, clock)
         self._clock = clock
@@ -333,9 +320,7 @@ class HeartbeatEmitter:
 
         def beat() -> None:
             now = self._clock.now_us()
-            if self.silence_at_us is not None and now >= self.silence_at_us:
-                self.silenced = True
-            if not self.silenced:
+            if self.silence_at_us is None or now < self.silence_at_us:
                 self._sender.send(
                     Heartbeat(node_id=PRIMARY_NODE_ID, uptime_s=(now - self._started_us) // 1_000_000)
                 )
@@ -345,7 +330,6 @@ class HeartbeatEmitter:
 
     def restart(self, scheduler: Scheduler) -> None:
         def relaunch() -> None:
-            self.silenced = False
             self.silence_at_us = None
 
         scheduler.call_after(self.node.restart_delay_ms * 1000, relaunch)
@@ -355,8 +339,8 @@ class FailoverMonitor:
     """Secondary-node failure detector over primary heartbeats.
 
     Two states. ``UP`` holds while beats arrive. After
-    ``node.miss_threshold`` consecutive missed beats (staleness >
-    threshold x period at a period-aligned check) the monitor issues one
+    ``node.miss_threshold`` consecutive missed beats (the last beat
+    ``clock.overdue`` at a period-aligned check) the monitor orders one
     simulated restart and is ``RESTARTING`` until the next beat. Isolated
     losses shorter than the threshold never trigger.
     """
@@ -369,13 +353,12 @@ class FailoverMonitor:
         self.period_us = node.heartbeat_period_ms * 1000
         self.miss_threshold = node.miss_threshold
         self.state = self.UP
-        self.last_beat_us: Optional[int] = None
+        self.last_beat_us = clock.now_us()
         self.restart_events: list[dict] = []
         self._on_restart = None
 
     def attach(self, bus: LoopbackBus, scheduler: Scheduler, on_restart: Callable[[], None]) -> None:
         self._on_restart = on_restart
-        self.last_beat_us = scheduler.clock.now_us()
         bus.subscribe(types={MsgType.HEARTBEAT}, callback=self._on_heartbeat)
 
         def check() -> None:
@@ -394,17 +377,16 @@ class FailoverMonitor:
         self.state = self.UP
 
     def check_now(self) -> None:
-        now = self.clock.now_us()
-        if self.last_beat_us is None or self.state == self.RESTARTING:
+        if self.state == self.RESTARTING:
             return
-        staleness_us = now - self.last_beat_us
-        if staleness_us > self.miss_threshold * self.period_us:
+        now = self.clock.now_us()
+        if overdue(now, self.last_beat_us, self.miss_threshold, self.period_us):
             self.state = self.RESTARTING
             event = {
                 "t_us": now,
                 "kind": "restart",
                 "node_id": PRIMARY_NODE_ID,
-                "staleness_us": staleness_us,
+                "staleness_us": now - self.last_beat_us,
             }
             self.restart_events.append(event)
             self._on_restart()
@@ -469,15 +451,9 @@ def scenario_from_object(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
 
     The sections are read through ``record_from_object``: an absent key
     takes its record's default, and a key no record names or a value of the
-    wrong type raises ``ScenarioError`` naming its path. An outage's
-    ``null`` end in ``uplink.link`` is ``math.inf``.
+    wrong type raises ``ScenarioError`` naming its path.
     """
-    sections = obj
-    if type(obj) is dict:
-        sections = {k: v for k, v in obj.items() if k != "protocol"}
-        uplink = obj.get("uplink")
-        if type(uplink) is dict and "link" in uplink:
-            sections["uplink"] = {**uplink, "link": open_outages(uplink["link"])}
+    sections = {k: v for k, v in obj.items() if k != "protocol"} if type(obj) is dict else obj
     try:
         scenario = record_from_object(Scenario, sections)
     except SchemaError as exc:
@@ -517,12 +493,10 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
 
     clock = FakeClock(0)
     bus = LoopbackBus()
-    node_model = NodeCpuModel(scenario.node.capacity_pct)
-
-    stubs: dict[str, StubActor] = {}
-    for index, variant in enumerate(protocol.variants):
-        profile = scenario.stub_for(variant.variant_id)
-        stubs[variant.variant_id] = StubActor(profile, bus, clock, STUB_SENDER_BASE + index, node_model)
+    stubs = [
+        StubActor(scenario.stub_for(variant.variant_id), bus, clock, STUB_SENDER_BASE + index)
+        for index, variant in enumerate(protocol.variants)
+    ]
 
     uplink = None
     if scenario.uplink is not None:
@@ -541,7 +515,7 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
     monitor = FailoverMonitor(clock, scenario.node)
     monitor.attach(bus, scheduler, on_restart=lambda: heartbeat.restart(scheduler))
 
-    for stub in stubs.values():
+    for stub in stubs:
         stub.start(scheduler)  # which also schedules the stub's crash
 
     # the production-protection audit, counted off the wire as commands go out
@@ -556,12 +530,12 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
     bus.subscribe(types={MsgType.COMMAND}, callback=on_command)
 
     period_us = protocol.sample_period_ms * 1000
-    node_model.recompute({vid: stub.demand_pct() for vid, stub in stubs.items()})
+    share_cpu(stubs, scenario.node.capacity_pct)
 
     def resource_tick() -> None:
-        node_model.recompute({vid: stub.demand_pct() for vid, stub in stubs.items()})
-        for variant in protocol.variants:
-            stubs[variant.variant_id].report_resources()
+        share_cpu(stubs, scenario.node.capacity_pct)
+        for stub in stubs:
+            stub.report_resources()
         scheduler.call_after(period_us, resource_tick)
 
     scheduler.call_after(period_us, resource_tick)

@@ -31,7 +31,6 @@ from .artifact import (
     TransferRecord,
     _atomic_write,
     fetch_bundle,
-    link_profile_from_object,
     parse_manifest,
     record_fields,
     record_from_object,
@@ -292,7 +291,7 @@ def _source_store_for(manifest_path: Path, override: Optional[str]) -> LayerStor
 def _load_link(path: Optional[str]) -> LinkProfile:
     if path is None:
         return LinkProfile()
-    return link_profile_from_object(json.loads(Path(path).read_text("utf-8")))
+    return record_from_object(LinkProfile, json.loads(Path(path).read_text("utf-8")))
 
 
 def _print_decision(decision: DecisionReport) -> None:

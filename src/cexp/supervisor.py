@@ -21,8 +21,9 @@ production variant is monitored for reporting but never commanded.
 
 Liveness is read off the same stream: a running variant whose last
 resource report is more than ``LIVENESS_MISSED_SAMPLES`` sample periods
-old at a tick is declared lost (``CRASHED``), the heartbeat-timeout
-failure detector ``harness.FailoverMonitor`` applies to the primary node.
+old at a tick is declared lost (``CRASHED``). That is ``clock.overdue``,
+the one staleness rule, which the heartbeat-timeout failure detector
+``harness.FailoverMonitor`` also applies to the primary node.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .artifact import DatagramLink, LinkProfile, _atomic_write, record_fields, record_from_object
-from .clock import Clock, Scheduler, WallClock
+from .clock import Clock, Scheduler, WallClock, overdue
 from .protocol import (
     ExperimentationProtocol,
     ExperimentEvent,
@@ -345,7 +346,6 @@ class Supervisor:
         self._ground_truth: OrderedDict[int, int] = OrderedDict()
         # the resource window: the trailing samples a verdict looks at
         self._window_samples = protocol.sustain_samples + protocol.degrade_grace_samples
-        self._liveness_us = LIVENESS_MISSED_SAMPLES * protocol.sample_period_ms * 1000
         self.variants: dict[str, VariantRunState] = {}
         for spec in protocol.variants:
             self.variants[spec.variant_id] = VariantRunState(variant_id=spec.variant_id, role=spec.role)
@@ -524,8 +524,11 @@ class Supervisor:
         if self.report is not None:
             return
         now = self.clock.now_us()
+        period_us = self.protocol.sample_period_ms * 1000
         for state in self.variants.values():
-            if state.final_status == STATUS_RUNNING and now - state.last_report_us > self._liveness_us:
+            if state.final_status == STATUS_RUNNING and overdue(
+                now, state.last_report_us, LIVENESS_MISSED_SAMPLES, period_us
+            ):
                 state.final_status = STATUS_CRASHED
                 self._log("launch_lost", variant_id=state.variant_id)
                 self._maybe_abort()

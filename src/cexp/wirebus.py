@@ -437,12 +437,14 @@ def encode(msg: Message, sender_id: int, seq: int, timestamp_us: int) -> bytes:
     return HEADER.pack(MAGIC, VERSION, msg_type, 0, sender_id, seq, timestamp_us, size) + pack(msg)
 
 
-def decode(datagram: bytes) -> tuple[Envelope, Message]:
-    """Decode one datagram; total over arbitrary input.
+def decode(datagram: bytes | bytearray | memoryview) -> tuple[Envelope, Message]:
+    """Decode one datagram, given as any bytes-like object; total over
+    arbitrary input. Every bytes field of the record is ``bytes``.
 
     Raises ``Truncated``, ``BadMagic``, ``BadVersion``, ``UnknownType``, or
     ``MalformedPayload`` - never anything else.
     """
+    datagram = bytes(datagram)  # the same object when it is bytes already
     size = len(datagram)
     if size < HEADER_LEN:
         raise Truncated(f"datagram of {size} bytes is below the {HEADER_LEN}-byte header")
@@ -495,14 +497,11 @@ class _Router:
 
     def __init__(self) -> None:
         self._routes: dict[MsgType, list[Callable[[Received], None]]] = {t: [] for t in MsgType}
-        self._closed = False
 
     def subscribe(
         self, callback: Callable[[Received], None], types: Iterable[MsgType] | None = None
     ) -> None:
         """Call ``callback`` with each delivered datagram of ``types`` (all by default)."""
-        if self._closed:
-            raise TransportClosed("bus is closed")
         for msg_type in MsgType if types is None else frozenset(types):
             self._routes[msg_type].append(callback)
 
@@ -527,15 +526,10 @@ class LoopbackBus(_Router):
     def publish(self, item: Received | bytes) -> None:
         """Deliver one datagram. A sender's ``Received`` is fanned out as it
         is; raw bytes are decoded, and dropped if they do not decode."""
-        if self._closed:
-            raise TransportClosed("bus is closed")
         if type(item) is Received:
             self._fan_out(item)
         else:
             self._dispatch(item)
-
-    def close(self) -> None:
-        self._closed = True
 
 
 class UdpMulticastBus(_Router):
@@ -552,6 +546,7 @@ class UdpMulticastBus(_Router):
         super().__init__()
         self.group = group
         self.port = port
+        self._closed = False
         try:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM, socket.IPPROTO_UDP)
             try:
@@ -567,6 +562,13 @@ class UdpMulticastBus(_Router):
                 raise
         except (OSError, OverflowError) as exc:
             raise SocketError(f"cannot open multicast endpoint {group}:{port}: {exc}") from exc
+
+    def subscribe(
+        self, callback: Callable[[Received], None], types: Iterable[MsgType] | None = None
+    ) -> None:
+        if self._closed:
+            raise TransportClosed("endpoint is closed")
+        super().subscribe(callback, types)
 
     def publish(self, item: Received | bytes) -> None:
         """Send one datagram to the group: a sender's ``Received`` is

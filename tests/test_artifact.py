@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -299,6 +300,10 @@ def test_transfer_monotonicity_over_random_links():
             assert A.transfer(small, longer_link) >= t_small
 
 
+# a link profile read as ``cectl --link`` reads its file
+_read_link = functools.partial(A.record_from_object, A.LinkProfile)
+
+
 def test_link_profile_validation():
     with pytest.raises(ValueError):
         A.LinkProfile(bandwidth_bytes_per_s=0)
@@ -319,7 +324,7 @@ def test_link_profile_refuses_a_nan_outage_bound(schedule):
     # json.loads reads a bare NaN; a NaN bound that passed would let a datagram
     # through inside its outage, or end a transfer before its bytes could flow
     with pytest.raises(ValueError, match=r"must have start < end$"):
-        A.link_profile_from_object({"bandwidth_bytes_per_s": 1000, "outage_schedule": schedule})
+        _read_link({"bandwidth_bytes_per_s": 1000, "outage_schedule": schedule})
 
 
 def test_link_profile_object_roundtrip():
@@ -328,12 +333,20 @@ def test_link_profile_object_roundtrip():
         outage_schedule=((1.0, 2.0), (10.0, math.inf)),
         datagram_loss_pct=12.5,
     )
-    assert A.link_profile_from_object(link.to_object()) == link
+    assert _read_link(link.to_object()) == link
+
+
+def test_an_open_outage_end_is_stored_as_infinity():
+    assert A.LinkProfile(outage_schedule=((1.0, None),)) == A.LinkProfile(outage_schedule=((1.0, math.inf),))
+    link = _read_link({"outage_schedule": [[0.5, 1.0], [1.0, None]]})
+    assert link.outage_schedule == ((0.5, 1.0), (1.0, math.inf))
+    assert link.to_object()["outage_schedule"] == [[0.5, 1.0], [1.0, None]]
+    assert _read_link(link.to_object()) == link
 
 
 def test_link_profile_refuses_an_unknown_key():
     with pytest.raises(ValueError, match="unknown key 'datagram_loss'"):
-        A.link_profile_from_object({"datagram_loss": 5})
+        _read_link({"datagram_loss": 5})
 
 
 # -- datagram link ---------------------------------------------------------------
@@ -499,7 +512,7 @@ _SCENARIO = make_ab_scenario(uplink={"link": {}, "seed": 4})
             (H.UplinkConfig, _SCENARIO, "uplink", H.scenario_from_object),
             (H.Expectations, _SCENARIO, "expect", H.scenario_from_object),
             (A.LinkProfile, _SCENARIO, "uplink.link", H.scenario_from_object),
-            (A.LinkProfile, {}, "", A.link_profile_from_object),
+            (A.LinkProfile, {}, "", _read_link),
         ]
     ],
 )

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cexp.clock import FakeClock, Scheduler
+from cexp.clock import FakeClock, Scheduler, overdue
 from cexp.wirebus import Heartbeat, LoopbackBus, MsgType, Sender
 
 
@@ -178,3 +178,10 @@ def test_traffic_an_idle_step_publishes_is_handled_before_the_next_event():
     assert log == [
         ("handled", 10), ("event", 10), ("handled", 20), ("event", 20), ("handled", 30),
     ]
+
+
+def test_overdue_is_strictly_more_than_the_periods():
+    assert not overdue(3_000_000, 0, 3, 1_000_000)
+    assert overdue(3_000_001, 0, 3, 1_000_000)
+    assert not overdue(5_500_000, 4_000_000, 3, 500_000)
+    assert overdue(5_500_001, 4_000_000, 3, 500_000)

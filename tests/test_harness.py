@@ -198,9 +198,8 @@ def test_sample_poisson_draws_the_pinned_stream():
 
 def _stub_world(profile: H.StubProfile, capacity: float = 400.0):
     clock, scheduler, bus = _frame_world()
-    node = H.NodeCpuModel(capacity)
-    stub = H.StubActor(profile, bus, clock, 100, node)
-    node.recompute({profile.variant_id: stub.demand_pct()})
+    stub = H.StubActor(profile, bus, clock, 100)
+    H.share_cpu([stub], capacity)
     outputs = []  # every MODULE_OUTPUT the stub publishes, in order
     bus.subscribe(outputs.append, types={MsgType.MODULE_OUTPUT})
     stub.start(scheduler)
@@ -306,20 +305,46 @@ def test_degrade_halves_cpu_demand():
 # -- CPU contention model --------------------------------------------------------------
 
 
+def _shared(capacity, demands):
+    """One stub per CPU demand, in order, after one ``share_cpu`` on ``capacity``."""
+    clock, _, bus = _frame_world()
+    stubs = [
+        H.StubActor(H.StubProfile(f"v{i}", cpu_burn_pct=demand), bus, clock, 100 + i)
+        for i, demand in enumerate(demands)
+    ]
+    H.share_cpu(stubs, capacity)
+    return stubs
+
+
 def test_shares_equal_demand_under_capacity():
-    node = H.NodeCpuModel(200.0)
-    node.recompute({"a": 50.0, "b": 100.0})
-    assert node.share_pct("a") == 50.0
-    assert node.processing_ratio("a") == 1.0
+    a, b = _shared(200.0, [50.0, 100.0])
+    assert (a.cpu_share_pct, b.cpu_share_pct) == (50.0, 100.0)
+    assert a.processing_ratio == 1.0
 
 
 def test_shares_scale_proportionally_over_capacity():
-    node = H.NodeCpuModel(100.0)
-    node.recompute({"prod": 40.0, "hostile": 95.0})
+    prod, hostile = _shared(100.0, [40.0, 95.0])
     scale = 100.0 / 135.0
-    assert node.share_pct("prod") == pytest.approx(40.0 * scale)
-    assert node.share_pct("hostile") == pytest.approx(95.0 * scale)
-    assert node.processing_ratio("prod") == pytest.approx(scale)
+    assert prod.cpu_share_pct == pytest.approx(40.0 * scale)
+    assert hostile.cpu_share_pct == pytest.approx(95.0 * scale)
+    assert prod.processing_ratio == pytest.approx(scale)
+
+
+def test_the_processing_ratio_is_share_over_demand_to_the_last_bit():
+    # the scale and share / demand differ in the last bit here, and the credit
+    # accumulator would drop a different frame on the scale
+    small, large = _shared(100.0, [5.0, 105.0])
+    scale = 100.0 / 110.0
+    assert small.cpu_share_pct == 5.0 * scale
+    assert small.processing_ratio == 5.0 * scale / 5.0 == 0.909090909090909
+    assert small.processing_ratio != scale
+    assert large.processing_ratio == 105.0 * scale / 105.0
+
+
+def test_a_stub_that_demands_nothing_holds_no_share_and_is_never_starved():
+    stopped, hostile = _shared(100.0, [0.0, 300.0])
+    assert (stopped.cpu_share_pct, stopped.processing_ratio) == (0.0, 1.0)
+    assert hostile.cpu_share_pct == 100.0
 
 
 def test_starved_stub_drops_frames_proportionally():
@@ -393,14 +418,14 @@ def test_monitor_restarts_only_once_staleness_passes_the_miss_threshold():
     monitor = H.FailoverMonitor(clock, H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3))
     restarts = []
     monitor.attach(bus, scheduler, on_restart=lambda: restarts.append(clock.now_us()))
-    clock.advance_to(2_500_000)  # two beats missed: under the threshold
+    clock.advance_to(3_000_000)  # exactly three periods since the last beat: not yet overdue
     monitor.check_now()
     assert (monitor.state, restarts) == (H.FailoverMonitor.UP, [])
-    clock.advance_to(3_100_000)
+    clock.advance_to(3_000_001)
     monitor.check_now()
     assert monitor.state == H.FailoverMonitor.RESTARTING
-    assert restarts == [3_100_000]
-    assert [event["t_us"] for event in monitor.restart_events] == [3_100_000]
+    assert restarts == [3_000_001]
+    assert [(event["t_us"], event["staleness_us"]) for event in monitor.restart_events] == [(3_000_001, 3_000_001)]
 
 
 def test_node_config_miss_threshold_floor():
@@ -416,6 +441,13 @@ def test_scenario_loader_requires_stub_for_every_variant():
     scenario["stubs"] = scenario["stubs"][:1]
     with pytest.raises(H.ScenarioError):
         H.scenario_from_object(scenario)
+
+
+def test_a_scenario_uplink_outage_with_a_null_end_loads_as_infinity():
+    link = {"bandwidth_bytes_per_s": 1000, "outage_schedule": [[2.0, 3.0], [9.5, None]], "datagram_loss_pct": 5.0}
+    scenario = H.scenario_from_object(make_ab_scenario(uplink={"link": link, "seed": 4}))
+    assert scenario.uplink.link.outage_schedule == ((2.0, 3.0), (9.5, math.inf))
+    assert scenario.uplink.link.to_object() == link
 
 
 def test_scenario_protocol_file_resolves_relative_to_scenario(tmp_path):

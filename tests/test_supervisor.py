@@ -333,6 +333,22 @@ def test_a_variant_is_lost_after_more_than_three_silent_periods(tmp_path, missed
     assert lost == ([4_000_000] if status == "CRASHED" else [])
 
 
+@pytest.mark.parametrize("ticked_at_us, status", [(1_500_000, "RUNNING"), (1_500_001, "CRASHED")])
+def test_a_variant_is_lost_one_microsecond_past_three_silent_periods(tmp_path, ticked_at_us, status):
+    # exactly 3 sample periods of 500 ms since begin is not overdue
+    protocol = two_variant_protocol()
+    clock = FakeClock(0)
+    sup = S.Supervisor(protocol, clock, tmp_path, LoopbackBus())
+    sup.begin()
+    try:
+        clock.advance_to(ticked_at_us)
+        sup.tick()
+        statuses = {state.variant_id: state.final_status for state in sup.variants.values()}
+    finally:
+        sup.finish()  # closes the run's log files
+    assert statuses == {"prod": status, "expA": status}
+
+
 def test_a_variant_that_never_reports_is_lost(tmp_path):
     # the clock starts at begin: silent from the start reads as lost at
     # the first tick more than 3 periods in

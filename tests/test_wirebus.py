@@ -98,6 +98,30 @@ def test_roundtrip_each_message_type(msg):
     assert envelope.payload_len == len(datagram) - 28
 
 
+def test_a_bytearray_result_chunk_decodes_to_bytes_that_encode_again():
+    datagram = W.encode(W.ResultChunk("exp-1", 0, 1, b"abc"), 9, 4, 123_456)
+    envelope, decoded = W.decode(bytearray(datagram))
+    assert type(decoded.data) is bytes
+    assert W.encode(decoded, envelope.sender_id, envelope.seq, envelope.timestamp_us) == datagram
+
+
+def test_a_memoryview_module_output_decodes_equal():
+    msg = W.ModuleOutput(frame_id=7, variant_id="expä", detected_count=2, latency_us=31_000)
+    _, decoded = W.decode(memoryview(W.encode(msg, 9, 4, 123_456)))
+    assert decoded == msg
+    assert field_types(decoded) == field_types(msg)
+
+
+def test_the_loopback_hub_delivers_a_bytearray_datagram():
+    msg = W.ResultChunk("exp-1", 0, 1, b"abc")
+    bus = W.LoopbackBus()
+    received = []
+    bus.subscribe(received.append)
+    bus.publish(bytearray(W.encode(msg, 7, 0, 0)))
+    assert [item.message for item in received] == [msg]
+    assert field_types(received[0].message) == field_types(msg)
+
+
 def test_fuzz_10000_random_valid_messages_roundtrip_bit_exactly():
     rng = random.Random(0xC0DEC)
     for i in range(10_000):
@@ -748,13 +772,6 @@ def test_callback_subscription_is_synchronous():
     assert seen == [0]
 
 
-def test_publish_after_close_raises():
-    bus = W.LoopbackBus()
-    bus.close()
-    with pytest.raises(W.TransportClosed):
-        bus.publish(W.encode(W.Heartbeat(node_id=1, uptime_s=0), 1, 0, 0))
-
-
 def test_loopback_retains_no_delivered_message():
     bus = W.LoopbackBus()
     delivered = []
@@ -875,6 +892,20 @@ def test_a_sender_on_a_udp_endpoint_delivers_each_published_type_decoded_equal()
         assert [item.envelope.seq for item in own] == list(range(len(records)))
     finally:
         bus.close()
+
+
+@pytest.mark.udp
+@pytest.mark.skipif(not _HAVE_MULTICAST, reason="no multicast-capable loopback interface")
+def test_publish_after_close_raises():
+    bus = W.UdpMulticastBus(group="239.255.77.1", port=7757)
+    bus.close()
+    with pytest.raises(W.TransportClosed):
+        bus.publish(W.encode(W.Heartbeat(node_id=1, uptime_s=0), 1, 0, 0))
+    with pytest.raises(W.TransportClosed):
+        bus.deliver_until(WallClock(), 0)
+    with pytest.raises(W.TransportClosed):
+        bus.subscribe(lambda item: None)
+    bus.close()  # a second close is a no-op
 
 
 @pytest.mark.udp
