@@ -9,7 +9,10 @@ contention (``share_cpu``, once per sample period, sets the share each
 stub holds) that makes a hostile experiment actually hurt production
 throughput, and a heartbeat/failover pair simulating the
 primary/secondary computing nodes. Fixed seeds plus the fake clock give
-byte-identical experiment reports run after run.
+byte-identical experiment reports run after run. Each actor is built in
+one step: it takes the scheduler, whose clock it reads, and subscribes
+and schedules in its constructor, so the order ``run_scenario`` builds
+the actors in is their fan-out order and tie rank.
 
 A scenario file is the simulated vehicle's only configuration. Its frozen
 records (``FrameConfig``, ``StubProfile``, ``NodeConfig``) check every
@@ -129,22 +132,19 @@ class FrameConfig:
 
 
 class SensorReplayer:
-    """Publishes the seeded stream of ``frames`` at its fixed rate.
+    """Publishes the seeded stream of ``frames`` at its fixed rate from when it is built.
 
     Ground-truth object counts are uniform on [0, 8]; identical seeds
     produce identical streams, which is what lets the same recording be
     replayed against every variant.
     """
 
-    def __init__(self, bus: LoopbackBus, clock: FakeClock, frames: FrameConfig) -> None:
-        self.frames = frames
+    def __init__(self, bus: LoopbackBus, scheduler: Scheduler, frames: FrameConfig) -> None:
         self.period_us = round(1_000_000 / frames.rate_hz)
         self.seed = frames.seed
         self._rng = random.Random(frames.seed)
-        self._sender = Sender(bus, REPLAYER_SENDER_ID, clock)
-
-    def start(self, scheduler: Scheduler) -> None:
-        scheduler.call_every(scheduler.clock.now_us(), self.period_us, self.frames.count, self._emit)
+        self._sender = Sender(bus, REPLAYER_SENDER_ID, scheduler.clock)
+        scheduler.call_every(scheduler.clock.now_us(), self.period_us, frames.count, self._emit)
 
     def _emit(self, frame_id: int) -> None:
         ground_truth_count = sample_below(self._rng, 9)  # the stream randint(0, 8) draws
@@ -186,30 +186,27 @@ class StubActor:
     ``share_cpu`` last set; a stub it has not reached is never starved.
     """
 
-    def __init__(self, profile: StubProfile, bus: LoopbackBus, clock: FakeClock, sender_id: int) -> None:
+    def __init__(self, profile: StubProfile, bus: LoopbackBus, scheduler: Scheduler, sender_id: int) -> None:
         self.profile = profile
         self.variant_id = profile.variant_id
-        self.clock = clock
         self.cpu_share_pct = 0.0
         self.processing_ratio = 1.0  # share / demand, read once per frame
         self.degrade_level = 0
         self.running = True
         self._credit = 0.0
         self._rng = random.Random(profile.seed)
-        self._sender = Sender(bus, sender_id, clock)
+        self._sender = Sender(bus, sender_id, scheduler.clock)
         # exp(-lam) of the false-positive draw; None when lam is 0 and nothing is drawn
         lam = profile.false_positive_rate_per_frame
         self._fp_exp_neg_lam = math.exp(-lam) if lam > 0.0 else None
+        bus.subscribe(types={MsgType.SENSOR_FRAME, MsgType.COMMAND}, callback=self._on_message)
+        if profile.crash_at_s is not None:
+            scheduler.call_at(int(profile.crash_at_s * 1_000_000), self.crash)
 
     def demand_pct(self) -> float:
         if not self.running:
             return 0.0
         return self.profile.cpu_burn_pct * (0.5 ** self.degrade_level)
-
-    def start(self, scheduler: Scheduler) -> None:
-        self._sender.bus.subscribe(types={MsgType.SENSOR_FRAME, MsgType.COMMAND}, callback=self._on_message)
-        if self.profile.crash_at_s is not None:
-            scheduler.call_at(int(self.profile.crash_at_s * 1_000_000), self.crash)
 
     def crash(self) -> None:
         self.running = False
@@ -302,62 +299,56 @@ class NodeConfig:
 
 
 class HeartbeatEmitter:
-    """The primary node's liveness beacon, every ``node.heartbeat_period_ms``;
-    silenced (a simulated crash) from ``node.silence_primary_at_s`` until a
-    restart brings it back ``node.restart_delay_ms`` later."""
+    """The primary node's liveness beacon: one beat when it is built, then one every
+    ``node.heartbeat_period_ms``; silenced (a simulated crash) from ``node.silence_primary_at_s``
+    until a restart brings it back ``node.restart_delay_ms`` later."""
 
-    def __init__(self, bus: LoopbackBus, clock: FakeClock, node: NodeConfig) -> None:
+    def __init__(self, bus: LoopbackBus, scheduler: Scheduler, node: NodeConfig) -> None:
         self.node = node
         self.period_us = node.heartbeat_period_ms * 1000
         silence_s = node.silence_primary_at_s
         self.silence_at_us = None if silence_s is None else int(silence_s * 1_000_000)
-        self._started_us = 0
-        self._sender = Sender(bus, PRIMARY_NODE_SENDER_ID, clock)
-        self._clock = clock
-
-    def start(self, scheduler: Scheduler) -> None:
-        self._started_us = scheduler.clock.now_us()
+        self._scheduler = scheduler
+        sender = Sender(bus, PRIMARY_NODE_SENDER_ID, scheduler.clock)
+        started_us = scheduler.clock.now_us()
 
         def beat() -> None:
-            now = self._clock.now_us()
+            now = scheduler.clock.now_us()
             if self.silence_at_us is None or now < self.silence_at_us:
-                self._sender.send(
-                    Heartbeat(node_id=PRIMARY_NODE_ID, uptime_s=(now - self._started_us) // 1_000_000)
-                )
+                sender.send(Heartbeat(node_id=PRIMARY_NODE_ID, uptime_s=(now - started_us) // 1_000_000))
             scheduler.call_after(self.period_us, beat)
 
         beat()  # first beat immediately, then every period
 
-    def restart(self, scheduler: Scheduler) -> None:
+    def restart(self) -> None:
         def relaunch() -> None:
             self.silence_at_us = None
 
-        scheduler.call_after(self.node.restart_delay_ms * 1000, relaunch)
+        self._scheduler.call_after(self.node.restart_delay_ms * 1000, relaunch)
 
 
 class FailoverMonitor:
-    """Secondary-node failure detector over primary heartbeats.
+    """Secondary-node failure detector over primary heartbeats, checked every period from when it is built.
 
     Two states. ``UP`` holds while beats arrive. After
     ``node.miss_threshold`` consecutive missed beats (the last beat
-    ``clock.overdue`` at a period-aligned check) the monitor orders one
-    simulated restart and is ``RESTARTING`` until the next beat. Isolated
+    ``clock.overdue`` at a period-aligned check) the monitor calls
+    ``on_restart`` once and is ``RESTARTING`` until the next beat. Isolated
     losses shorter than the threshold never trigger.
     """
 
     UP = "UP"
     RESTARTING = "RESTARTING"
 
-    def __init__(self, clock: FakeClock, node: NodeConfig) -> None:
-        self.clock = clock
+    def __init__(
+        self, bus: LoopbackBus, scheduler: Scheduler, node: NodeConfig, on_restart: Callable[[], None]
+    ) -> None:
+        self.clock = scheduler.clock
         self.period_us = node.heartbeat_period_ms * 1000
         self.miss_threshold = node.miss_threshold
         self.state = self.UP
-        self.last_beat_us = clock.now_us()
+        self.last_beat_us = self.clock.now_us()
         self.restart_events: list[dict] = []
-        self._on_restart = None
-
-    def attach(self, bus: LoopbackBus, scheduler: Scheduler, on_restart: Callable[[], None]) -> None:
         self._on_restart = on_restart
         bus.subscribe(types={MsgType.HEARTBEAT}, callback=self._on_heartbeat)
 
@@ -493,11 +484,6 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
 
     clock = FakeClock(0)
     bus = LoopbackBus()
-    stubs = [
-        StubActor(scenario.stub_for(variant.variant_id), bus, clock, STUB_SENDER_BASE + index)
-        for index, variant in enumerate(protocol.variants)
-    ]
-
     uplink = None
     if scenario.uplink is not None:
         uplink = OtaUplink(scenario.uplink.link, data_dir, seed=scenario.uplink.seed)
@@ -505,18 +491,17 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
     sup = Supervisor(protocol, clock, data_dir, bus, uplink=uplink)
     scheduler = Scheduler(clock)
 
-    # the supervisor subscribes first: on a frame's synchronous fan-out it
-    # must record the ground truth before any stub's output comes back in
+    # build order is fan-out order: the supervisor subscribes first, since on a frame's
+    # synchronous fan-out it must record the ground truth before any stub's output comes back in
     sup.schedule(scheduler)
 
-    SensorReplayer(bus, clock, scenario.frames).start(scheduler)
-    heartbeat = HeartbeatEmitter(bus, clock, scenario.node)
-    heartbeat.start(scheduler)
-    monitor = FailoverMonitor(clock, scenario.node)
-    monitor.attach(bus, scheduler, on_restart=lambda: heartbeat.restart(scheduler))
-
-    for stub in stubs:
-        stub.start(scheduler)  # which also schedules the stub's crash
+    SensorReplayer(bus, scheduler, scenario.frames)
+    heartbeat = HeartbeatEmitter(bus, scheduler, scenario.node)
+    monitor = FailoverMonitor(bus, scheduler, scenario.node, on_restart=heartbeat.restart)
+    stubs = [
+        StubActor(scenario.stub_for(variant.variant_id), bus, scheduler, STUB_SENDER_BASE + index)
+        for index, variant in enumerate(protocol.variants)
+    ]
 
     # the production-protection audit, counted off the wire as commands go out
     production_id = next(v.variant_id for v in protocol.variants if v.role is Role.PRODUCTION)

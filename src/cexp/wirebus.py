@@ -16,9 +16,11 @@ Strings inside payloads are u16-length-prefixed UTF-8. The decoder is
 total: any byte blob yields either a decoded message or a categorized
 error, never a crash.
 
-Messages and the ``Envelope`` are ``NamedTuple`` records: immutable,
-hashable, and equal only to a record of the same type, never to a bare
-tuple or to a message of another type with the same values.
+Messages, the ``Envelope`` and the ``Received`` that pairs the two are
+``NamedTuple`` records: immutable, hashable, and equal only to a record
+of the same type, never to a bare tuple or to a message of another type
+with the same values. ``decode`` returns a ``Received``, which still
+unpacks as ``envelope, message``.
 
 Each message record declares its payload once, as its ``LAYOUT``: every
 field, in order, with its wire kind (``U8``, ``U16``, ``U32``, ``U64``,
@@ -52,9 +54,10 @@ is, so traffic that stays in the process is never packed or decoded;
 the UDP endpoint encodes it, and is the one place a published message
 turns into bytes. Raw datagrams, published on the hub or received by the
 UDP endpoint, go through ``decode``, and undecodable ones are dropped. A
-subscriber's callback gets a ``Received`` holding the ``envelope`` and
-``message``: one object per datagram, handed to every subscriber of its
-msg_type in turn and kept by the bus no longer than that fan-out.
+subscriber's callback gets the ``Received`` the sender built or
+``decode`` returned: one record per datagram, handed as it is to every
+subscriber of its msg_type in turn and kept by the bus no longer than
+that fan-out.
 """
 
 from __future__ import annotations
@@ -242,6 +245,17 @@ class Envelope(NamedTuple):
     seq: int
     timestamp_us: int
     payload_len: int
+
+
+@_type_strict
+class Received(NamedTuple):
+    """One delivered datagram: its ``envelope`` (header metadata) and its
+    ``message`` record, decoded from raw bytes or built by the ``Sender``
+    that checked the record. Fan-out hands the same record to every
+    subscriber of the msg_type in turn."""
+
+    envelope: Envelope
+    message: Message
 
 
 # builds a decoded record from its fields (see the module docstring)
@@ -437,9 +451,9 @@ def encode(msg: Message, sender_id: int, seq: int, timestamp_us: int) -> bytes:
     return HEADER.pack(MAGIC, VERSION, msg_type, 0, sender_id, seq, timestamp_us, size) + pack(msg)
 
 
-def decode(datagram: bytes | bytearray | memoryview) -> tuple[Envelope, Message]:
-    """Decode one datagram, given as any bytes-like object; total over
-    arbitrary input. Every bytes field of the record is ``bytes``.
+def decode(datagram: bytes | bytearray | memoryview) -> Received:
+    """Decode one datagram, given as any bytes-like object, into the ``Received``
+    subscribers get; total over arbitrary input. Every bytes field is ``bytes``.
 
     Raises ``Truncated``, ``BadMagic``, ``BadVersion``, ``UnknownType``, or
     ``MalformedPayload`` - never anything else.
@@ -469,23 +483,7 @@ def decode(datagram: bytes | bytearray | memoryview) -> tuple[Envelope, Message]
         raise MalformedPayload(f"{body_len - payload_len} bytes beyond declared payload")
     msg_type, decode_payload = codec
     message = decode_payload(datagram, HEADER_LEN, size)
-    return _new(Envelope, (msg_type, sender_id, seq, timestamp_us, payload_len)), message
-
-
-class Received:
-    """One datagram: its ``envelope`` (header metadata) and its ``message``
-    record, decoded from raw bytes or built by the ``Sender`` that checked
-    the record. Fan-out hands the same object to every subscriber of the
-    msg_type in turn; treat it as read-only."""
-
-    __slots__ = ("envelope", "message", "__weakref__")
-
-    def __init__(self, envelope: Envelope, message: Message) -> None:
-        self.envelope = envelope
-        self.message = message
-
-    def __repr__(self) -> str:
-        return f"Received(envelope={self.envelope!r}, message={self.message!r})"
+    return _new(Received, (_new(Envelope, (msg_type, sender_id, seq, timestamp_us, payload_len)), message))
 
 
 class _Router:
@@ -507,10 +505,10 @@ class _Router:
 
     def _dispatch(self, raw: bytes) -> None:
         try:
-            envelope, message = decode(raw)
+            item = decode(raw)
         except DecodeError:
             return
-        self._fan_out(Received(envelope, message))
+        self._fan_out(item)
 
     def _fan_out(self, item: Received) -> None:
         for deliver in self._routes[item.envelope.msg_type]:
@@ -629,6 +627,6 @@ class Sender:
             _not_a_message(msg)
         seq = self._seq
         envelope = _new(Envelope, (msg_type, self.sender_id, seq, self.clock.now_us(), check(msg)))
-        self.bus.publish(Received(envelope, msg))
+        self.bus.publish(_new(Received, (envelope, msg)))
         self._seq += 1
         return seq

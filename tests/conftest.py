@@ -84,7 +84,7 @@ class RecordCheckingBus(LoopbackBus):
 
     def publish(self, item: Received | bytes) -> None:
         if type(item) is Received:
-            for given, decoded in zip((item.envelope, item.message), decode(wire_bytes(item))):
+            for given, decoded in zip(item, decode(wire_bytes(item))):
                 assert given == decoded, (given, decoded)
                 assert field_types(given) == field_types(decoded), (given, decoded)
             self.handed_over += 1

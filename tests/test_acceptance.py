@@ -154,10 +154,9 @@ def test_criterion_6_failover_timing_and_no_false_restarts(tmp_path):
     node = NodeConfig(heartbeat_period_ms=1000, miss_threshold=3)
     beats = []
     bus.subscribe(beats.append, types={W.MsgType.HEARTBEAT})
-    HeartbeatEmitter(bus, clock, node).start(scheduler)
-    monitor = FailoverMonitor(clock, node)
+    HeartbeatEmitter(bus, scheduler, node)
     restarts = []
-    monitor.attach(bus, scheduler, on_restart=lambda: restarts.append(clock.now_us()))
+    monitor = FailoverMonitor(bus, scheduler, node, on_restart=lambda: restarts.append(clock.now_us()))
     scheduler.run_until(10_000 * 1_000_000)
     assert len(beats) >= 10_000
     assert monitor.restart_events == restarts == []

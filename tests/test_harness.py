@@ -30,7 +30,7 @@ def _replay_counts(seed: int, count: int = 10):
     clock, scheduler, bus = _frame_world()
     frames = []
     bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
-    H.SensorReplayer(bus, clock, H.FrameConfig(count, 10.0, seed)).start(scheduler)
+    H.SensorReplayer(bus, scheduler, H.FrameConfig(count, 10.0, seed))
     scheduler.run_until(10_000_000)
     return [item.message.ground_truth_count for item in frames]
 
@@ -48,7 +48,7 @@ def test_frame_ids_strictly_increase():
     clock, scheduler, bus = _frame_world()
     frames = []
     bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
-    H.SensorReplayer(bus, clock, H.FrameConfig(50, 25.0, 3)).start(scheduler)
+    H.SensorReplayer(bus, scheduler, H.FrameConfig(50, 25.0, 3))
     scheduler.run_until(10_000_000)
     ids = [item.message.frame_id for item in frames]
     assert ids == list(range(50))
@@ -58,7 +58,7 @@ def test_500_frames_at_50hz_span_9_98_seconds():
     clock, scheduler, bus = _frame_world()
     frames = []
     bus.subscribe(frames.append, types={MsgType.SENSOR_FRAME})
-    H.SensorReplayer(bus, clock, H.FrameConfig(500, 50.0, 9)).start(scheduler)
+    H.SensorReplayer(bus, scheduler, H.FrameConfig(500, 50.0, 9))
     scheduler.run_until(60_000_000)
     stamps = [item.envelope.timestamp_us for item in frames]
     assert len(stamps) == 500
@@ -74,7 +74,7 @@ def test_frames_tie_with_events_by_when_the_replayer_started():
     )
     # frame 5 of a 10 Hz replay goes out at 500 ms
     scheduler.call_at(500_000, lambda: order.append(("before", scheduler.pending())))
-    H.SensorReplayer(bus, clock, H.FrameConfig(10, 10.0, 1)).start(scheduler)
+    H.SensorReplayer(bus, scheduler, H.FrameConfig(10, 10.0, 1))
     scheduler.call_at(500_000, lambda: order.append(("after", scheduler.pending())))
     scheduler.run_until(2_000_000)
     names = [name for name, _ in order]
@@ -198,11 +198,10 @@ def test_sample_poisson_draws_the_pinned_stream():
 
 def _stub_world(profile: H.StubProfile, capacity: float = 400.0):
     clock, scheduler, bus = _frame_world()
-    stub = H.StubActor(profile, bus, clock, 100)
+    stub = H.StubActor(profile, bus, scheduler, 100)
     H.share_cpu([stub], capacity)
     outputs = []  # every MODULE_OUTPUT the stub publishes, in order
     bus.subscribe(outputs.append, types={MsgType.MODULE_OUTPUT})
-    stub.start(scheduler)
     feeder = Sender(bus, 2, clock)
     return clock, scheduler, bus, stub, outputs, feeder
 
@@ -307,9 +306,9 @@ def test_degrade_halves_cpu_demand():
 
 def _shared(capacity, demands):
     """One stub per CPU demand, in order, after one ``share_cpu`` on ``capacity``."""
-    clock, _, bus = _frame_world()
+    _, scheduler, bus = _frame_world()
     stubs = [
-        H.StubActor(H.StubProfile(f"v{i}", cpu_burn_pct=demand), bus, clock, 100 + i)
+        H.StubActor(H.StubProfile(f"v{i}", cpu_burn_pct=demand), bus, scheduler, 100 + i)
         for i, demand in enumerate(demands)
     ]
     H.share_cpu(stubs, capacity)
@@ -368,10 +367,8 @@ def _failover_world(silence_at_s=None, period_ms=1000, miss_threshold=3):
     )
     beats = []  # every HEARTBEAT on the bus, the first one included
     bus.subscribe(beats.append, types={MsgType.HEARTBEAT})
-    emitter = H.HeartbeatEmitter(bus, clock, node)
-    emitter.start(scheduler)
-    monitor = H.FailoverMonitor(clock, node)
-    monitor.attach(bus, scheduler, on_restart=lambda: emitter.restart(scheduler))
+    emitter = H.HeartbeatEmitter(bus, scheduler, node)
+    monitor = H.FailoverMonitor(bus, scheduler, node, on_restart=emitter.restart)
     return clock, scheduler, beats, monitor
 
 
@@ -400,24 +397,25 @@ def test_zero_false_restarts_over_10000_clean_beats():
 
 
 def test_two_isolated_missed_beats_do_not_restart():
-    clock = FakeClock(0)
-    monitor = H.FailoverMonitor(clock, H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3))
-    monitor.last_beat_us = 0
+    clock, scheduler, bus = _frame_world()
+    restarts = []
+    node = H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3)
+    monitor = H.FailoverMonitor(bus, scheduler, node, on_restart=lambda: restarts.append(clock.now_us()))
     dropped = {4, 7}
     for second in range(1, 13):
         clock.advance_to(second * 1_000_000)
         if second not in dropped:
             monitor.observe_beat(second * 1_000_000)
         monitor.check_now()
-    assert monitor.restart_events == []
+    assert monitor.restart_events == restarts == []
     assert monitor.state == H.FailoverMonitor.UP
 
 
 def test_monitor_restarts_only_once_staleness_passes_the_miss_threshold():
     clock, scheduler, bus = _frame_world()
-    monitor = H.FailoverMonitor(clock, H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3))
     restarts = []
-    monitor.attach(bus, scheduler, on_restart=lambda: restarts.append(clock.now_us()))
+    node = H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3)
+    monitor = H.FailoverMonitor(bus, scheduler, node, on_restart=lambda: restarts.append(clock.now_us()))
     clock.advance_to(3_000_000)  # exactly three periods since the last beat: not yet overdue
     monitor.check_now()
     assert (monitor.state, restarts) == (H.FailoverMonitor.UP, [])
@@ -426,6 +424,19 @@ def test_monitor_restarts_only_once_staleness_passes_the_miss_threshold():
     assert monitor.state == H.FailoverMonitor.RESTARTING
     assert restarts == [3_000_001]
     assert [(event["t_us"], event["staleness_us"]) for event in monitor.restart_events] == [(3_000_001, 3_000_001)]
+
+
+def test_a_monitor_left_alone_after_it_is_built_restarts_once_when_no_beat_comes():
+    # built, never touched again: its own period-aligned checks find the last
+    # beat (at build time) overdue at 4 s, restart once, and then wait for a beat
+    clock, scheduler, bus = _frame_world()
+    restarts = []
+    node = H.NodeConfig(heartbeat_period_ms=1000, miss_threshold=3)
+    monitor = H.FailoverMonitor(bus, scheduler, node, on_restart=lambda: restarts.append(clock.now_us()))
+    scheduler.run_until(20_000_000)
+    assert restarts == [4_000_000]
+    assert [(event["t_us"], event["staleness_us"]) for event in monitor.restart_events] == [(4_000_000, 4_000_000)]
+    assert monitor.state == H.FailoverMonitor.RESTARTING
 
 
 def test_node_config_miss_threshold_floor():

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import re
 import socket
 import string
 import struct
-import weakref
 from collections import Counter
 from enum import IntEnum
 from typing import NamedTuple, get_type_hints
@@ -89,13 +89,20 @@ def test_heartbeat_datagram_is_40_bytes():
 )
 def test_roundtrip_each_message_type(msg):
     datagram = W.encode(msg, sender_id=9, seq=4, timestamp_us=123_456)
-    envelope, decoded = W.decode(datagram)
+    received = W.decode(datagram)
+    assert type(received) is W.Received
+    envelope, decoded = received
     assert decoded == msg
     assert envelope.sender_id == 9
     assert envelope.seq == 4
     assert envelope.timestamp_us == 123_456
     assert envelope.msg_type == msg.MSG_TYPE
     assert envelope.payload_len == len(datagram) - 28
+    bus = W.LoopbackBus()
+    delivered = []
+    bus.subscribe(delivered.append)
+    bus.publish(datagram)
+    assert delivered == [received]
 
 
 def test_a_bytearray_result_chunk_decodes_to_bytes_that_encode_again():
@@ -141,6 +148,7 @@ RECORDS = [
     (W.Heartbeat(1, 2), ("node_id", "uptime_s")),
     (W.ResultChunk("exp-1", 0, 1, b"abc"), ("experiment_id", "chunk_index", "total_chunks", "data")),
     (W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), ("msg_type", "sender_id", "seq", "timestamp_us", "payload_len")),
+    (W.Received(W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), W.Heartbeat(1, 2)), ("envelope", "message")),
 ]
 _record_ids = [type(record).__name__ for record, _names in RECORDS]
 
@@ -169,8 +177,12 @@ def test_a_record_hashes_like_an_equal_record(record, names):
         (W.Heartbeat(1, 2), (1, 2)),
         (W.Heartbeat(1, 2), [1, 2]),
         (W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), (W.MsgType.HEARTBEAT, 1, 2, 3, 12)),
+        (
+            W.Received(W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), W.Heartbeat(1, 2)),
+            (W.Envelope(W.MsgType.HEARTBEAT, 1, 2, 3, 12), W.Heartbeat(1, 2)),
+        ),
     ],
-    ids=["report-vs-command", "heartbeat-vs-tuple", "heartbeat-vs-list", "envelope-vs-tuple"],
+    ids=["report-vs-command", "heartbeat-vs-tuple", "heartbeat-vs-list", "envelope-vs-tuple", "received-vs-tuple"],
 )
 def test_a_record_equals_no_value_of_another_type(left, right):
     assert not left == right and left != right
@@ -499,7 +511,7 @@ def test_send_refuses_exactly_what_encode_refuses_and_sizes_what_it_would_pack()
         item = received[-1]
         assert item.message is msg
         assert item.envelope.payload_len == len(datagram) - W.HEADER_LEN
-        assert (item.envelope, item.message) == W.decode(datagram)
+        assert item == W.decode(datagram)
     assert accepted > 1_000
     assert set(refusals) == {TypeError, struct.error, W.PayloadTooLarge, W.MalformedPayload, UnicodeEncodeError}
 
@@ -775,12 +787,12 @@ def test_callback_subscription_is_synchronous():
 def test_loopback_retains_no_delivered_message():
     bus = W.LoopbackBus()
     delivered = []
-    bus.subscribe(callback=lambda item: delivered.append(weakref.ref(item)))
-    sender = W.Sender(bus, 1, FakeClock(0))
-    sender.send(W.Heartbeat(node_id=1, uptime_s=0))
-    sender.send(W.Heartbeat(node_id=1, uptime_s=1))
+    bus.subscribe(callback=delivered.append)
+    W.Sender(bus, 1, FakeClock(0)).send(W.Heartbeat(node_id=1, uptime_s=0))
+    bus.publish(W.encode(W.Heartbeat(node_id=1, uptime_s=1), 1, 1, 0))
     assert len(delivered) == 2
-    assert [ref() for ref in delivered] == [None, None]
+    # once publish returns, the test's list is all that refers to each record
+    assert [gc.get_referrers(item) for item in delivered] == [[delivered], [delivered]]
 
 
 _HEARTBEAT = W.encode(W.Heartbeat(node_id=1, uptime_s=0), 1, 0, 0)
