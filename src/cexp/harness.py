@@ -488,12 +488,11 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
     if scenario.uplink is not None:
         uplink = OtaUplink(scenario.uplink.link, data_dir, seed=scenario.uplink.seed)
 
-    sup = Supervisor(protocol, clock, data_dir, bus, uplink=uplink)
     scheduler = Scheduler(clock)
 
     # build order is fan-out order: the supervisor subscribes first, since on a frame's
     # synchronous fan-out it must record the ground truth before any stub's output comes back in
-    sup.schedule(scheduler)
+    sup = Supervisor(protocol, scheduler, data_dir, bus, uplink=uplink)
 
     SensorReplayer(bus, scheduler, scenario.frames)
     heartbeat = HeartbeatEmitter(bus, scheduler, scenario.node)
@@ -600,7 +599,11 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     if data_dir is None:
         print("error: scenario has no data_dir and --data-dir was not given")
         return 2
-    outcome = run_scenario(scenario, data_dir=data_dir)
+    try:
+        outcome = run_scenario(scenario, data_dir=data_dir)
+    except OSError as exc:  # a vehicle root the run cannot write under
+        print(f"error: {exc}")
+        return 2
     report = outcome.report
     print(f"scenario {scenario.name}: final_state={report.final_state}")
     for variant in report.variants:

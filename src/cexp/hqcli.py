@@ -12,7 +12,7 @@ applied so a human can overrule it.
 
 Every command takes the vehicle root (the simulated OTA target) and finds
 its paths through ``supervisor``'s layout functions, as the writers there,
-``Supervisor(protocol, clock, root, bus)`` and ``OtaUplink(profile, root)``, do.
+``Supervisor(protocol, scheduler, root, bus)`` and ``OtaUplink(profile, root)``, do.
 """
 
 from __future__ import annotations

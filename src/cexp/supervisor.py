@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .artifact import DatagramLink, LinkProfile, _atomic_write, record_fields, record_from_object
-from .clock import Clock, Scheduler, WallClock, overdue
+from .clock import Scheduler, WallClock, overdue
 from .protocol import (
     ExperimentationProtocol,
     ExperimentEvent,
@@ -153,11 +153,11 @@ class VariantRunState:
 
     variant_id: str
     role: Role
+    last_report_us: int  # the run's start, then the time of each report handled
     degrade_level: int = 0
     final_status: str = STATUS_RUNNING
     violating_span: int = 0  # the last verdict's, capped at the window length
     samples_since_command: Optional[int] = None
-    last_report_us: int = 0  # supervisor clock at begin, then at each report handled
     violations: int = 0
     commands: list = field(default_factory=list)
     frames_processed: int = 0
@@ -302,37 +302,38 @@ class OtaUplink:
 
 
 class Supervisor:
-    """Drives one experiment run in ``run_dir(root, id)``. It is built on
-    a bus, the loopback hub or a UDP endpoint, and publishes its commands
-    there under the fixed ``SUPERVISOR_SENDER_ID``, the only sender a
-    variant obeys. Feed decoded bus traffic to ``handle``, call ``tick``
-    once per sample period, and ``finish`` at the end of the duration
-    budget; or let ``schedule`` wire those onto a scheduler and the bus.
-    ``finish`` keeps the report it wrote as ``report``, None until then.
+    """Drives one experiment run in ``run_dir(root, id)`` on a scheduler,
+    whose clock it reads. It is built on a bus, the loopback hub or a UDP
+    endpoint, and publishes its commands there under the fixed
+    ``SUPERVISOR_SENDER_ID``, the only sender a variant obeys. Building it
+    starts the run: it logs DEPLOY_OK and START, writes the first
+    ``status.json``, subscribes ``handle`` to frames, module outputs and
+    resource reports, and schedules ``finish`` at the end of the duration
+    budget and ``tick`` every sample period. ``finish`` keeps the report
+    it wrote as ``report``, None until then.
 
-    ``status.json`` is written at ``begin`` and ``finish``. In between,
-    the live daemon's idle step (``run_realtime``) calls ``refresh_status``
-    before it waits on the bus; no wait outlasts a tick, so a poll sees
-    the file at most one sample period stale. A fake-clock run never
-    waits and writes the two snapshots only.
+    ``status.json`` is rewritten at ``finish``. In between, the live
+    daemon's idle step (``run_realtime``) calls ``refresh_status`` before
+    it waits on the bus; no wait outlasts a tick, so a poll sees the file
+    at most one sample period stale. A fake-clock run never waits and
+    writes the two snapshots only.
     """
 
     def __init__(
         self,
         protocol: ExperimentationProtocol,
-        clock: Clock,
+        scheduler: Scheduler,
         root: Path | str,
         bus: LoopbackBus | UdpMulticastBus,
         uplink: Optional[OtaUplink] = None,
     ) -> None:
         self.protocol = protocol
-        self.clock = clock
-        self.sender = Sender(bus, SUPERVISOR_SENDER_ID, clock)
+        self.clock = scheduler.clock
+        self.sender = Sender(bus, SUPERVISOR_SENDER_ID, self.clock)
         self.uplink = uplink
         self.state = ExperimentState.PENDING
         self.report: Optional[ExperimentReport] = None
-        self.started_at_us = 0
-        self.ended_at_us = 0
+        self.started_at_us = self.clock.now_us()
         self.run_dir = run_dir(root, protocol.experiment_id)
         (self.run_dir / "logs").mkdir(parents=True, exist_ok=True)
         self.timeline: list[dict] = []
@@ -348,22 +349,34 @@ class Supervisor:
         self._window_samples = protocol.sustain_samples + protocol.degrade_grace_samples
         self.variants: dict[str, VariantRunState] = {}
         for spec in protocol.variants:
-            self.variants[spec.variant_id] = VariantRunState(variant_id=spec.variant_id, role=spec.role)
+            self.variants[spec.variant_id] = VariantRunState(spec.variant_id, spec.role, self.started_at_us)
             self._variant_logs[spec.variant_id] = open(
                 self.run_dir / "logs" / f"{spec.variant_id}.jsonl", "w", encoding="utf-8"
             )
-        self._last_upload_us: Optional[int] = None
+        self._last_upload_us = self.started_at_us
+        self._scheduler = scheduler
+        self._period_us = protocol.sample_period_ms * 1000
+
+        self._transition(ExperimentEvent.DEPLOY_OK)
+        self._transition(ExperimentEvent.START)
+        self._write_status()
+        bus.subscribe(
+            types={MsgType.SENSOR_FRAME, MsgType.MODULE_OUTPUT, MsgType.RESOURCE_REPORT},
+            callback=self.handle,
+        )
+        scheduler.call_at(self.started_at_us + protocol.max_duration_s * 1_000_000, self._end)
+        scheduler.call_after(self._period_us, self._every_period)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def begin(self) -> None:
-        self.started_at_us = self.clock.now_us()
-        for state in self.variants.values():
-            state.last_report_us = self.started_at_us
-        self._transition(ExperimentEvent.DEPLOY_OK)
-        self._transition(ExperimentEvent.START)
-        self._last_upload_us = self.started_at_us
-        self._write_status()
+    def _end(self) -> None:
+        if self.report is None:
+            self.finish()
+
+    def _every_period(self) -> None:
+        if self.report is None:
+            self.tick()
+            self._scheduler.call_after(self._period_us, self._every_period)
 
     def _transition(self, event: ExperimentEvent) -> None:
         prev = self.state
@@ -524,10 +537,9 @@ class Supervisor:
         if self.report is not None:
             return
         now = self.clock.now_us()
-        period_us = self.protocol.sample_period_ms * 1000
         for state in self.variants.values():
             if state.final_status == STATUS_RUNNING and overdue(
-                now, state.last_report_us, LIVENESS_MISSED_SAMPLES, period_us
+                now, state.last_report_us, LIVENESS_MISSED_SAMPLES, self._period_us
             ):
                 state.final_status = STATUS_CRASHED
                 self._log("launch_lost", variant_id=state.variant_id)
@@ -536,7 +548,7 @@ class Supervisor:
 
     def _maybe_periodic_upload(self) -> None:
         policy = self.protocol.upload_policy
-        if policy.kind != "PERIODIC" or self.uplink is None or self._last_upload_us is None:
+        if policy.kind != "PERIODIC" or self.uplink is None:
             return
         interval_us = int(policy.interval_s) * 1_000_000
         now = self.clock.now_us()
@@ -573,13 +585,13 @@ class Supervisor:
         a second call raises."""
         if self.report is not None:
             raise RuntimeError("run already finished")
-        self.ended_at_us = self.clock.now_us()
+        ended_at_us = self.clock.now_us()
         if self.state in (ExperimentState.RUNNING, ExperimentState.DEGRADED):
             self._transition(ExperimentEvent.COMPLETE)
         for state in self.variants.values():
             if state.final_status == STATUS_RUNNING:
                 state.final_status = STATUS_COMPLETED
-        report = self._build_report()
+        report = self._build_report(ended_at_us)
         report_bytes = report.to_json().encode("utf-8")
         _atomic_write(self.run_dir / "report.json", report_bytes)
         self._write_status()
@@ -591,7 +603,7 @@ class Supervisor:
             fh.close()
         return report
 
-    def _build_report(self) -> ExperimentReport:
+    def _build_report(self, ended_at_us: int) -> ExperimentReport:
         results = []
         for spec in self.protocol.variants:
             state = self.variants[spec.variant_id]
@@ -619,35 +631,12 @@ class Supervisor:
         return ExperimentReport(
             experiment_id=self.protocol.experiment_id,
             started_at_us=self.started_at_us,
-            ended_at_us=self.ended_at_us,
+            ended_at_us=ended_at_us,
             final_state=self.state.value,
             variants=tuple(results),
             timeline=tuple(self.timeline),
             protocol=protocol_to_object(self.protocol),
         )
-
-    # -- wiring ------------------------------------------------------------
-
-    def schedule(self, scheduler: Scheduler) -> None:
-        """Attach to a scheduler: subscribe the message stream on the
-        supervisor's bus, tick every sample period, finish when the
-        duration budget elapses."""
-        self.begin()
-        self.sender.bus.subscribe(
-            types={MsgType.SENSOR_FRAME, MsgType.MODULE_OUTPUT, MsgType.RESOURCE_REPORT},
-            callback=self.handle,
-        )
-        period_us = self.protocol.sample_period_ms * 1000
-        end_us = self.started_at_us + self.protocol.max_duration_s * 1_000_000
-        scheduler.call_at(end_us, lambda: None if self.report is not None else self.finish())
-
-        def tick() -> None:
-            if self.report is not None:
-                return
-            self.tick()
-            scheduler.call_after(period_us, tick)
-
-        scheduler.call_after(period_us, tick)
 
 
 def run_realtime(
@@ -657,14 +646,13 @@ def run_realtime(
     real UDP bus endpoint: between events the loop refreshes status.json,
     then waits on the socket and delivers what arrives."""
     clock = WallClock()
-    sup = Supervisor(protocol, clock, root, bus)
 
     def idle(t_us: int) -> None:
         sup.refresh_status()
         bus.deliver_until(clock, t_us)
 
     scheduler = Scheduler(clock, idle=idle)
-    sup.schedule(scheduler)
+    sup = Supervisor(protocol, scheduler, root, bus)
     scheduler.run_until(sup.started_at_us + protocol.max_duration_s * 1_000_000)
     return sup.report
 
@@ -699,6 +687,9 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         report = run_realtime(protocol, bus, args.data_dir)
+    except OSError as exc:  # a vehicle root the run cannot write under
+        print(f"error: {exc}")
+        return 2
     finally:
         bus.close()
     report_path = run_dir(args.data_dir, report.experiment_id) / "report.json"

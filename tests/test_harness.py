@@ -702,6 +702,18 @@ def test_cli_run_reports_success(tmp_path, capsys):
     assert "all scenario expectations hold" in printed
 
 
+def test_cli_run_refuses_a_vehicle_root_that_is_a_file(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(make_ab_scenario()), "utf-8")
+    root = tmp_path / "out"
+    root.write_text("not a directory", "utf-8")
+    code = H.cli_main(["run", "--scenario", str(path), "--data-dir", str(root)])
+    assert code == 2
+    logs = root / "data" / "exp-ab-500" / "logs"
+    assert capsys.readouterr().out == f"error: [Errno 20] Not a directory: '{logs}'\n"
+    assert root.read_text("utf-8") == "not a directory"
+
+
 def test_cli_run_fails_on_broken_expectation(tmp_path, capsys):
     scenario = make_ab_scenario()
     scenario["expect"] = {"winner": "expB"}  # wrong on purpose

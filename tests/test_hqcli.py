@@ -229,8 +229,7 @@ def _finished_vehicle(tmp_path) -> tuple[Path, str]:
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    sup = Supervisor(protocol, clock, tmp_path, bus)
-    sup.schedule(scheduler)
+    sup = Supervisor(protocol, scheduler, tmp_path, bus)
     reporter = Sender(bus, 50, clock)
     for k in range(1, 9):
         scheduler.call_at(
@@ -264,8 +263,7 @@ def test_status_during_running_experiment(tmp_path):
     clock = FakeClock(0)
     scheduler = Scheduler(clock)
     bus = LoopbackBus()
-    sup = Supervisor(protocol, clock, tmp_path, bus)
-    sup.schedule(scheduler)
+    sup = Supervisor(protocol, scheduler, tmp_path, bus)
     seen = []
     scheduler.call_at(
         2_600_000, lambda: seen.append(HQ.status(tmp_path, experiment_id=protocol.experiment_id))

@@ -146,14 +146,13 @@ def drive_run(protocol, traces, tmp_path, uplink=None, outputs=None, probes=(), 
     advances the clock to each event, as a run that waits on wall time does."""
     clock = FakeClock(0)
     bus = RecordingBus()
-    sup = S.Supervisor(protocol, clock, tmp_path, bus, uplink=uplink)
 
     def idle(t_us):
         sup.refresh_status()
         clock.advance_to(t_us)
 
     scheduler = Scheduler(clock, idle=idle if refresh_status else None)
-    sup.schedule(scheduler)
+    sup = S.Supervisor(protocol, scheduler, tmp_path, bus, uplink=uplink)
     period_us = protocol.sample_period_ms * 1000
     for index, (variant_id, trace) in enumerate(traces.items()):
         ScriptedSource(bus, clock, variant_id, 50 + index, trace, period_us).start(scheduler)
@@ -333,13 +332,61 @@ def test_a_variant_is_lost_after_more_than_three_silent_periods(tmp_path, missed
     assert lost == ([4_000_000] if status == "CRASHED" else [])
 
 
+T0_US = 7_000_000
+
+
+def built_at_t0(tmp_path):
+    """A supervisor just built on a fake clock that reads ``T0_US``: (sup, scheduler, bus)."""
+    clock = FakeClock(T0_US)
+    scheduler = Scheduler(clock)
+    bus = LoopbackBus()
+    return S.Supervisor(two_variant_protocol(), scheduler, tmp_path, bus), scheduler, bus
+
+
+def test_a_built_supervisor_has_started_its_run(tmp_path):
+    sup, _, _ = built_at_t0(tmp_path)
+    try:
+        assert [(e["t_us"], e["event"], e["to"]) for e in sup.timeline] == [
+            (T0_US, "DEPLOY_OK", "DEPLOYING"),
+            (T0_US, "START", "RUNNING"),
+        ]
+        status = json.loads((sup.run_dir / "status.json").read_text("utf-8"))
+        assert (status["state"], status["t_us"]) == ("RUNNING", T0_US)
+    finally:
+        sup.finish()  # closes the run's log files
+
+
+def test_a_built_supervisor_scores_an_output_published_right_away_once(tmp_path):
+    sup, scheduler, bus = built_at_t0(tmp_path)
+    Sender(bus, 100, scheduler.clock).send(
+        ModuleOutput(frame_id=0, variant_id="expA", detected_count=2, latency_us=20_000)
+    )
+    report = sup.finish()
+    assert report.variant("expA").frames_processed == 1
+    assert len((sup.run_dir / "logs" / "expA.jsonl").read_text("utf-8").splitlines()) == 1
+
+
+def test_running_the_scheduler_alone_finishes_a_built_supervisor_at_its_end(tmp_path):
+    sup, scheduler, _ = built_at_t0(tmp_path)
+    end_us = T0_US + sup.protocol.max_duration_s * 1_000_000
+    scheduler.run_until(end_us - 1)
+    assert sup.report is None
+    scheduler.run_until(end_us)
+    report = S.report_from_json((sup.run_dir / "report.json").read_text("utf-8"))
+    assert report == sup.report
+    assert (report.started_at_us, report.ended_at_us, report.final_state) == (T0_US, end_us, "COMPLETED")
+    assert report.timeline[-1] == {"t_us": end_us, "from": "RUNNING", "to": "COMPLETED", "event": "COMPLETE"}
+    # no variant reported, so each is lost at the first tick past 3 silent periods
+    lost = [e["t_us"] for e in logged_events(sup) if e["kind"] == "launch_lost"]
+    assert lost == [T0_US + 2_000_000] * 2
+
+
 @pytest.mark.parametrize("ticked_at_us, status", [(1_500_000, "RUNNING"), (1_500_001, "CRASHED")])
 def test_a_variant_is_lost_one_microsecond_past_three_silent_periods(tmp_path, ticked_at_us, status):
-    # exactly 3 sample periods of 500 ms since begin is not overdue
+    # exactly 3 sample periods of 500 ms since the run started is not overdue
     protocol = two_variant_protocol()
     clock = FakeClock(0)
-    sup = S.Supervisor(protocol, clock, tmp_path, LoopbackBus())
-    sup.begin()
+    sup = S.Supervisor(protocol, Scheduler(clock), tmp_path, LoopbackBus())
     try:
         clock.advance_to(ticked_at_us)
         sup.tick()
@@ -350,7 +397,7 @@ def test_a_variant_is_lost_one_microsecond_past_three_silent_periods(tmp_path, t
 
 
 def test_a_variant_that_never_reports_is_lost(tmp_path):
-    # the clock starts at begin: silent from the start reads as lost at
+    # the clock starts when the supervisor is built: silent from the start reads as lost at
     # the first tick more than 3 periods in
     protocol = two_variant_protocol()
     report, _, sup = drive_run(protocol, {"prod": [30] * 19}, tmp_path)
@@ -468,8 +515,7 @@ def test_refresh_after_finish_keeps_the_final_status(tmp_path, monkeypatch):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
     uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
-    sup = S.Supervisor(protocol, clock, tmp_path, LoopbackBus(), uplink=uplink)
-    sup.begin()
+    sup = S.Supervisor(protocol, Scheduler(clock), tmp_path, LoopbackBus(), uplink=uplink)
     clock.advance_to(1_000_000)
     sup.finish()  # logs uplink_report after its final status write
     final = (sup.run_dir / "status.json").read_bytes()
@@ -486,9 +532,7 @@ def test_ground_truth_keeps_a_window_and_evicted_frames_score_zero(tmp_path):
     protocol = two_variant_protocol()
     clock = FakeClock(0)
     bus = LoopbackBus()
-    sup = S.Supervisor(protocol, clock, tmp_path, bus)
-    sup.begin()
-    bus.subscribe(callback=sup.handle)
+    sup = S.Supervisor(protocol, Scheduler(clock), tmp_path, bus)
     camera = Sender(bus, 2, clock)
     module = Sender(bus, 100, clock)
     frames = S.GROUND_TRUTH_WINDOW + 200
@@ -512,9 +556,7 @@ def test_traffic_under_the_supervisors_own_sender_id_changes_nothing(tmp_path):
     protocol = two_variant_protocol(cpu_threshold_pct=20.0)
     clock = FakeClock(0)
     bus = LoopbackBus()
-    sup = S.Supervisor(protocol, clock, tmp_path, bus)
-    sup.begin()
-    bus.subscribe(callback=sup.handle)
+    sup = S.Supervisor(protocol, Scheduler(clock), tmp_path, bus)
     variants_before = copy.deepcopy(sup.variants)
     events_before = logged_events(sup)
     echo = Sender(bus, S.SUPERVISOR_SENDER_ID, clock)
@@ -549,8 +591,7 @@ def test_finish_serialises_the_report_once_for_disk_and_uplink(tmp_path, monkeyp
     protocol = two_variant_protocol()
     uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
     clock = FakeClock(0)
-    sup = S.Supervisor(protocol, clock, tmp_path, LoopbackBus(), uplink=uplink)
-    sup.begin()
+    sup = S.Supervisor(protocol, Scheduler(clock), tmp_path, LoopbackBus(), uplink=uplink)
     sup.finish()
     assert len(calls) == 1
     hq_copy = (tmp_path / "hq" / protocol.experiment_id / "report.json").read_bytes()
@@ -788,6 +829,23 @@ def test_cesupd_refuses_a_protocol_file_it_cannot_read(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().out == f"error: [Errno 2] No such file or directory: '{protocol_path}'\n"
     assert not (tmp_path / "vehicle").exists()
+
+
+@pytest.mark.udp
+def test_cesupd_refuses_a_vehicle_root_that_is_a_file(tmp_path, capsys):
+    from conftest import multicast_loopback_available
+
+    if not multicast_loopback_available(port=7732):
+        pytest.skip("no multicast-capable loopback interface")
+    protocol_path = tmp_path / "protocol.json"
+    protocol_path.write_text(json.dumps(make_protocol_doc(experiment_id="exp-file-root")), "utf-8")
+    root = tmp_path / "vehicle"
+    root.write_text("not a directory", "utf-8")
+    code = S.cli_main(["--protocol", str(protocol_path), "--data-dir", str(root), "--bus", f"{DEFAULT_GROUP}:7732"])
+    assert code == 2
+    logs = root / "data" / "exp-file-root" / "logs"
+    assert capsys.readouterr().out == f"error: [Errno 20] Not a directory: '{logs}'\n"
+    assert root.read_text("utf-8") == "not a directory"
 
 
 @pytest.mark.udp
