@@ -10,15 +10,17 @@ so no wall time passes at all, and the live daemon (``cesupd``) waits on
 its UDP socket and delivers what arrives. The live step is also where a
 run refreshes its ``status.json``: a fake-clock run never waits, so
 nothing can read the file mid-run and it is not rewritten there.
-Events at equal timestamps run in rank order: ``call_at`` gives each
-event the next rank, and every occurrence of a ``call_every`` callback
-keeps the one rank taken when it was registered, so occurrences tie as
-if all had been scheduled up front while only one is pending at a time.
+Events are scheduled once (``call_at``) or every period (``call_every``).
+At equal timestamps they run in rank order: ``call_at`` gives each event
+the next rank, and every occurrence of a ``call_every`` callback keeps the
+one rank taken when it was registered, so occurrences tie as if all had
+been scheduled up front while only one is pending at a time.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Callable, Optional, Protocol
 
@@ -69,7 +71,7 @@ class Scheduler:
     The loop's time is that of the event now running (the end of the last
     ``run_until`` once it returns, the clock's reading when the scheduler
     was built before the first). ``call_at`` and ``call_every`` reject a
-    time before it; ``call_after`` counts its delay from the clock.
+    time before it.
 
     Events at equal timestamps run in rank order, which keeps
     multi-actor scenarios reproducible. Each ``call_at`` takes the next
@@ -93,12 +95,16 @@ class Scheduler:
         heapq.heappush(self._heap, (t_us, self._counter, fn))
         self._counter += 1
 
-    def call_every(self, first_us: int, period_us: int, count: int, fn: Callable[[int], None]) -> None:
-        """Call ``fn(0)`` at ``first_us``, then ``fn(i)`` every ``period_us``
-        until ``count`` calls are made. One occurrence is pending at a time:
-        the next is armed just before ``fn`` runs."""
+    def call_every(self, first_us: int, period_us: int, count: Optional[int], fn: Callable[[int], None]) -> None:
+        """Call ``fn(i)`` at ``first_us + i * period_us`` for i from 0 until
+        ``count`` calls are made, or until the loop stops if ``count`` is None.
+        One occurrence is pending at a time, armed on the grid just before
+        ``fn`` runs, so a live loop that stalls catches up and never drifts."""
         if first_us < self._now_us:
             raise ValueError(f"cannot schedule in the past: {first_us} < {self._now_us}")
+        if period_us <= 0:
+            raise ValueError(f"period must be positive: {period_us}")
+        limit = math.inf if count is None else count
         rank = self._counter
         self._counter += 1
         next_index = 0
@@ -107,18 +113,12 @@ class Scheduler:
             nonlocal next_index
             index = next_index
             next_index += 1
-            if next_index < count:
+            if next_index < limit:
                 heapq.heappush(self._heap, (first_us + next_index * period_us, rank, fire))
             fn(index)
 
-        if count > 0:
+        if limit > 0:
             heapq.heappush(self._heap, (first_us, rank, fire))
-
-    def call_after(self, delay_us: int, fn: Callable[[], None]) -> None:
-        """Call ``fn`` ``delay_us`` after the clock's reading now."""
-        if delay_us < 0:
-            raise ValueError(f"cannot schedule after a negative delay: {delay_us}")
-        self.call_at(self.clock.now_us() + delay_us, fn)
 
     def pending(self) -> int:
         return len(self._heap)

@@ -11,8 +11,9 @@ throughput, and a heartbeat/failover pair simulating the
 primary/secondary computing nodes. Fixed seeds plus the fake clock give
 byte-identical experiment reports run after run. Each actor is built in
 one step: it takes the scheduler, whose clock it reads, and subscribes
-and schedules in its constructor, so the order ``run_scenario`` builds
-the actors in is their fan-out order and tie rank.
+and schedules in its constructor, each periodic event with
+``Scheduler.call_every``, so the order ``run_scenario`` builds the actors
+in is their fan-out order and their tie rank at every occurrence.
 
 A scenario file is the simulated vehicle's only configuration. Its frozen
 records (``FrameConfig``, ``StubProfile``, ``NodeConfig``) check every
@@ -316,15 +317,15 @@ class HeartbeatEmitter:
             now = scheduler.clock.now_us()
             if self.silence_at_us is None or now < self.silence_at_us:
                 sender.send(Heartbeat(node_id=PRIMARY_NODE_ID, uptime_s=(now - started_us) // 1_000_000))
-            scheduler.call_after(self.period_us, beat)
 
         beat()  # first beat immediately, then every period
+        scheduler.call_every(started_us + self.period_us, self.period_us, None, lambda _index: beat())
 
     def restart(self) -> None:
         def relaunch() -> None:
             self.silence_at_us = None
 
-        self._scheduler.call_after(self.node.restart_delay_ms * 1000, relaunch)
+        self._scheduler.call_at(self._scheduler.clock.now_us() + self.node.restart_delay_ms * 1000, relaunch)
 
 
 class FailoverMonitor:
@@ -351,12 +352,7 @@ class FailoverMonitor:
         self.restart_events: list[dict] = []
         self._on_restart = on_restart
         bus.subscribe(types={MsgType.HEARTBEAT}, callback=self._on_heartbeat)
-
-        def check() -> None:
-            self.check_now()
-            scheduler.call_after(self.period_us, check)
-
-        scheduler.call_after(self.period_us, check)
+        scheduler.call_every(self.last_beat_us + self.period_us, self.period_us, None, lambda _index: self.check_now())
 
     def _on_heartbeat(self, received: Received) -> None:
         msg = received.message
@@ -516,13 +512,12 @@ def run_scenario(scenario: Scenario, data_dir: Path | str) -> ScenarioOutcome:
     period_us = protocol.sample_period_ms * 1000
     share_cpu(stubs, scenario.node.capacity_pct)
 
-    def resource_tick() -> None:
+    def resource_tick(_index: int) -> None:
         share_cpu(stubs, scenario.node.capacity_pct)
         for stub in stubs:
             stub.report_resources()
-        scheduler.call_after(period_us, resource_tick)
 
-    scheduler.call_after(period_us, resource_tick)
+    scheduler.call_every(clock.now_us() + period_us, period_us, None, resource_tick)
 
     # the supervisor finishes at its end_us, one sample period before this horizon
     scheduler.run_until(protocol.max_duration_s * 1_000_000 + period_us)

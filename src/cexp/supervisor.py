@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 from collections import OrderedDict, deque
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -309,8 +310,9 @@ class Supervisor:
     starts the run: it logs DEPLOY_OK and START, writes the first
     ``status.json``, subscribes ``handle`` to frames, module outputs and
     resource reports, and schedules ``finish`` at the end of the duration
-    budget and ``tick`` every sample period. ``finish`` keeps the report
-    it wrote as ``report``, None until then.
+    budget and ``tick`` at every sample period before it (``call_every``).
+    ``finish`` keeps the report it wrote as ``report``, None until then,
+    and closes the run's log files.
 
     ``status.json`` is rewritten at ``finish``. In between, the live
     daemon's idle step (``run_realtime``) calls ``refresh_status`` before
@@ -335,48 +337,48 @@ class Supervisor:
         self.report: Optional[ExperimentReport] = None
         self.started_at_us = self.clock.now_us()
         self.run_dir = run_dir(root, protocol.experiment_id)
-        (self.run_dir / "logs").mkdir(parents=True, exist_ok=True)
+        logs = self.run_dir / "logs"
+        logs.mkdir(parents=True, exist_ok=True)
         self.timeline: list[dict] = []
         # the last STATUS_EVENTS events; events.jsonl holds all of them
         self.events: deque[dict] = deque(maxlen=STATUS_EVENTS)
         self._events_logged = 0
         self._status_written: Optional[tuple[ExperimentState, int]] = None
-        self._events_fh = open(self.run_dir / "events.jsonl", "w", encoding="utf-8")
-        self._variant_logs: dict[str, Any] = {}
         # frame_id -> ground truth of the last GROUND_TRUTH_WINDOW frames, oldest first
         self._ground_truth: OrderedDict[int, int] = OrderedDict()
         # the resource window: the trailing samples a verdict looks at
         self._window_samples = protocol.sustain_samples + protocol.degrade_grace_samples
-        self.variants: dict[str, VariantRunState] = {}
-        for spec in protocol.variants:
-            self.variants[spec.variant_id] = VariantRunState(spec.variant_id, spec.role, self.started_at_us)
-            self._variant_logs[spec.variant_id] = open(
-                self.run_dir / "logs" / f"{spec.variant_id}.jsonl", "w", encoding="utf-8"
-            )
+        self.variants = {
+            spec.variant_id: VariantRunState(spec.variant_id, spec.role, self.started_at_us)
+            for spec in protocol.variants
+        }
         self._last_upload_us = self.started_at_us
-        self._scheduler = scheduler
         self._period_us = protocol.sample_period_ms * 1000
-
-        self._transition(ExperimentEvent.DEPLOY_OK)
-        self._transition(ExperimentEvent.START)
-        self._write_status()
+        with ExitStack() as files:  # closed by ``finish``, or here if the run fails to start
+            self._events_fh = files.enter_context(open(self.run_dir / "events.jsonl", "w", encoding="utf-8"))
+            self._variant_logs = {
+                variant_id: files.enter_context(open(logs / f"{variant_id}.jsonl", "w", encoding="utf-8"))
+                for variant_id in self.variants
+            }
+            self._transition(ExperimentEvent.DEPLOY_OK)
+            self._transition(ExperimentEvent.START)
+            self._write_status()
+            self._files = files.pop_all()
         bus.subscribe(
             types={MsgType.SENSOR_FRAME, MsgType.MODULE_OUTPUT, MsgType.RESOURCE_REPORT},
             callback=self.handle,
         )
-        scheduler.call_at(self.started_at_us + protocol.max_duration_s * 1_000_000, self._end)
-        scheduler.call_after(self._period_us, self._every_period)
+        duration_us = protocol.max_duration_s * 1_000_000
+        scheduler.call_at(self.started_at_us + duration_us, self._end)
+        # every period strictly before the end; ``tick`` is looked up at each call
+        ticks = (duration_us - 1) // self._period_us
+        scheduler.call_every(self.started_at_us + self._period_us, self._period_us, ticks, lambda _i: self.tick())
 
     # -- lifecycle ---------------------------------------------------------
 
     def _end(self) -> None:
         if self.report is None:
             self.finish()
-
-    def _every_period(self) -> None:
-        if self.report is None:
-            self.tick()
-            self._scheduler.call_after(self._period_us, self._every_period)
 
     def _transition(self, event: ExperimentEvent) -> None:
         prev = self.state
@@ -598,9 +600,7 @@ class Supervisor:
         if self.uplink is not None:
             self._uplink("report", report_bytes)
         self.report = report
-        self._events_fh.close()
-        for fh in self._variant_logs.values():
-            fh.close()
+        self._files.close()
         return report
 
     def _build_report(self, ended_at_us: int) -> ExperimentReport:

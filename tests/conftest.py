@@ -26,6 +26,22 @@ class RecordingBus(LoopbackBus):
         self.subscribe(callback=self.history.append)
 
 
+class TickingClock:
+    """A clock that, like wall time, has moved on by the next read: every
+    read is one microsecond later than the one before. ``advance_to`` is a
+    wait: it jumps ahead without reads, never back."""
+
+    def __init__(self) -> None:
+        self._now_us = 0
+
+    def now_us(self) -> int:
+        self._now_us += 1
+        return self._now_us
+
+    def advance_to(self, t_us: int) -> None:
+        self._now_us = max(self._now_us, t_us)
+
+
 @pytest.fixture
 def recording_bus(monkeypatch):
     """``run_scenario`` builds a ``RecordingBus``; read it as ``outcome.bus``."""

@@ -9,6 +9,7 @@ import pytest
 
 from cexp.clock import FakeClock, Scheduler, overdue
 from cexp.wirebus import Heartbeat, LoopbackBus, MsgType, Sender
+from conftest import TickingClock
 
 
 def test_call_at_ties_run_in_scheduling_order():
@@ -55,19 +56,26 @@ def test_call_every_rejects_the_past():
         scheduler.call_every(499, 10, 3, lambda i: None)
 
 
-class TickingClock:
-    """A clock that, like wall time, has moved on by the next read: every
-    read is one microsecond later than the one before."""
-
-    def __init__(self) -> None:
-        self._now_us = 0
-
-    def now_us(self) -> int:
-        self._now_us += 1
-        return self._now_us
+@pytest.mark.parametrize("period_us", [0, -10])
+def test_call_every_refuses_a_period_that_is_not_positive(period_us):
+    scheduler = Scheduler(FakeClock(0))
+    with pytest.raises(ValueError, match="period must be positive"):
+        scheduler.call_every(0, period_us, None, lambda i: None)
+    assert scheduler.pending() == 0
 
 
-def test_call_after_zero_holds_under_a_clock_that_moves_between_reads():
+def test_call_every_without_a_count_runs_until_the_loop_stops():
+    scheduler = Scheduler(FakeClock(0))
+    fired = []
+    scheduler.call_every(100, 100, None, fired.append)
+    scheduler.run_until(1_000)
+    assert fired == list(range(10))
+    assert scheduler.pending() == 1  # the occurrence at 1_100 waits for the next run
+    scheduler.run_until(1_150)
+    assert fired == list(range(11))
+
+
+def test_call_at_the_clocks_reading_holds_under_a_clock_that_moves_between_reads():
     clock = TickingClock()
 
     def idle(t_us):
@@ -80,13 +88,13 @@ def test_call_after_zero_holds_under_a_clock_that_moves_between_reads():
     def rearm(n):
         fired.append(n)
         if n < 100:
-            scheduler.call_after(0, lambda: rearm(n + 1))
+            scheduler.call_at(clock.now_us(), lambda: rearm(n + 1))
 
-    scheduler.call_after(0, lambda: rearm(1))
+    scheduler.call_at(clock.now_us(), lambda: rearm(1))
     scheduler.run_until(10_000)
     assert fired == list(range(1, 101))
     with pytest.raises(ValueError):
-        scheduler.call_after(-1, lambda: None)
+        scheduler.call_at(9_999, lambda: None)  # before the end of the last run
 
 
 def test_occurrences_keep_the_rank_taken_at_registration():
@@ -120,7 +128,7 @@ def _run_world(use_call_every: bool, seed: int) -> list:
     def occurrence(i):
         log.append((scheduler.clock.now_us(), f"p{i}"))
         if rng.random() < 0.3:
-            scheduler.call_after(period * rng.randint(0, 2), one_shot(f"from-p{i}", 1))
+            scheduler.call_at(scheduler.clock.now_us() + period * rng.randint(0, 2), one_shot(f"from-p{i}", 1))
 
     for k in range(15):
         scheduler.call_at(period * rng.randint(0, count), one_shot(f"pre{k}", 0))

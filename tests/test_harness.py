@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,9 +14,13 @@ import pytest
 
 from cexp.clock import FakeClock, Scheduler
 from cexp import harness as H
-from cexp.supervisor import SUPERVISOR_SENDER_ID
+from cexp.protocol import UploadPolicy
+from cexp.supervisor import SUPERVISOR_SENDER_ID, OtaUplink
 from cexp.wirebus import Command, CommandKind, LoopbackBus, ModuleOutput, MsgType, Sender, SensorFrame
 from conftest import make_ab_scenario, make_baseline_scenario, make_hostile_scenario, make_protocol_doc
+from test_bench_entry_points import _load_spans
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _frame_world():
@@ -678,6 +683,37 @@ def test_scenario_with_uplink_delivers_report_to_hq(tmp_path):
     outcome = H.run_scenario(H.scenario_from_object(scenario), data_dir=tmp_path)
     hq_copy = tmp_path / "hq" / outcome.report.experiment_id / "report.json"
     assert hq_copy.read_bytes() == outcome.report_path.read_bytes()
+
+
+def test_periodic_snapshots_of_ab_500_count_the_frames_before_each_tick(tmp_path, monkeypatch):
+    # the supervisor is built first, so at every period its tick, and the
+    # snapshot it sends, runs before the frame due at the same time
+    scenario = H.load_scenario(SCENARIOS / "ab_500.json")
+    protocol = dataclasses.replace(scenario.protocol, upload_policy=UploadPolicy("PERIODIC", 10))
+    snapshots = []
+    send = OtaUplink.send
+
+    def recording_send(self, experiment_id, payload, t_s, label="report"):
+        if label == "snapshot":
+            snapshots.append(json.loads(payload))
+        return send(self, experiment_id, payload, t_s, label)
+
+    monkeypatch.setattr(OtaUplink, "send", recording_send)
+    outcome = H.run_scenario(dataclasses.replace(scenario, protocol=protocol), data_dir=tmp_path)
+    assert outcome.failures == []
+    assert [snapshot["t_us"] for snapshot in snapshots] == [10_000_000 * k for k in range(1, 6)]
+    for snapshot, frames in zip(snapshots, (100, 200, 300, 400, 500)):
+        assert {v["frames_processed"] for v in snapshot["variants"].values()} == {frames}
+
+
+def test_a_traced_ab_500_run_ticks_once_per_period_before_the_end(tmp_path):
+    # the bench's supervisor.tick span counts every tick: 60 s at 500 ms is
+    # 119 periods strictly before the end
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        H.run_scenario(H.load_scenario(SCENARIOS / "ab_500.json"), data_dir=tmp_path)
+    assert tracer.calls["supervisor.tick"] == 119
 
 
 def test_hostile_scenario_protects_production(tmp_path):

@@ -29,7 +29,7 @@ from cexp.wirebus import (
     SensorFrame,
     SocketError,
 )
-from conftest import RecordingBus, make_ab_scenario, make_hostile_scenario, make_protocol_doc
+from conftest import RecordingBus, TickingClock, make_ab_scenario, make_hostile_scenario, make_protocol_doc
 
 SUSTAINED = ViolationVerdict(Verdict.SUSTAINED_VIOLATION, Axis.CPU, 3)
 OK = ViolationVerdict(Verdict.OK, Axis.NONE, 0)
@@ -318,12 +318,13 @@ def test_crashed_variant_is_recorded_and_run_continues(tmp_path):
     assert lost == [{"t_us": 6_000_000, "kind": "launch_lost", "variant_id": "expA"}]
 
 
-@pytest.mark.parametrize("missed, status", [(3, "COMPLETED"), (4, "CRASHED")])
+@pytest.mark.parametrize("missed, status", [(2, "COMPLETED"), (3, "CRASHED"), (4, "CRASHED")])
 def test_a_variant_is_lost_after_more_than_three_silent_periods(tmp_path, missed, status):
-    # reports at 0.5..2.0 s, then ``missed`` absent ones. With 3 missed the
-    # tick at 3.5 s sees exactly 3 periods of silence, which is not lost,
-    # and the 4.0 s report lands before that time's tick; with 4 missed
-    # the tick at 4.0 s sees 4 periods
+    # reports at 0.5..2.0 s, then ``missed`` absent ones. The supervisor is
+    # built first, so at every period its tick runs before that time's
+    # report. With 2 missed the tick at 3.5 s sees exactly 3 periods of
+    # silence, which is not lost, and the 3.5 s report follows it; with 3 or
+    # 4 missed the tick at 4.0 s sees 4 periods
     protocol = two_variant_protocol()
     trace = [25] * 4 + [None] * missed + [25] * (15 - missed)
     report, _, sup = drive_run(protocol, {"prod": [30] * 19, "expA": trace}, tmp_path)
@@ -394,6 +395,45 @@ def test_a_variant_is_lost_one_microsecond_past_three_silent_periods(tmp_path, t
     finally:
         sup.finish()  # closes the run's log files
     assert statuses == {"prod": status, "expA": status}
+
+
+def test_ticks_stay_on_the_period_grid_under_a_clock_that_moves_between_reads(tmp_path, monkeypatch):
+    # like wall time, the clock has moved on by the time a tick reads it;
+    # the k-th tick is still the event due k periods after the start
+    clock = TickingClock()
+    due = []
+
+    def idle(t_us):
+        due.append(t_us)
+        clock.advance_to(t_us)
+
+    ticked = []
+    tick = S.Supervisor.tick
+    monkeypatch.setattr(S.Supervisor, "tick", lambda self: (ticked.append(due[-1]), tick(self)))
+    protocol = parse_protocol(json.dumps(make_protocol_doc()))  # 60 s at 500 ms
+    scheduler = Scheduler(clock, idle=idle)
+    sup = S.Supervisor(protocol, scheduler, tmp_path, LoopbackBus())
+    scheduler.run_until(sup.started_at_us + 60_000_000)
+    assert sup.report is not None
+    period_us = protocol.sample_period_ms * 1000
+    assert ticked == [sup.started_at_us + k * period_us for k in range(1, 120)]
+
+
+def test_a_failed_log_open_closes_the_files_already_opened(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(S, "open", recording_open, raising=False)
+    protocol = two_variant_protocol()
+    (S.run_dir(tmp_path, protocol.experiment_id) / "logs" / "expA.jsonl").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        S.Supervisor(protocol, Scheduler(FakeClock(0)), tmp_path, LoopbackBus())
+    assert [Path(fh.name).name for fh in opened] == ["events.jsonl", "prod.jsonl"]
+    assert all(fh.closed for fh in opened)
 
 
 def test_a_variant_that_never_reports_is_lost(tmp_path):
