@@ -447,12 +447,12 @@ def scenario_from_object(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
         where = exc.field if exc.field not in ("", "$") else "scenario"
         raise ScenarioError(f"{where}: {exc.message}") from None
     base = Path(base_dir or ".")  # joined to an absolute path, it leaves that path as it is
-    if "protocol" in obj:
+    if ("protocol" in obj) == (scenario.protocol_file is not None):
+        raise ScenarioError("scenario needs 'protocol' (inline) or 'protocol_file', not both")
+    if scenario.protocol_file is None:
         protocol = parse_protocol(json.dumps(obj["protocol"]))
-    elif scenario.protocol_file is not None:
-        protocol = parse_protocol((base / scenario.protocol_file).read_text("utf-8"))
     else:
-        raise ScenarioError("scenario needs 'protocol' (inline) or 'protocol_file'")
+        protocol = parse_protocol((base / scenario.protocol_file).read_text("utf-8"))
     data_dir = None if scenario.data_dir is None else str(base / scenario.data_dir)
     scenario = replace(scenario, protocol=protocol, data_dir=data_dir)
     for variant in protocol.variants:

@@ -56,10 +56,6 @@ class Unreachable(Exception):
     pass
 
 
-class IncompleteReport(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class DecisionReport:
     experiment_id: str
@@ -239,19 +235,15 @@ def fetch(
 
     The local file is written atomically only after every chunk arrived:
     a failed fetch leaves nothing behind. Raises ``Unreachable`` when the
-    vehicle never answers and ``IncompleteReport`` when chunks stay
-    missing after the retry budget.
+    vehicle never answers and ``UplinkFailed`` when a chunk stays missing
+    after the retry budget.
     """
     _require_reachable(link, seed=seed, at_s=at_s)
     report_path = run_dir(vehicle_root, experiment_id) / "report.json"
     if not report_path.is_file():
         raise Unreachable(f"vehicle has no report for experiment {experiment_id!r}")
     payload = report_path.read_bytes()
-    dlink = DatagramLink(link, seed=seed + 1)
-    try:
-        uplink_report(payload, experiment_id, dlink, t_s=at_s)
-    except UplinkFailed as exc:
-        raise IncompleteReport(str(exc)) from exc
+    uplink_report(payload, experiment_id, DatagramLink(link, seed=seed + 1), t_s=at_s)
     return write_delivered(out_dir, experiment_id, "report", payload)
 
 
@@ -404,7 +396,8 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
             return 0
     # ValueError: an input that does not load or a missing option; OSError: a file that cannot be read;
     # ArtifactError: a deploy the link, the source store or the vehicle's store cannot complete
-    except (Unreachable, IncompleteReport, ArtifactError, ValueError, OSError) as exc:
+    # UplinkFailed: a fetch whose chunk ran out of retransmissions
+    except (Unreachable, UplinkFailed, ArtifactError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 2
     return 1

@@ -122,26 +122,26 @@ def write_delivered(inbox: Path | str, experiment_id: str, name: str, data: byte
 
 
 class UplinkFailed(Exception):
-    """Chunk retry budget exhausted; the report stays on local storage."""
+    """A chunk used up its retry budget; nothing reached HQ."""
 
 
 def enforce_step(
     verdict: ViolationVerdict,
     degrade_level: int,
-    samples_since_command: Optional[int],
+    samples_since_command: int,
     degrade_grace_samples: int,
 ) -> Optional[tuple[CommandKind, int]]:
     """Pure escalation decision for one experimental variant.
 
     Returns (command, new_degrade_level) or None. ``samples_since_command``
-    is the number of resource samples received since the last command, or
-    None when no command has been issued yet.
+    is the number of resource samples received since the last command; it
+    is not read at level 0, before the first command.
     """
     if verdict.verdict is not Verdict.SUSTAINED_VIOLATION:
         return None
     if degrade_level == 0:
         return (CommandKind.DEGRADE, 1)
-    if samples_since_command is not None and samples_since_command < degrade_grace_samples:
+    if samples_since_command < degrade_grace_samples:
         return None  # inside the grace window of the previous command
     if degrade_level < MAX_DEGRADE_LEVEL:
         return (CommandKind.DEGRADE, degrade_level + 1)
@@ -158,7 +158,7 @@ class VariantRunState:
     degrade_level: int = 0
     final_status: str = STATUS_RUNNING
     violating_span: int = 0  # the last verdict's, capped at the window length
-    samples_since_command: Optional[int] = None
+    samples_since_command: int = 0
     violations: int = 0
     commands: list = field(default_factory=list)
     frames_processed: int = 0
@@ -257,8 +257,9 @@ def uplink_report(
 
     Round-based NACK retransmission: each round resends, in index order,
     the chunks the previous round did not deliver. Raises ``UplinkFailed``
-    once a chunk has used up its retry budget without getting through; the
-    caller keeps the local copy for a later retry.
+    once a chunk has used up its retry budget without getting through.
+    Nothing retries a failed send: the payload reaches HQ only if the
+    caller sends it again.
     """
     chunks = chunk_payloads(payload)
     total = len(chunks)
@@ -310,9 +311,13 @@ class Supervisor:
     starts the run: it logs DEPLOY_OK and START, writes the first
     ``status.json``, subscribes ``handle`` to frames, module outputs and
     resource reports, and schedules ``finish`` at the end of the duration
-    budget and ``tick`` at every sample period before it (``call_every``).
-    ``finish`` keeps the report it wrote as ``report``, None until then,
-    and closes the run's log files.
+    budget and ``tick``, the liveness check, at every sample period before
+    it (``call_every``). Under a PERIODIC upload policy with an uplink, it
+    also uploads a snapshot at every upload interval before the end, on
+    that interval's own grid (``call_every``, registered right after the
+    tick's, so at a shared instant the snapshot runs right after the
+    tick). ``finish`` keeps the report it wrote as ``report``, None until
+    then, and closes the run's log files.
 
     ``status.json`` is rewritten at ``finish``. In between, the live
     daemon's idle step (``run_realtime``) calls ``refresh_status`` before
@@ -352,7 +357,6 @@ class Supervisor:
             spec.variant_id: VariantRunState(spec.variant_id, spec.role, self.started_at_us)
             for spec in protocol.variants
         }
-        self._last_upload_us = self.started_at_us
         self._period_us = protocol.sample_period_ms * 1000
         with ExitStack() as files:  # closed by ``finish``, or here if the run fails to start
             self._events_fh = files.enter_context(open(self.run_dir / "events.jsonl", "w", encoding="utf-8"))
@@ -369,16 +373,18 @@ class Supervisor:
             callback=self.handle,
         )
         duration_us = protocol.max_duration_s * 1_000_000
-        scheduler.call_at(self.started_at_us + duration_us, self._end)
-        # every period strictly before the end; ``tick`` is looked up at each call
+        # ``finish`` and ``tick`` are looked up at each call
+        scheduler.call_at(self.started_at_us + duration_us, lambda: self.finish())
+        # every period strictly before the end
         ticks = (duration_us - 1) // self._period_us
         scheduler.call_every(self.started_at_us + self._period_us, self._period_us, ticks, lambda _i: self.tick())
+        policy = protocol.upload_policy
+        if policy.kind == "PERIODIC" and uplink is not None:
+            interval_us = policy.interval_s * 1_000_000
+            snapshots = (duration_us - 1) // interval_us
+            scheduler.call_every(self.started_at_us + interval_us, interval_us, snapshots, self._upload_snapshot)
 
     # -- lifecycle ---------------------------------------------------------
-
-    def _end(self) -> None:
-        if self.report is None:
-            self.finish()
 
     def _transition(self, event: ExperimentEvent) -> None:
         prev = self.state
@@ -461,8 +467,7 @@ class Supervisor:
         if state is None or state.final_status != STATUS_RUNNING:
             return
         state.last_report_us = self.clock.now_us()
-        if state.samples_since_command is not None:
-            state.samples_since_command += 1
+        state.samples_since_command += 1
         state.cpu_sum += msg.cpu_pct
         state.cpu_max = max(state.cpu_max, msg.cpu_pct)
         state.cpu_samples += 1
@@ -536,8 +541,6 @@ class Supervisor:
     # -- timer -------------------------------------------------------------
 
     def tick(self) -> None:
-        if self.report is not None:
-            return
         now = self.clock.now_us()
         for state in self.variants.values():
             if state.final_status == STATUS_RUNNING and overdue(
@@ -546,17 +549,9 @@ class Supervisor:
                 state.final_status = STATUS_CRASHED
                 self._log("launch_lost", variant_id=state.variant_id)
                 self._maybe_abort()
-        self._maybe_periodic_upload()
 
-    def _maybe_periodic_upload(self) -> None:
-        policy = self.protocol.upload_policy
-        if policy.kind != "PERIODIC" or self.uplink is None:
-            return
-        interval_us = int(policy.interval_s) * 1_000_000
+    def _upload_snapshot(self, _index: int) -> None:
         now = self.clock.now_us()
-        if now - self._last_upload_us < interval_us:
-            return
-        self._last_upload_us = now
         snapshot = {
             "experiment_id": self.protocol.experiment_id,
             "state": self.state.value,
@@ -569,8 +564,9 @@ class Supervisor:
         self._uplink("snapshot", (json.dumps(snapshot, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
     def _uplink(self, stage: str, payload: bytes) -> None:
-        """Send ``payload`` to HQ as ``<stage>.json`` and log the outcome. A
-        failed send leaves the local copy in run_dir for a later retry."""
+        """Send ``payload`` to HQ as ``<stage>.json`` and log the outcome.
+        Nothing retries a failed send: a failed snapshot is lost, and a
+        failed report stays only in run_dir."""
         t_s = (self.clock.now_us() - self.started_at_us) / 1e6
         try:
             record = self.uplink.send(self.protocol.experiment_id, payload, t_s=t_s, label=stage)

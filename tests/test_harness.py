@@ -477,6 +477,16 @@ def test_scenario_protocol_file_resolves_relative_to_scenario(tmp_path):
     assert loaded.protocol.experiment_id == protocol_obj["experiment_id"]
 
 
+@pytest.mark.parametrize("protocol_keys", [(), ("protocol", "protocol_file")], ids=["neither", "both"])
+def test_a_scenario_needs_exactly_one_protocol(tmp_path, protocol_keys):
+    (tmp_path / "other.json").write_text(json.dumps(make_protocol_doc(experiment_id="exp-other")), "utf-8")
+    scenario = make_ab_scenario(protocol_file="other.json")
+    for key in {"protocol", "protocol_file"} - set(protocol_keys):
+        del scenario[key]
+    with pytest.raises(H.ScenarioError, match=r"^scenario needs 'protocol' \(inline\) or 'protocol_file', not both$"):
+        H.scenario_from_object(scenario, base_dir=tmp_path)
+
+
 def test_scenario_with_only_required_keys_loads_with_the_documented_defaults():
     variants = ("prod", "expA", "expB")
     required = {"protocol": make_protocol_doc(), "stubs": [{"variant_id": v} for v in variants], "uplink": {}}

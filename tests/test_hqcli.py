@@ -304,7 +304,7 @@ def test_fetch_incomplete_after_retries_leaves_nothing(tmp_path):
     root, experiment_id = _finished_vehicle(tmp_path)
     # seed chosen so the request gets through but a chunk exhausts its budget
     nasty = A.LinkProfile(datagram_loss_pct=99.0)
-    with pytest.raises(HQ.IncompleteReport):
+    with pytest.raises(S.UplinkFailed, match=r"^chunk \d+/\d+ undelivered after 5 retransmissions$"):
         HQ.fetch(root, experiment_id, tmp_path / "hq_out", link=nasty, seed=19)
     assert not (tmp_path / "hq_out" / experiment_id / "report.json").exists()
 
@@ -364,6 +364,21 @@ def test_cli_fetch_unreachable_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_cli_fetch_with_a_chunk_out_of_retries_exits_2_and_writes_nothing(tmp_path, capsys):
+    root, experiment_id = _finished_vehicle(tmp_path)
+    # a ten-chunk report: the request gets through, then chunk 3 runs out of retries
+    (S.run_dir(root, experiment_id) / "report.json").write_bytes(b"r" * 40_000)
+    link_path = tmp_path / "link.json"
+    link_path.write_text(json.dumps({"datagram_loss_pct": 60.0}), "utf-8")
+    code = HQ.cli_main([
+        "fetch", "--experiment", experiment_id, "--target", str(root), "--out", str(tmp_path / "out"),
+        "--link", str(link_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().out == "error: chunk 3/10 undelivered after 5 retransmissions\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_deploy_roundtrip(tmp_path, capsys):

@@ -806,6 +806,46 @@ def test_periodic_upload_policy_sends_snapshots(tmp_path):
     assert (tmp_path / "hq" / protocol.experiment_id / "report.json").is_file()
 
 
+def snapshot_times(sup):
+    """``t_us`` of every snapshot upload logged, delivered or failed."""
+    return [
+        e["t_us"]
+        for e in logged_events(sup)
+        if e["kind"] == "uplink_snapshot" or (e["kind"] == "uplink_failed" and e["stage"] == "snapshot")
+    ]
+
+
+@pytest.mark.parametrize(
+    "period_ms, interval_s, duration_s", [(700, 1, 10), (300, 1, 6), (10_000, 3, 40)]
+)
+def test_periodic_snapshots_fall_on_the_upload_intervals_grid(tmp_path, period_ms, interval_s, duration_s):
+    # an interval that is not a multiple of the sample period still uploads at
+    # every interval strictly before the end, whatever the link delivers
+    doc = make_protocol_doc(
+        sample_period_ms=period_ms,
+        max_duration_s=duration_s,
+        upload_policy={"PERIODIC": interval_s},
+    )
+    doc["variants"] = doc["variants"][:2]
+    protocol = parse_protocol(json.dumps(doc))
+    uplink = S.OtaUplink(LinkProfile(datagram_loss_pct=60.0), tmp_path, seed=3)
+    samples = duration_s * 1000 // period_ms
+    _, _, sup = drive_run(protocol, {"prod": [30] * samples, "expA": [25] * samples}, tmp_path, uplink=uplink)
+    interval_us = interval_s * 1_000_000
+    assert snapshot_times(sup) == [k * interval_us for k in range(1, (duration_s * 1_000_000 - 1) // interval_us + 1)]
+
+
+def test_a_variant_lost_at_a_snapshot_instant_is_logged_before_the_snapshot(tmp_path):
+    # expA's last report is at 4.0 s, so the tick at 6.0 s declares it lost;
+    # the snapshot due at 6.0 s runs right after that tick
+    protocol = two_variant_protocol(upload_policy={"PERIODIC": 1})
+    uplink = S.OtaUplink(LinkProfile(), tmp_path, seed=0)
+    _, _, sup = drive_run(protocol, {"prod": [30] * 19, "expA": [25] * 8}, tmp_path, uplink=uplink)
+    at_6s = [e["kind"] for e in logged_events(sup) if e["t_us"] == 6_000_000]
+    assert at_6s == ["launch_lost", "uplink_snapshot"]
+    assert snapshot_times(sup) == [k * 1_000_000 for k in range(1, 10)]
+
+
 # -- the cesupd daemon CLI ---------------------------------------------------------
 
 
